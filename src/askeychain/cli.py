@@ -17,6 +17,7 @@ underlying construction, and can be overridden with --mu.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -92,6 +93,10 @@ def parse_recipe(text: str) -> tuple[ConvolutionRecipe, int | None]:
         N = int(kv["N"]) if "N" in kv else None
     except ValueError as exc:
         raise DomainError(f"bad numeric value in recipe: {exc}") from None
+    if not all(math.isfinite(v) for v in params):
+        raise DomainError(f"recipe parameters must be finite, got {params}")
+    if N is not None and N < 0:
+        raise DomainError(f"lattice size must be N >= 0, got N={N}")
     recipe = ConvolutionRecipe(family, conv_type, params)
     if recipe.is_finite and N is None:
         raise DomainError(f"{family.value} recipes need N=<lattice size>")
@@ -327,6 +332,10 @@ def _cmd_verify(args, recipe, N) -> int:
             x, y, delta = int(xs), int(ys), float(ds)
         except ValueError:
             raise DomainError(f"bad --perturb {args.perturb!r}, expected x,y,delta") from None
+        if not (0 <= x < kernel.size and 0 <= y < kernel.size):
+            raise DomainError(
+                f"--perturb entry ({x},{y}) outside the {kernel.size}x{kernel.size} kernel"
+            )
         matrix = kernel.matrix.copy()
         matrix[x, y] += delta
         kernel = ConvolutionKernel(matrix, kernel.pi, kernel.recipe, kernel.lattice)

@@ -9,11 +9,6 @@ class ContractViolation(ValueError):
     """A precondition that callers must guarantee does not hold."""
 
 
-class SingularSeriesError(ArithmeticError):
-    """A denominator parameter of a terminating series hits zero before the
-    series terminates."""
-
-
 class UnsupportedCombination(ValueError):
     """The requested (family, convolution type) pair does not exist."""
 

@@ -12,21 +12,26 @@ Polynomial values are produced by the three-term recurrence in the degree
 (started from P_0 = 1), not by summing the defining hypergeometric series:
 the series terms alternate in sign and cancel catastrophically for degrees
 and lattice points past ~25, while the recurrence stays accurate through
-the lattice sizes supported here.  The series evaluators in ``specfun``
-remain the small-instance cross-check.
+the lattice sizes supported here.  The series themselves are evaluated
+only in the tests, in exact rational arithmetic, as the small-instance
+cross-check.
+
+Measures and norm constants are sums of log-gamma differences and log
+q-Pochhammer prefixes, exponentiated once at the end: products like
+binom(N,x) p^x (1-p)^(N-x) leave the double range long before N ~ 1e3.
+``log_measure_grid`` is the one implementation of the five measures; the
+scalar ``log_measure`` and ``measure`` are its one-point calls.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 from scipy.special import gammaln
 
-from . import specfun
 from .errors import DomainError, UnsupportedCombination
 
 
@@ -109,32 +114,6 @@ class FamilySpec:
             parts.append(f"N={self.N}")
         return f"{self.family.value}:" + ",".join(parts)
 
-    @classmethod
-    def from_string(cls, text: str) -> "FamilySpec":
-        m = re.fullmatch(r"(\w+):(.*)", text.strip())
-        if not m:
-            raise DomainError(f"cannot parse family spec {text!r}")
-        try:
-            family = Family(m.group(1))
-        except ValueError:
-            raise DomainError(f"unknown family {m.group(1)!r}") from None
-        kv: dict[str, str] = {}
-        for item in m.group(2).split(","):
-            k, _, v = item.partition("=")
-            if not _:
-                raise DomainError(f"malformed item {item!r} in {text!r}")
-            kv[k.strip()] = v.strip()
-        names = _PARAM_NAMES[family]
-        unknown = set(kv) - set(names) - {"N"}
-        if unknown:
-            raise DomainError(f"unknown keys {sorted(unknown)} for {family.value}")
-        missing = set(names) - set(kv)
-        if missing:
-            raise DomainError(f"missing keys {sorted(missing)} for {family.value}")
-        params = tuple(float(kv[name]) for name in names)
-        N = int(kv["N"]) if "N" in kv else None
-        return cls(family, params, N)
-
 
 # ---------------------------------------------------------------------------
 # measures
@@ -144,51 +123,6 @@ class FamilySpec:
 def _check_point(spec: FamilySpec, x: int) -> None:
     if x < 0 or (spec.N is not None and x > spec.N):
         raise DomainError(f"lattice point {x} outside {spec.to_string()}")
-
-
-def log_measure(spec: FamilySpec, x: int) -> float:
-    """Natural log of the normalized orthogonality measure pi(x)."""
-    _check_point(spec, x)
-    f, p, N = spec.family, spec.params, spec.N
-    if f is Family.KRAWTCHOUK:
-        (pp,) = p
-        return (
-            specfun.log_binomial(N, x)
-            + x * math.log(pp)
-            + (N - x) * math.log1p(-pp)
-        )
-    if f is Family.CHARLIER:
-        (a,) = p
-        return x * math.log(a) - a - math.lgamma(x + 1)
-    if f is Family.HAHN:
-        a, b = p
-        return (
-            specfun.log_binomial(N, x)
-            + specfun.log_pochhammer(a, x).log
-            + specfun.log_pochhammer(b, N - x).log
-            - specfun.log_pochhammer(a + b, N).log
-        )
-    if f is Family.MEIXNER:
-        a, b = p
-        return (
-            specfun.log_pochhammer(a, x).log
-            + x * math.log(b)
-            + a * math.log1p(-b)
-            - math.lgamma(x + 1)
-        )
-    a, b, q = p
-    return (
-        math.log(specfun.q_binomial(N, x, q))
-        + specfun.q_pochhammer(a, q, x).log
-        + specfun.q_pochhammer(b, q, N - x).log
-        + (N - x) * math.log(a)
-        - specfun.q_pochhammer(a * b, q, N).log
-    )
-
-
-def measure(spec: FamilySpec, x: int) -> float:
-    """pi(x): strictly positive; sums to 1 over the family's lattice."""
-    return math.exp(log_measure(spec, x))
 
 
 def _log_qpoch_prefix(w: float, q: float, kmax: int) -> np.ndarray:
@@ -209,7 +143,8 @@ def log_measure_grid(
 
     Semi-infinite families ignore ``sizes``.  Entries where pts is outside
     the lattice are returned as -inf.  Used by the kernel builders, where
-    the two measure factors are evaluated on whole index grids at once.
+    the two measure factors are evaluated on whole index grids at once,
+    and at single points by ``log_measure``.
     """
     pts = np.asarray(pts)
     sizes = np.asarray(sizes)
@@ -258,15 +193,30 @@ def log_measure_grid(
     return np.where(valid, out, -np.inf)
 
 
+def _log_pi(spec: FamilySpec, x: np.ndarray) -> np.ndarray:
+    """ln pi at the points ``x`` of the lattice of ``spec``."""
+    sizes = np.full(x.shape, spec.N if spec.N is not None else 0)
+    return log_measure_grid(spec.family, spec.params, x, sizes)
+
+
+def log_measure(spec: FamilySpec, x: int) -> float:
+    """Natural log of the normalized orthogonality measure pi(x)."""
+    _check_point(spec, x)
+    return float(_log_pi(spec, np.array([x]))[0])
+
+
+def measure(spec: FamilySpec, x: int) -> float:
+    """pi(x): strictly positive; sums to 1 over the family's lattice."""
+    return float(np.exp(log_measure(spec, x)))
+
+
 def measure_vector(spec: FamilySpec, npoints: int | None = None) -> np.ndarray:
     """pi over lattice points 0..npoints-1 (defaults to the full finite lattice)."""
     if npoints is None:
         npoints = spec.size
     if spec.is_finite and npoints > spec.size:
         raise DomainError(f"window {npoints} exceeds lattice size {spec.size}")
-    x = np.arange(npoints)
-    sizes = np.full(npoints, spec.N if spec.N is not None else 0)
-    return np.exp(log_measure_grid(spec.family, spec.params, x, sizes))
+    return np.exp(_log_pi(spec, np.arange(npoints)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +304,7 @@ def polynomial_vector(spec: FamilySpec, n: int, npoints: int | None = None) -> n
         return np.ones(npoints)
     window = spec.size if spec.is_finite else max(npoints, n + 1)
     phi = orthonormal_columns(spec, window)[:npoints, n]
-    x = np.arange(npoints)
-    sizes = np.full(npoints, spec.N if spec.N is not None else 0)
-    half_log_pi = 0.5 * log_measure_grid(spec.family, spec.params, x, sizes)
+    half_log_pi = 0.5 * _log_pi(spec, np.arange(npoints))
     with np.errstate(over="ignore"):
         return np.sign(phi) * np.exp(
             np.log(np.abs(phi), where=phi != 0.0, out=np.full(npoints, -np.inf))
@@ -383,35 +331,41 @@ def _log_norm_sq(spec: FamilySpec, n: int) -> float:
     f, p, N = spec.family, spec.params, spec.N
     if f is Family.KRAWTCHOUK:
         (pp,) = p
-        return specfun.log_binomial(N, n) + n * (math.log(pp) - math.log1p(-pp))
-    if f is Family.CHARLIER:
-        (a,) = p
-        return n * math.log(a) - math.lgamma(n + 1)
-    if f is Family.HAHN:
-        a, b = p
-        return (
-            specfun.log_binomial(N, n)
-            + specfun.log_pochhammer(a, n).log
-            - specfun.log_pochhammer(b, n).log
-            + math.log(2 * n + a + b - 1)
-            + specfun.log_pochhammer(a + b, N).log
-            - specfun.log_pochhammer(n + a + b - 1, N + 1).log
+        out = (
+            gammaln(N + 1) - gammaln(n + 1) - gammaln(N - n + 1)
+            + n * (math.log(pp) - math.log1p(-pp))
         )
-    if f is Family.MEIXNER:
+    elif f is Family.CHARLIER:
+        (a,) = p
+        out = n * math.log(a) - gammaln(n + 1)
+    elif f is Family.HAHN:
         a, b = p
-        return specfun.log_pochhammer(a, n).log + n * math.log(b) - math.lgamma(n + 1)
-    a, b, q = p
-    # (ab q^{-1}; q)_n / (1 - ab q^{-1}) = (ab; q)_{n-1}, written so that
-    # ab ~ q never produces 0/0
-    return (
-        math.log(specfun.q_binomial(N, n, q))
-        + specfun.q_pochhammer(a, q, n).log
-        + specfun.q_pochhammer(a * b, q, n - 1).log
-        + math.log1p(-a * b * q ** (2 * n - 1))
-        - specfun.q_pochhammer(a * b * q**N, q, n).log
-        - specfun.q_pochhammer(b, q, n).log
-        - n * math.log(a)
-    )
+        out = (
+            gammaln(N + 1) - gammaln(n + 1) - gammaln(N - n + 1)
+            + gammaln(a + n) - gammaln(a)
+            - gammaln(b + n) + gammaln(b)
+            + math.log(2 * n + a + b - 1)
+            + gammaln(a + b + N) - gammaln(a + b)
+            - gammaln(n + a + b + N) + gammaln(n + a + b - 1)
+        )
+    elif f is Family.MEIXNER:
+        a, b = p
+        out = gammaln(a + n) - gammaln(a) + n * math.log(b) - gammaln(n + 1)
+    else:
+        a, b, q = p
+        lqf = _log_qpoch_prefix(q, q, N)
+        # (ab q^{-1}; q)_n / (1 - ab q^{-1}) = (ab; q)_{n-1}, written so that
+        # ab ~ q never produces 0/0
+        out = (
+            lqf[N] - lqf[n] - lqf[N - n]
+            + _log_qpoch_prefix(a, q, n)[n]
+            + _log_qpoch_prefix(a * b, q, n - 1)[n - 1]
+            + math.log1p(-a * b * q ** (2 * n - 1))
+            - _log_qpoch_prefix(a * b * q**N, q, n)[n]
+            - _log_qpoch_prefix(b, q, n)[n]
+            - n * math.log(a)
+        )
+    return float(out)
 
 
 def norm_constant_sq(spec: FamilySpec, n: int) -> float:
@@ -425,9 +379,7 @@ _VALID_BOUND = 1.0 + 1e-6  # orthonormal entries cannot exceed 1
 
 def _weighted_setup(spec: FamilySpec, npoints: int):
     theta = site_values(spec, npoints)
-    x = np.arange(npoints)
-    sizes = np.full(npoints, spec.N if spec.N is not None else 0)
-    half_log_pi = 0.5 * log_measure_grid(spec.family, spec.params, x, sizes)
+    half_log_pi = 0.5 * _log_pi(spec, np.arange(npoints))
     A, C = recurrence_coefficients(spec, npoints - 1)
     b = np.sign(A[:-1]) * np.sqrt(A[:-1] * C[1:])
     return theta, np.exp(half_log_pi), A, C, b
@@ -640,13 +592,10 @@ class MeasureFactor:
     params: tuple[float, ...]
 
     def log_at(self, x: int, size: int) -> float:
-        if self.family in FINITE_FAMILIES:
-            spec = FamilySpec(self.family, self.params, N=size)
-        else:
-            spec = FamilySpec(self.family, self.params, N=None)
-        if x < 0 or (spec.is_finite and x > size):
-            return -math.inf
-        return log_measure(spec, x)
+        """ln pi(x) at lattice size ``size``; -inf off the lattice."""
+        return float(
+            log_measure_grid(self.family, self.params, np.array([x]), np.array([size]))[0]
+        )
 
     def at(self, x: int, size: int) -> float:
         return math.exp(self.log_at(x, size))

@@ -99,6 +99,21 @@ class TestKernelCommand:
         code, _ = run(tmp_path, "kernel", "--recipe", "krawtchouk type=i a=1.3 b=0.5 N=5")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            "hahn type=i a=1 b=1 c=inf N=5",
+            "charlier type=i a=0.5 b=inf",
+            "meixner type=i a=nan b=1 c=0.2",
+            "krawtchouk type=i a=0.3 b=0.5 N=-3",
+        ],
+    )
+    def test_non_finite_or_negative_size_exits_2(self, tmp_path, capsys, recipe):
+        code, text = run(tmp_path, "kernel", "--recipe", recipe)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestVerifyCommand:
     def test_all_pass_report(self, tmp_path):
@@ -126,6 +141,19 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL column-stochasticity" in text
         assert "FAILURES PRESENT" in text
+
+    @pytest.mark.parametrize("perturb", ["9,0,0.1", "0,6,0.1", "-1,0,0.5"])
+    def test_perturb_outside_kernel_exits_2(self, tmp_path, capsys, perturb):
+        code, text = run(
+            tmp_path,
+            "verify",
+            "--recipe",
+            "krawtchouk type=i a=0.3 b=0.5 N=5",
+            f"--perturb={perturb}",
+        )
+        assert code == 2
+        assert text == ""
+        assert "outside the 6x6 kernel" in capsys.readouterr().err
 
     def test_json_report(self, tmp_path):
         code, text = run(

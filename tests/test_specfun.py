@@ -1,3 +1,12 @@
+"""Special-function primitives behind the measure path and the series checks.
+
+The library keeps one q-Pochhammer primitive, ``families._log_qpoch_prefix``
+(the q-Hahn measure, its q-binomial and its norm constants are sums of its
+entries), and the polynomial tests check the recurrence against the exact
+terminating series in ``oracles``.  Both are pinned here against hand values
+and exact rational products.
+"""
+
 import math
 from fractions import Fraction
 
@@ -5,80 +14,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askeychain import specfun
-from askeychain.errors import ContractViolation, DomainError, SingularSeriesError
-from askeychain.specfun import SignedLog
+from askeychain.errors import DomainError
+from askeychain.families import _log_qpoch_prefix
 
 import oracles
 
 
-class TestSignedLog:
-    def test_one_and_zero(self):
-        assert SignedLog.one().to_float() == 1.0
-        assert SignedLog.zero().to_float() == 0.0
-        assert SignedLog.zero().sign == 0
-
-    def test_multiplication_adds_logs_and_signs(self):
-        a = SignedLog.from_float(-3.0)
-        b = SignedLog.from_float(2.0)
-        assert (a * b).to_float() == pytest.approx(-6.0, rel=1e-15)
-        assert (a * SignedLog.zero()).sign == 0
-
-    @given(st.floats(-1e6, 1e6).filter(lambda v: abs(v) > 1e-6))
-    def test_from_float_roundtrip(self, v):
-        assert SignedLog.from_float(v).to_float() == pytest.approx(v, rel=1e-14)
-
-
-class TestLogPochhammer:
-    def test_empty_product(self):
-        out = specfun.log_pochhammer(17.3, 0)
-        assert out.sign == 1 and out.log == 0.0
-
-    def test_factorial_case(self):
-        assert specfun.log_pochhammer(1.0, 4).to_float() == pytest.approx(24.0, rel=1e-14)
-
-    def test_half_integer_product(self):
-        # 0.5 * 1.5 * 2.5 against the direct loop
-        out = specfun.log_pochhammer(0.5, 3).to_float()
-        assert out == pytest.approx(0.5 * 1.5 * 2.5, rel=1e-14)
-
-    def test_zero_factor(self):
-        assert specfun.log_pochhammer(-2.0, 5).sign == 0
-
-    def test_negative_argument_sign(self):
-        # (-2.5)_3 = (-2.5)(-1.5)(-0.5) < 0
-        out = specfun.log_pochhammer(-2.5, 3)
-        assert out.sign == -1
-        assert out.to_float() == pytest.approx(-2.5 * -1.5 * -0.5, rel=1e-13)
-
-    @given(
-        st.fractions(min_value=-20, max_value=20).filter(lambda f: f.denominator <= 8),
-        st.integers(0, 25),
-    )
-    @settings(max_examples=200)
-    def test_matches_exact_rational_product(self, a, n):
-        exact = oracles.poch_frac(a, n)
-        got = specfun.log_pochhammer(float(a), n).to_float()
-        if exact == 0:
-            assert got == 0.0
-        else:
-            assert got == pytest.approx(float(exact), rel=1e-12)
+def _log_q_binomial(n, k, q):
+    """ln [n k]_q as the q-Hahn measure forms it from (q;q)_k prefixes."""
+    lqf = _log_qpoch_prefix(q, q, n)
+    return lqf[n] - lqf[k] - lqf[n - k]
 
 
 class TestQPochhammer:
     def test_empty_product(self):
-        assert specfun.q_pochhammer(0.77, 0.5, 0).to_float() == 1.0
+        assert math.exp(_log_qpoch_prefix(0.77, 0.5, 0)[0]) == 1.0
 
     def test_zero_first_factor(self):
-        assert specfun.q_pochhammer(1.0, 0.5, 2).sign == 0
+        # (1; 1/2)_2 = 0: the log-space prefix accepts positive factors only
+        with pytest.raises(DomainError):
+            _log_qpoch_prefix(1.0, 0.5, 2)
 
     def test_small_product(self):
-        got = specfun.q_pochhammer(0.3, 0.5, 2).to_float()
+        got = math.exp(_log_qpoch_prefix(0.3, 0.5, 2)[2])
         assert got == pytest.approx(0.7 * 0.85, rel=1e-14)
-
-    def test_q_range_checked(self):
-        with pytest.raises(DomainError):
-            specfun.q_pochhammer(0.3, 1.5, 2)
 
     @given(
         st.fractions(min_value=-3, max_value=3).filter(lambda f: f.denominator <= 6),
@@ -88,43 +47,21 @@ class TestQPochhammer:
     def test_matches_exact_rational(self, a, n):
         q = Fraction(1, 2)
         exact = oracles.qpoch_frac(a, q, n)
-        got = specfun.q_pochhammer(float(a), 0.5, n).to_float()
+        if any(1 - a * q**k <= 0 for k in range(n)):
+            with pytest.raises(DomainError):
+                _log_qpoch_prefix(float(a), 0.5, n)
+            return
+        got = math.exp(_log_qpoch_prefix(float(a), 0.5, n)[n])
         assert got == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
-
-
-class TestLogBinomial:
-    def test_edge(self):
-        assert specfun.log_binomial(37, 0) == 0.0
-
-    def test_small(self):
-        assert specfun.log_binomial(4, 2) == pytest.approx(math.log(6), rel=1e-15)
-
-    def test_large_against_exact_integer(self):
-        assert specfun.log_binomial(50, 25) == pytest.approx(
-            math.log(126410606437752), rel=1e-15
-        )
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            specfun.log_binomial(4, 5)
-        with pytest.raises(DomainError):
-            specfun.log_binomial(4, -1)
-
-    @given(st.integers(0, 2000), st.integers(0, 2000))
-    @settings(max_examples=200)
-    def test_symmetry_bit_for_bit(self, n, x):
-        if x > n:
-            n, x = x, n
-        assert specfun.log_binomial(n, x) == specfun.log_binomial(n, n - x)
 
 
 class TestQBinomial:
     def test_edge(self):
-        assert specfun.q_binomial(9, 0, 0.3) == 1.0
+        assert math.exp(_log_q_binomial(9, 0, 0.3)) == 1.0
 
     @given(st.floats(0.05, 0.95))
     def test_classic_identity(self, q):
-        assert specfun.q_binomial(2, 1, q) == pytest.approx(1 + q, rel=1e-13)
+        assert math.exp(_log_q_binomial(2, 1, q)) == pytest.approx(1 + q, rel=1e-13)
 
     def test_product_formula(self):
         # [4 2]_q at q = 1/2 from the exact (q;q)_n products
@@ -132,106 +69,56 @@ class TestQBinomial:
         exact = oracles.qpoch_frac(q, q, 4) / (
             oracles.qpoch_frac(q, q, 2) ** 2
         )
-        assert specfun.q_binomial(4, 2, 0.5) == pytest.approx(float(exact), rel=1e-13)
+        got = math.exp(_log_q_binomial(4, 2, 0.5))
+        assert got == pytest.approx(float(exact), rel=1e-13)
 
 
 class TestHypergeometricTerminating:
     def test_single_term(self):
-        assert specfun.hypergeometric_terminating([0.0, 3.3], [1.1], 7.0) == 1.0
+        got = oracles.hyper_frac(
+            [Fraction(0), Fraction(33, 10)], [Fraction(11, 10)], Fraction(7), nterms=0
+        )
+        assert got == 1
 
     def test_two_term_krawtchouk_value(self):
         # 1 + (-1)(-1)/(-2) * 2 = 0
-        got = specfun.hypergeometric_terminating([-1.0, -1.0], [-2.0], 2.0)
-        assert got == pytest.approx(0.0, abs=1e-15)
+        got = oracles.hyper_frac(
+            [Fraction(-1), Fraction(-1)], [Fraction(-2)], Fraction(2), nterms=1
+        )
+        assert got == 0
 
     def test_three_term_rational_oracle(self):
+        # 1 + (-2)(3)(-1) / ((1)(-2)) * 1 = -2
         a = b = 1
-        got = specfun.hypergeometric_terminating(
-            [-2.0, 2.0 + a + b - 1, -1.0], [float(a), -2.0], 1.0
-        )
-        exact = oracles.hyper_frac(
+        got = oracles.hyper_frac(
             [Fraction(-2), Fraction(2 + a + b - 1), Fraction(-1)],
             [Fraction(a), Fraction(-2)],
             Fraction(1),
             nterms=1,
         )
-        assert got == pytest.approx(float(exact), rel=1e-14)
-
-    @given(
-        st.integers(0, 20),
-        st.integers(0, 30),
-        st.fractions(min_value=Fraction(1, 4), max_value=4).filter(
-            lambda f: f.denominator <= 4
-        ),
-        st.fractions(min_value=-3, max_value=3).filter(lambda f: f.denominator <= 4),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_matches_exact_rational_oracle(self, n, x, a, z):
-        """2F1(-n, -x; a | z) with rational data against exact arithmetic."""
-        exact = oracles.hyper_frac(
-            [Fraction(-n), Fraction(-x)], [a], z, nterms=min(n, x)
-        )
-        got = specfun.hypergeometric_terminating([-float(n), -float(x)], [float(a)], float(z))
-        assert got == pytest.approx(float(exact), rel=1e-12, abs=1e-290)
-
-    def test_nonterminating_rejected(self):
-        with pytest.raises(ContractViolation):
-            specfun.hypergeometric_terminating([0.5, 1.5], [2.0], 1.0)
-
-    def test_cap_enforced(self):
-        with pytest.raises(ContractViolation):
-            specfun.hypergeometric_terminating([-201.0], [5.0], 1.0)
-
-    def test_denominator_singularity_detected(self):
-        # denominator -1 vanishes at k = 1, termination only at k = 3
-        with pytest.raises(SingularSeriesError):
-            specfun.hypergeometric_terminating([-3.0, 2.0], [-1.0], 1.0)
+        assert got == -2
 
     def test_denominator_past_termination_is_safe(self):
-        # -N in the denominator is fine because -x terminates the sum first
-        got = specfun.hypergeometric_terminating([-2.0, -7.0], [-10.0], 0.5)
-        exact = oracles.hyper_frac(
+        # -N in the denominator is fine because -2 terminates the sum first:
+        # 1 - 7/10 + 7/60 = 5/12
+        got = oracles.hyper_frac(
             [Fraction(-2), Fraction(-7)], [Fraction(-10)], Fraction(1, 2), 2
         )
-        assert got == pytest.approx(float(exact), rel=1e-14)
+        assert got == Fraction(5, 12)
 
 
 class TestBasicHypergeometric3phi2:
     def test_single_term(self):
-        q = 0.5
-        got = specfun.basic_hypergeometric_3phi2_terminating(
-            [1.0, 0.3, q ** -4], [0.2, q ** -9], q, q
+        # (1;q)_k = 0 for k >= 1 cuts the sum after its first term
+        q = Fraction(1, 2)
+        got = oracles.q_3phi2_frac(
+            [Fraction(1), Fraction(3, 10), q**-4], [Fraction(1, 5), q**-9], q, q, nterms=4
         )
-        assert got == 1.0
+        assert got == 1
 
     def test_x_zero_is_one(self):
-        q = 0.5
-        got = specfun.basic_hypergeometric_3phi2_terminating(
-            [q ** -3, 0.15, 1.0], [0.3, q ** -8], q, q
-        )
-        assert got == 1.0
-
-    def test_small_instance_exact_rational(self):
         q = Fraction(1, 2)
-        n, x, N = 2, 3, 5
-        a, b = Fraction(1, 4), Fraction(1, 3)
-        nums = [q ** -n, a * b * q ** (n - 1), q ** -x]
-        dens = [a, q ** -N]
-        exact = oracles.q_3phi2_frac(nums, dens, q, q, nterms=min(n, x))
-        got = specfun.basic_hypergeometric_3phi2_terminating(
-            [float(v) for v in nums], [float(v) for v in dens], 0.5, 0.5
+        got = oracles.q_3phi2_frac(
+            [q**-3, Fraction(3, 20), Fraction(1)], [Fraction(3, 10), q**-8], q, q, nterms=3
         )
-        assert got == pytest.approx(float(exact), rel=1e-13)
-
-    def test_nonterminating_rejected(self):
-        with pytest.raises(ContractViolation):
-            specfun.basic_hypergeometric_3phi2_terminating(
-                [0.2, 0.3, 0.4], [0.5, 0.6], 0.5, 0.5
-            )
-
-    def test_denominator_singularity_detected(self):
-        q = 0.5
-        with pytest.raises(SingularSeriesError):
-            specfun.basic_hypergeometric_3phi2_terminating(
-                [q ** -5, 0.3, 0.2], [q ** -2, 0.1], q, q
-            )
+        assert got == 1
