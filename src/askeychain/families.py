@@ -684,6 +684,59 @@ class ConvolutionRecipe:
         return " ".join(parts)
 
 
+def parse_recipe(text: str) -> tuple[ConvolutionRecipe, int | None]:
+    """Parse 'family type=t a=.. b=.. [c=..] [q=..] [N=..]' to a recipe.
+
+    The inverse of ``ConvolutionRecipe.to_string``: unknown keys are
+    rejected, not ignored, and the parsed recipe round-trips through its
+    canonical form.
+    """
+    tokens = text.split()
+    if not tokens:
+        raise DomainError("empty recipe")
+    try:
+        family = Family(tokens[0].lower())
+    except ValueError:
+        raise DomainError(f"unknown family {tokens[0]!r}") from None
+    kv: dict[str, str] = {}
+    for tok in tokens[1:]:
+        key, sep, value = tok.partition("=")
+        if not sep:
+            raise DomainError(f"malformed token {tok!r} (expected key=value)")
+        if key in kv:
+            raise DomainError(f"duplicate key {key!r}")
+        kv[key] = value
+    names = RECIPE_PARAM_NAMES[family]
+    allowed = set(names) | {"type", "N"}
+    unknown = sorted(set(kv) - allowed)
+    if unknown:
+        raise DomainError(f"unknown keys {unknown} for {family.value}")
+    if "type" not in kv:
+        raise DomainError("recipe needs type=i|ii|iii")
+    try:
+        conv_type = ConvType(kv["type"].lower())
+    except ValueError:
+        raise DomainError(f"unknown convolution type {kv['type']!r}") from None
+    missing = sorted(set(names) - set(kv))
+    if missing:
+        raise DomainError(f"missing keys {missing} for {family.value}")
+    try:
+        params = tuple(float(kv[name]) for name in names)
+        N = int(kv["N"]) if "N" in kv else None
+    except ValueError as exc:
+        raise DomainError(f"bad numeric value in recipe: {exc}") from None
+    if not all(math.isfinite(v) for v in params):
+        raise DomainError(f"recipe parameters must be finite, got {params}")
+    if N is not None and N < 0:
+        raise DomainError(f"lattice size must be N >= 0, got N={N}")
+    recipe = ConvolutionRecipe(family, conv_type, params)
+    if recipe.is_finite and N is None:
+        raise DomainError(f"{family.value} recipes need N=<lattice size>")
+    if not recipe.is_finite and N is not None:
+        raise DomainError(f"{family.value} recipes take --eps, not N")
+    return recipe, N
+
+
 def kappa_vector(recipe: ConvolutionRecipe, nmax: int) -> np.ndarray:
     """Eigenvalues kappa(n), n = 0..nmax, of the convolution kernel.
 

@@ -191,20 +191,21 @@ def _build_matrix(recipe: ConvolutionRecipe, size: int) -> np.ndarray:
     return e @ g
 
 
+COL_TARGET_FACTOR = 10.0
+MAX_WINDOW_POINTS = 2000
+
+
 def build_kernel(
-    recipe: ConvolutionRecipe,
-    N: int | None = None,
-    tail_eps: float = 1e-12,
-    col_target: float | None = None,
-    max_points: int = 2000,
+    recipe: ConvolutionRecipe, N: int | None = None, tail_eps: float = 1e-12
 ) -> ConvolutionKernel:
     """Construct the kernel with its stationary distribution attached.
 
     Finite families need the lattice size N.  Semi-infinite families are
     truncated: the window starts at the certified stationary-tail cutoff
     for ``tail_eps`` and is enlarged until the worst column-sum deficit is
-    at most ``col_target`` (default 10 * tail_eps) or ``max_points`` is
-    reached; the achieved deficit is recorded on the lattice spec.  The
+    at most 10 * tail_eps or the window holds 2000 points; the achieved
+    deficit is recorded on the lattice spec.  An explicit N fixes a
+    truncated window at 0..N without adaptation (small oracle runs).  The
     stationary vector is always recomputed from the lambda3 parameter map,
     never from a numeric eigenvector.
     """
@@ -215,27 +216,14 @@ def build_kernel(
         pi = measure_vector(recipe.stationary_spec(N))
         lattice = LatticeSpec(LatticeKind.FINITE, N + 1)
         return ConvolutionKernel(matrix, pi, recipe, lattice)
-    if N is not None:
-        # explicit window override (small oracle runs); no adaptation
-        matrix = _build_matrix(recipe, N + 1)
-        pi = measure_vector(recipe.lambda3, N + 1)
-        lattice = LatticeSpec(
-            LatticeKind.TRUNCATED,
-            N + 1,
-            tail_eps=tail_eps,
-            tail_bound=stationary_tail_bound(recipe.lambda3, N),
-            col_deficiency=float(np.max(np.abs(matrix.sum(axis=0) - 1.0))),
-        )
-        return ConvolutionKernel(matrix, pi, recipe, lattice)
-    if col_target is None:
-        col_target = 10.0 * tail_eps
-    M = truncation_cutoff(recipe.lambda3, tail_eps)
+    M = truncation_cutoff(recipe.lambda3, tail_eps) if N is None else N
     while True:
         matrix = _build_matrix(recipe, M + 1)
         deficiency = float(np.max(np.abs(matrix.sum(axis=0) - 1.0)))
-        if deficiency <= col_target or M + 1 >= max_points:
+        done = deficiency <= COL_TARGET_FACTOR * tail_eps or M + 1 >= MAX_WINDOW_POINTS
+        if N is not None or done:
             break
-        nxt = min(max(M + 8, int(M * 1.25)), max_points - 1)
+        nxt = min(max(M + 8, int(M * 1.25)), MAX_WINDOW_POINTS - 1)
         # never grow past the representable range of the stationary vector
         # (pi must stay strictly positive for the similarity transform)
         while nxt > M and log_measure(recipe.lambda3, nxt) <= -700.0:

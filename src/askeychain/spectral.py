@@ -11,8 +11,8 @@ backward-stable symmetric eigensolve) is the independent cross-check.
 Note on truncated lattices: a finite window of a semi-infinite chain
 cannot carry the exact analytic eigensystem - the top modes always spill
 past any window, so their columns of phi are not unit vectors and their
-residuals are not small.  ``mode_norm_defects`` measures that spill
-per mode; checks on truncated systems should be read against it.
+residuals are not small.  ``mode_norm_defects`` measures that spill per
+mode; ``verification_report`` checks eigenvectors only on the modes that fit.
 """
 
 from __future__ import annotations
@@ -22,8 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .families import ConvolutionRecipe, kappa_vector, orthonormal_columns
-from .markov import ConvolutionKernel, LatticeSpec, build_kernel
+from .families import ConvolutionRecipe, kappa_vector, orthonormal_columns, spectral_gap
+from .markov import (
+    ConvolutionKernel,
+    LatticeKind,
+    LatticeSpec,
+    build_kernel,
+    eigenvalue_moduli_excess,
+    perron_frobenius_residual,
+    verify_kernel,
+)
+
+#: window spill past which a truncated mode is left out of the eigenvector checks
+_RELIABLE_MODE_DEFECT = 1e-10
 
 
 def classical_hamiltonian(kernel: ConvolutionKernel) -> np.ndarray:
@@ -147,6 +158,62 @@ def completeness_defect(phi: np.ndarray) -> float:
     """max |phi phi^T - I|."""
     g = phi @ phi.T
     return float(np.max(np.abs(g - np.eye(g.shape[0]))))
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One invariant of the verification suite: measured violation vs. tolerance."""
+
+    name: str
+    measured: float
+    tol: float
+    passed: bool
+
+    def line(self) -> str:
+        flag = "PASS" if self.passed else "FAIL"
+        return f"{flag} {self.name}: measured={self.measured:.3e} tol={self.tol:.1e}"
+
+
+def _check(name: str, measured: float, tol: float) -> CheckResult:
+    return CheckResult(name, measured, tol, measured <= tol)
+
+
+def _reliable_modes(system: SpectralSystem) -> np.ndarray:
+    if system.lattice.kind is LatticeKind.FINITE:
+        return np.arange(system.size)
+    return np.flatnonzero(system.mode_norm_defects() <= _RELIABLE_MODE_DEFECT)
+
+
+def verification_report(
+    kernel: ConvolutionKernel, system: SpectralSystem, kernel_tol: float | None = None
+) -> list[CheckResult]:
+    """Run the full invariant suite for one recipe; failed checks are
+    reported, never raised.  ``kernel_tol`` defaults as in ``verify_kernel``.
+
+    On truncated lattices the eigenvector checks are restricted to the
+    modes that fit in the window (norm defect <= 1e-10): the spilling top
+    modes of a finite window cannot satisfy the closed-form eigensystem of
+    the infinite chain.  The spectral gap is reported, not checked.
+    """
+    rep = verify_kernel(kernel, kernel_tol)
+    checks = [
+        _check("column-stochasticity", rep.max_stochastic_violation, rep.tol),
+        _check("detailed-balance", rep.max_reversibility_violation, rep.tol),
+        _check("positivity", 0.0 if rep.positivity else 1.0, 0.5),
+        _check("perron-frobenius-match", perron_frobenius_residual(kernel), 1e-10),
+        _check("eigenvalue-moduli-excess", eigenvalue_moduli_excess(kernel), 1e-12),
+        _check("hamiltonian-asymmetry", system.presym_asymmetry, 1e-13),
+        _check("spectrum-match", spectrum_comparison(system), 1e-8),
+    ]
+    modes = _reliable_modes(system)
+    res = float(np.max(eigen_residuals(system)[modes])) if modes.size else 0.0
+    checks.append(_check("eigenvector-residual", res, 1e-9 * (1.0 + kernel.lattice.N / 50.0)))
+    checks.append(_check("orthonormality", orthonormality_defect(system.phi[:, modes]), 1e-9))
+    if kernel.lattice.kind is LatticeKind.FINITE:
+        checks.append(_check("completeness", completeness_defect(system.phi), 1e-9))
+    gap = spectral_gap(kernel.recipe, kernel.size - 1)
+    checks.append(CheckResult("spectral-gap", gap, 0.0, True))
+    return checks
 
 
 def left_eigen_residual(kernel: ConvolutionKernel, pol: np.ndarray, kap: float) -> float:

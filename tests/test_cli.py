@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import askeychain as ak
 from askeychain import export
 from askeychain.cli import main, parse_recipe
 from askeychain.errors import DomainError
@@ -114,6 +115,23 @@ class TestKernelCommand:
         assert text == ""
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "k.csv"
+        code = main(["kernel", "--recipe", "krawtchouk type=i a=0.3 b=0.5 N=5", "--out", str(out)])
+        assert code == 2
+        assert not out.parent.exists()
+        assert capsys.readouterr().err.startswith("error: cannot write --out ")
+
+    @pytest.mark.parametrize("command", ["kernel", "verify"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, command, tol):
+        code, text = run(
+            tmp_path, command, "--recipe", "krawtchouk type=i a=0.3 b=0.5 N=5", f"--tol={tol}"
+        )
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: --tol must be finite and > 0")
+
 
 class TestVerifyCommand:
     def test_all_pass_report(self, tmp_path):
@@ -155,6 +173,36 @@ class TestVerifyCommand:
         assert text == ""
         assert "outside the 6x6 kernel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "recipe, perturb",
+        [
+            ("hahn type=iii a=1.0 b=2.0 c=1.0 N=12", None),
+            ("meixner type=iii a=6.0 b=0.2 c=1.0", None),
+            ("krawtchouk type=i a=0.3 b=0.5 N=5", (2, 3, 1e-6)),
+        ],
+    )
+    def test_library_report_matches_cli(self, tmp_path, recipe, perturb):
+        argv = ["verify", "--recipe", recipe, "--format", "json"]
+        rec, N = ak.parse_recipe(recipe)
+        kernel = ak.build_kernel(rec, N=N)
+        if perturb is not None:
+            x, y, delta = perturb
+            argv.append(f"--perturb={x},{y},{delta}")
+            matrix = kernel.matrix.copy()
+            matrix[x, y] += delta
+            kernel = ak.ConvolutionKernel(matrix, kernel.pi, kernel.recipe, kernel.lattice)
+        checks = ak.verification_report(kernel, ak.analytic_eigensystem(rec, kernel=kernel))
+        code, text = run(tmp_path, *argv)
+        payload = json.loads(text)
+        assert [(c.name, c.measured, c.passed) for c in checks] == [
+            (c["name"], c["measured"], c["passed"]) for c in payload["checks"]
+        ]
+        failed = {c.name for c in checks if not c.passed}
+        if perturb is None:
+            assert code == 0 and not failed
+        else:
+            assert code == 1 and "column-stochasticity" in failed
+
     def test_json_report(self, tmp_path):
         code, text = run(
             tmp_path,
@@ -169,6 +217,51 @@ class TestVerifyCommand:
         assert payload["passed"] is True
         names = {c["name"] for c in payload["checks"]}
         assert {"column-stochasticity", "detailed-balance", "spectrum-match"} <= names
+
+
+class TestCommandTable:
+    """Every command in both formats: the JSON envelope keys and, bit for
+    bit, the same numbers in CSV and JSON."""
+
+    FIELDS = {
+        "kernel": ["matrix", "pi"],
+        "hamiltonian": ["matrix", "pi"],
+        "spectrum": ["kappas"],
+        "eigvecs": ["phi"],
+        "correlation": ["mu", "filled_modes", "matrix"],
+        "entropy": ["mu", "rows"],
+    }
+
+    @pytest.mark.parametrize(
+        "recipe", ["krawtchouk type=ii a=0.2 b=0.6 N=6", "charlier type=iii a=1.0 b=0.4"]
+    )
+    @pytest.mark.parametrize(
+        "command",
+        ["kernel", "hamiltonian", "spectrum", "eigvecs", "correlation", "entropy", "verify"],
+    )
+    def test_csv_and_json_agree(self, tmp_path, command, recipe):
+        code_csv, text = run(tmp_path, command, "--recipe", recipe)
+        code_json, payload = run(tmp_path, command, "--recipe", recipe, "--format", "json")
+        assert code_csv == code_json == 0
+        payload = json.loads(payload)
+        if command == "verify":
+            assert list(payload) == ["recipe", "checks", "passed"]
+            lines = [
+                ak.CheckResult(c["name"], c["measured"], c["tol"], c["passed"]).line()
+                for c in payload["checks"]
+            ]
+            assert text.splitlines() == lines + ["ALL PASS"]
+            return
+        assert list(payload) == ["recipe", "stationary", "lattice"] + self.FIELDS[command]
+        if command in ("spectrum", "entropy"):
+            rows = [line.split(",") for line in text.splitlines()[1:]]
+            csv_rows = [[int(k), float(v)] for k, v in rows]
+            json_rows = payload["rows"] if command == "entropy" else list(
+                enumerate(payload["kappas"]))
+            assert csv_rows == [list(r) for r in json_rows]
+        else:
+            key = "phi" if command == "eigvecs" else "matrix"
+            np.testing.assert_array_equal(export.parse_matrix_csv(text), np.array(payload[key]))
 
 
 class TestSpectrumAndEigvecs:
