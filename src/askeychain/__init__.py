@@ -13,15 +13,11 @@ from .families import (
     ConvType,
     Family,
     FamilySpec,
-    LimitReport,
-    hahn_to_meixner_report,
     kappa,
     kappa_vector,
-    krawtchouk_to_charlier_report,
     lambda3_map,
     measure,
     measure_vector,
-    meixner_to_charlier_report,
     norm_constant_sq,
     orthonormal_columns,
     parse_recipe,
@@ -35,9 +31,6 @@ from .fermion import (
     block_entropy,
     correlation_matrix,
     entropy_profile,
-    jordan_wigner_hamiltonian,
-    jordan_wigner_operators,
-    jordan_wigner_spectrum,
     many_body_energies,
 )
 from .markov import (
@@ -46,7 +39,6 @@ from .markov import (
     LatticeKind,
     LatticeSpec,
     build_kernel,
-    kernel_entry,
     truncation_cutoff,
     verify_kernel,
 )
@@ -73,7 +65,6 @@ __all__ = [
     "FreeFermionModel",
     "KernelReport",
     "LatticeKind",
-    "LimitReport",
     "LatticeSpec",
     "SizeCapExceeded",
     "SpectralSystem",
@@ -84,19 +75,12 @@ __all__ = [
     "classical_hamiltonian",
     "correlation_matrix",
     "entropy_profile",
-    "hahn_to_meixner_report",
-    "jordan_wigner_hamiltonian",
-    "jordan_wigner_operators",
-    "jordan_wigner_spectrum",
     "kappa",
     "kappa_vector",
-    "kernel_entry",
-    "krawtchouk_to_charlier_report",
     "lambda3_map",
     "many_body_energies",
     "measure",
     "measure_vector",
-    "meixner_to_charlier_report",
     "norm_constant_sq",
     "numeric_spectrum",
     "orthonormal_columns",

@@ -27,7 +27,7 @@ import sys
 from typing import Callable
 
 from . import export
-from .errors import DomainError, SizeCapExceeded, UnsupportedCombination
+from .errors import DomainError, UnsupportedCombination
 from .families import ConvolutionRecipe, parse_recipe
 from .fermion import FreeFermionModel, block_entropy, correlation_matrix, entropy_profile
 from .markov import ConvolutionKernel, build_kernel, verify_kernel
@@ -205,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         recipe, N = parse_recipe(args.recipe)
         text, passed = _run(args, recipe, N)
         _emit(args.out, text)
-    except (DomainError, UnsupportedCombination, SizeCapExceeded) as exc:
+    except (DomainError, UnsupportedCombination) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     return 0 if passed else _TOLERANCE_ERROR

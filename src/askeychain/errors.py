@@ -14,4 +14,4 @@ class UnsupportedCombination(ValueError):
 
 
 class SizeCapExceeded(ValueError):
-    """A brute-force oracle was asked for a lattice larger than its cap."""
+    """An exhaustive enumeration was asked for more modes than its cap."""

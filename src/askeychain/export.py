@@ -2,7 +2,8 @@
 
 CSV floats are printed with 17 significant digits, which pins the double
 bit pattern; JSON uses Python's shortest round-trip repr.  Files are
-written atomically (temp file in the target directory, then rename).
+written atomically (temp file in the target directory, then rename) and
+get the mode a plain write would give under the process umask.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 from typing import Iterable
 
 import numpy as np
@@ -25,7 +25,9 @@ def atomic_write(path: str, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(4).hex()}.tmp")
+    # O_EXCL never reuses an existing file; 0o666 leaves the mode to the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -39,15 +41,6 @@ def atomic_write(path: str, text: str) -> None:
 def matrix_csv(matrix: np.ndarray) -> str:
     lines = [",".join(format_float(v) for v in row) for row in np.atleast_2d(matrix)]
     return "\n".join(lines) + "\n"
-
-
-def parse_matrix_csv(text: str) -> np.ndarray:
-    rows = [
-        [float(v) for v in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    return np.array(rows)
 
 
 def rows_csv(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
@@ -69,6 +62,3 @@ def envelope_json(payload: dict) -> str:
 
     return json.dumps(payload, default=default, indent=1) + "\n"
 
-
-def parse_envelope_json(text: str) -> dict:
-    return json.loads(text)

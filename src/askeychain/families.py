@@ -591,15 +591,6 @@ class MeasureFactor:
     family: Family
     params: tuple[float, ...]
 
-    def log_at(self, x: int, size: int) -> float:
-        """ln pi(x) at lattice size ``size``; -inf off the lattice."""
-        return float(
-            log_measure_grid(self.family, self.params, np.array([x]), np.array([size]))[0]
-        )
-
-    def at(self, x: int, size: int) -> float:
-        return math.exp(self.log_at(x, size))
-
 
 @dataclass(frozen=True)
 class ConvolutionRecipe:
@@ -825,43 +816,6 @@ def spectral_gap(recipe: ConvolutionRecipe, nmax: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sup_distance(pa: np.ndarray, pb: np.ndarray) -> float:
-    return float(np.max(np.abs(pa - pb)))
-
-
-@dataclass(frozen=True)
-class LimitReport:
-    """Sup-norm distances along a limit sequence and whether they shrink."""
-
-    sequence: tuple[float, ...]
-    distances: tuple[float, ...]
-
-    @property
-    def strictly_decreasing(self) -> bool:
-        return all(a > b for a, b in zip(self.distances, self.distances[1:]))
-
-
-def krawtchouk_to_charlier_report(
-    p: float, N_sequence=(10, 100, 1000), window: int = 15
-) -> LimitReport:
-    d = tuple(krawtchouk_to_charlier_distance(p, N, window) for N in N_sequence)
-    return LimitReport(tuple(float(N) for N in N_sequence), d)
-
-
-def hahn_to_meixner_report(
-    a: float, b: float, N_sequence=(10, 100, 1000), window: int = 15
-) -> LimitReport:
-    d = tuple(hahn_to_meixner_distance(a, b, N, window) for N in N_sequence)
-    return LimitReport(tuple(float(N) for N in N_sequence), d)
-
-
-def meixner_to_charlier_report(
-    b: float, a_sequence=(10, 100, 1000), window: int = 15
-) -> LimitReport:
-    d = tuple(meixner_to_charlier_distance(b, a, window) for a in a_sequence)
-    return LimitReport(tuple(float(a) for a in a_sequence), d)
-
-
 def krawtchouk_to_charlier_distance(p: float, N: int, window: int = 15) -> float:
     """sup_x |pi_K(x, N, p/N) - pi_C(x, p)| on x <= window (K is 0 past N)."""
     if p <= 0:
@@ -871,7 +825,7 @@ def krawtchouk_to_charlier_distance(p: float, N: int, window: int = 15) -> float
     xs = np.arange(window + 1)
     pk = np.array([measure(kspec, int(x)) if x <= N else 0.0 for x in xs])
     pc = np.array([measure(cspec, int(x)) for x in xs])
-    return _sup_distance(pk, pc)
+    return float(np.max(np.abs(pk - pc)))
 
 
 def hahn_to_meixner_distance(a: float, b: float, N: int, window: int = 15) -> float:
@@ -881,7 +835,7 @@ def hahn_to_meixner_distance(a: float, b: float, N: int, window: int = 15) -> fl
     xs = np.arange(window + 1)
     ph = np.array([measure(hspec, int(x)) if x <= N else 0.0 for x in xs])
     pm = np.array([measure(mspec, int(x)) for x in xs])
-    return _sup_distance(ph, pm)
+    return float(np.max(np.abs(ph - pm)))
 
 
 def meixner_to_charlier_distance(b: float, a: float, window: int = 15) -> float:
@@ -891,4 +845,4 @@ def meixner_to_charlier_distance(b: float, a: float, window: int = 15) -> float:
     xs = np.arange(window + 1)
     pm = np.array([measure(mspec, int(x)) for x in xs])
     pc = np.array([measure(cspec, int(x)) for x in xs])
-    return _sup_distance(pm, pc)
+    return float(np.max(np.abs(pm - pc)))

@@ -9,9 +9,8 @@ kappa(n) < mu.  Ground-state observables come from the two-point
 correlation matrix C(x,y) = sum_{filled} phi_n(x) phi_n(y), a projector
 whose block eigenvalues give the entanglement entropy of the block.
 
-The Jordan-Wigner functions build the 2^M-dimensional picture explicitly
-(sign strings of exact +-1/0 sparse matrices) and exist as the brute-force
-referee for all of the above; they are capped at 12 sites.
+The brute-force referee for all of the above, the explicit 2^M-dimensional
+Jordan-Wigner construction, lives with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -19,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, SizeCapExceeded
 from .spectral import SpectralSystem
 
-#: hard cap on the brute-force 2^M construction
-ORACLE_MAX_SITES = 12
+#: hard cap on the 2^M subset-sum enumeration of ``many_body_energies``
+MAX_MODES = 12
 
 #: eigenvalues of block correlation matrices are clamped away from the
 #: log singularities at 0 and 1 by this amount
@@ -94,10 +92,10 @@ def block_entropy(corr: CorrelationMatrix | np.ndarray, block: tuple[int, int]) 
     """
     c = corr.matrix if isinstance(corr, CorrelationMatrix) else np.asarray(corr)
     start, stop = block
+    if not 0 <= start <= stop <= c.shape[0]:
+        raise DomainError(f"block {block} outside lattice of {c.shape[0]} sites")
     if start == stop:
         return 0.0
-    if not 0 <= start < stop <= c.shape[0]:
-        raise DomainError(f"block {block} outside lattice of {c.shape[0]} sites")
     lams = np.linalg.eigvalsh(c[start:stop, start:stop])
     return _binary_entropy(lams)
 
@@ -108,9 +106,7 @@ def entropy_profile(corr: CorrelationMatrix | np.ndarray) -> np.ndarray:
     return np.array([block_entropy(c, (0, k)) for k in range(c.shape[0] + 1)])
 
 
-def many_body_energies(
-    single_particle: np.ndarray | SpectralSystem, max_size: int = ORACLE_MAX_SITES
-) -> np.ndarray:
+def many_body_energies(single_particle: np.ndarray | SpectralSystem) -> np.ndarray:
     """All 2^size subset sums of the single-particle energies, sorted.
 
     Accepts a spectral system (whose analytic kappa(n) are used) or a bare
@@ -120,107 +116,9 @@ def many_body_energies(
     if isinstance(single_particle, SpectralSystem):
         single_particle = single_particle.kappas
     levels = np.asarray(single_particle, dtype=float)
-    if max_size > ORACLE_MAX_SITES:
-        raise SizeCapExceeded(f"max_size {max_size} exceeds cap {ORACLE_MAX_SITES}")
-    if levels.size > max_size:
-        raise SizeCapExceeded(
-            f"{levels.size} modes exceed the requested cap {max_size}"
-        )
+    if levels.size > MAX_MODES:
+        raise SizeCapExceeded(f"{levels.size} modes exceed the cap {MAX_MODES}")
     energies = np.zeros(1)
     for k in levels:
         energies = np.concatenate([energies, energies + k])
     return np.sort(energies)
-
-
-# ---------------------------------------------------------------------------
-# Jordan-Wigner brute-force referee
-# ---------------------------------------------------------------------------
-
-
-def jordan_wigner_operators(nsites: int) -> list[sp.csr_matrix]:
-    """Annihilation operators c_x as exact sparse sign-string matrices.
-
-    c_x = Z otimes ... otimes Z otimes sigma- otimes 1 ... (x Z factors);
-    every canonical anticommutation relation then holds exactly, entry by
-    entry, which is what makes this construction a trustworthy referee.
-    Site 0 is the leftmost tensor factor; the vacuum is basis state 0.
-    """
-    if nsites > ORACLE_MAX_SITES:
-        raise SizeCapExceeded(f"{nsites} sites exceed the oracle cap {ORACLE_MAX_SITES}")
-    sigma_minus = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    sigma_z = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    eye2 = sp.identity(2, format="csr")
-    ops = []
-    for x in range(nsites):
-        factors = [sigma_z] * x + [sigma_minus] + [eye2] * (nsites - x - 1)
-        op = factors[0]
-        for f in factors[1:]:
-            op = sp.kron(op, f, format="csr")
-        ops.append(op)
-    return ops
-
-
-def jordan_wigner_hamiltonian(h: np.ndarray) -> sp.csr_matrix:
-    """H_f = sum_{x,y} H(x,y) c_x^dag c_y on the 2^M Fock space."""
-    h = np.asarray(h, dtype=float)
-    nsites = h.shape[0]
-    ops = jordan_wigner_operators(nsites)
-    dags = [op.T.tocsr() for op in ops]
-    out = sp.csr_matrix((2**nsites, 2**nsites))
-    for x in range(nsites):
-        for y in range(nsites):
-            if h[x, y] != 0.0:
-                out = out + h[x, y] * (dags[x] @ ops[y])
-    return out.tocsr()
-
-
-def jordan_wigner_spectrum(h: np.ndarray) -> np.ndarray:
-    """Sorted exact many-body spectrum of the quadratic Hamiltonian."""
-    hf = jordan_wigner_hamiltonian(h).toarray()
-    return np.sort(np.linalg.eigvalsh(hf))
-
-
-def mode_operator(phi_col: np.ndarray, ops: list[sp.csr_matrix]) -> sp.csr_matrix:
-    """chat_n = sum_x phi_n(x) c_x for one eigenvector column."""
-    out = phi_col[0] * ops[0]
-    for x in range(1, len(ops)):
-        out = out + phi_col[x] * ops[x]
-    return out.tocsr()
-
-
-def jordan_wigner_ground_state(phi: np.ndarray, filled: frozenset[int] | set[int]) -> np.ndarray:
-    """State vector prod_{n in filled} chat_n^dag |vacuum> on 2^M sites."""
-    nsites = phi.shape[0]
-    ops = jordan_wigner_operators(nsites)
-    psi = np.zeros(2**nsites)
-    psi[0] = 1.0
-    for n in sorted(filled):
-        cdag = mode_operator(phi[:, n], ops).T
-        psi = cdag @ psi
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        raise DomainError("filled-mode construction annihilated the vacuum")
-    return psi / norm
-
-
-def reduced_density_entropy(psi: np.ndarray, nblock: int) -> float:
-    """Von Neumann entropy of the first ``nblock`` sites of a pure state.
-
-    The reduced density matrix comes from reshaping the amplitude vector to
-    (2^nblock, 2^rest); leading sites are the leading tensor factors, so
-    only left-aligned blocks are supported (the sign strings of interior
-    blocks would reach outside the block).
-    """
-    dim = psi.size
-    nsites = dim.bit_length() - 1
-    if 2**nsites != dim:
-        raise DomainError(f"state vector length {dim} is not a power of two")
-    if not 0 <= nblock <= nsites:
-        raise DomainError(f"block size {nblock} outside 0..{nsites}")
-    if nblock == 0 or nblock == nsites:
-        return 0.0
-    a = psi.reshape(2**nblock, 2 ** (nsites - nblock))
-    rho = a @ a.T
-    lams = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    lams = lams[lams > ENTROPY_CLAMP]
-    return float(-np.sum(lams * np.log(lams)))

@@ -13,12 +13,8 @@ lambda3 (see ``families.lambda3_map``).  The builders below evaluate the
 two factors on whole index grids (in log space, exponentiated once) and
 reduce each type to a matrix product or a per-column convolution; columns
 are mathematically independent, so construction parallelizes trivially and
-the finished kernel is immutable.
-
-``kernel_entry`` is the direct per-entry reference sum.  It is the slow
-path the vectorized builders are tested against, and for semi-infinite
-type iii sums it terminates adaptively (three consecutive terms below
-1e-16 of the partial sum with a decreasing term ratio).
+the finished kernel is immutable.  The direct per-entry sums these builders
+are tested against live with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -240,54 +236,6 @@ def build_kernel(
         col_deficiency=deficiency,
     )
     return ConvolutionKernel(matrix, pi, recipe, lattice)
-
-
-# ---------------------------------------------------------------------------
-# reference entry (slow path, also the independent oracle in the tests)
-# ---------------------------------------------------------------------------
-
-
-def kernel_entry(recipe: ConvolutionRecipe, x: int, y: int, N: int | None = None) -> float:
-    """K(x, y) by direct summation of the defining convolution."""
-    factor2, factor1 = recipe.factors
-    if recipe.is_finite:
-        if N is None:
-            raise DomainError(f"{recipe.family.value} entries need the lattice size N")
-        if not (0 <= x <= N and 0 <= y <= N):
-            raise DomainError(f"entry ({x},{y}) outside lattice 0..{N}")
-    elif x < 0 or y < 0:
-        raise DomainError(f"entry ({x},{y}) outside the nonnegative lattice")
-    if recipe.conv_type is ConvType.I:
-        # the lambda2 slot is sizeless for the semi-infinite kernels
-        return math.fsum(
-            factor2.at(x - z, N - z if N is not None else 0) * factor1.at(z, y)
-            for z in range(min(x, y) + 1)
-        )
-    if recipe.conv_type is ConvType.II:
-        return math.fsum(
-            factor2.at(x - z, N - y) * factor1.at(z, y)
-            for z in range(max(0, x + y - N), min(x, y) + 1)
-        )
-    if recipe.is_finite:
-        return math.fsum(
-            factor2.at(x, z) * factor1.at(z - y, N - y) for z in range(max(x, y), N + 1)
-        )
-    # semi-infinite type iii: adaptive termination
-    total = 0.0
-    small_run = 0
-    prev_term = math.inf
-    z = max(x, y)
-    while True:
-        term = factor2.at(x, z) * factor1.at(z - y, 0)
-        total += term
-        if term <= 1e-16 * total and term < prev_term:
-            small_run += 1
-            if small_run >= 3:
-                return total
-        else:
-            small_run = 0
-        prev_term = term
-        z += 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ Perron-Frobenius vector sqrt(pi), and eigenvalues in (-1, 1].  For the
 convolution kernels the full eigensystem is known in closed form: the
 eigenvalues kappa(n) and the orthonormal eigenvectors
 phi_n(x) = d_n sqrt(pi(x)) P_n(x).  ``numeric_spectrum`` (a dense
-backward-stable symmetric eigensolve) is the independent cross-check.
+backward-stable symmetric eigensolve) is the independent cross-check; the
+kernel-side statements (P_n left and pi P_n right eigenvectors of K) are
+checked by the residual referees in ``tests/oracles.py``.
 
 Note on truncated lattices: a finite window of a semi-infinite chain
 cannot carry the exact analytic eigensystem - the top modes always spill
@@ -214,17 +216,3 @@ def verification_report(
     gap = spectral_gap(kernel.recipe, kernel.size - 1)
     checks.append(CheckResult("spectral-gap", gap, 0.0, True))
     return checks
-
-
-def left_eigen_residual(kernel: ConvolutionKernel, pol: np.ndarray, kap: float) -> float:
-    """Residual of sum_x K(x,y) P_n(x) = kappa(n) P_n(y), scaled by ||P_n||_inf."""
-    lhs = kernel.matrix.T @ pol
-    return float(np.max(np.abs(lhs - kap * pol)) / np.max(np.abs(pol)))
-
-
-def right_eigen_residual(kernel: ConvolutionKernel, pol: np.ndarray, kap: float) -> float:
-    """Residual of sum_y K(x,y) pi(y) P_n(y) = kappa(n) pi(x) P_n(x), scaled
-    by the sup of |pi P_n|."""
-    v = kernel.pi * pol
-    lhs = kernel.matrix @ v
-    return float(np.max(np.abs(lhs - kap * v)) / np.max(np.abs(v)))

@@ -2,14 +2,19 @@
 
 Everything here is deliberately slow and dumb: exact rational arithmetic
 where the inputs allow it, direct product/sum loops elsewhere.  These are
-the ground-truth generators for the library's fast log-space paths; they
-must not share code with the package.
+the ground-truth generators for the library's fast log-space paths and
+the Jordan-Wigner Fock-space picture of the fermion layer; they must not
+share code with the package, so they import nothing from it and read
+library objects (recipes, kernels) only as data.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
+import scipy.sparse as sp
 
 
 def poch_frac(a: Fraction, n: int) -> Fraction:
@@ -82,7 +87,8 @@ def measure_direct(family: str, params: tuple, x: int, N: int | None = None) -> 
         return math.comb(N, x) * p**x * (1 - p) ** (N - x)
     if family == "charlier":
         (a,) = params
-        return a**x * math.exp(-a) / math.factorial(x)
+        # lgamma, not factorial: the points run past 170, where x! leaves the double range
+        return math.exp(x * math.log(a) - a - math.lgamma(x + 1))
     if family == "hahn":
         a, b = params
         def poch(v, k):
@@ -93,12 +99,10 @@ def measure_direct(family: str, params: tuple, x: int, N: int | None = None) -> 
         return math.comb(N, x) * poch(a, x) * poch(b, N - x) / poch(a + b, N)
     if family == "meixner":
         a, b = params
-        def poch(v, k):
-            out = 1.0
-            for j in range(k):
-                out *= v + j
-            return out
-        return poch(a, x) * b**x * (1 - b) ** a / math.factorial(x)
+        return math.exp(
+            math.lgamma(a + x) - math.lgamma(a) - math.lgamma(x + 1)
+            + x * math.log(b) + a * math.log(1 - b)
+        )
     if family == "qhahn":
         a, b, q = params
         def qpoch(w, n):
@@ -109,3 +113,145 @@ def measure_direct(family: str, params: tuple, x: int, N: int | None = None) -> 
         qbin = qpoch(q, N) / (qpoch(q, x) * qpoch(q, N - x))
         return qbin * qpoch(a, x) * qpoch(b, N - x) * a ** (N - x) / qpoch(a * b, N)
     raise ValueError(family)
+
+
+def kernel_entry(recipe, x: int, y: int, N: int | None = None) -> float:
+    """K(x, y) by direct summation of the defining convolution (see the
+    ``markov`` module docstring) over ``measure_direct`` factors.
+
+    Semi-infinite factors ignore their size slot; a semi-infinite type iii
+    sum stops after three consecutive terms below 1e-16 of the partial sum
+    with a decreasing term ratio.
+    """
+    factor2, factor1 = recipe.factors
+
+    def term(u2: int, n2: int, u1: int, n1: int) -> float:
+        return (measure_direct(factor2.family, factor2.params, u2, n2)
+                * measure_direct(factor1.family, factor1.params, u1, n1))
+
+    if recipe.conv_type == "i":
+        return math.fsum(term(x - z, N - z if N is not None else 0, z, y)
+                         for z in range(min(x, y) + 1))
+    if recipe.conv_type == "ii":
+        return math.fsum(term(x - z, N - y, z, y)
+                         for z in range(max(0, x + y - N), min(x, y) + 1))
+    if N is not None:
+        return math.fsum(term(x, z, z - y, N - y) for z in range(max(x, y), N + 1))
+    total, small_run, prev, z = 0.0, 0, math.inf, max(x, y)
+    while small_run < 3:
+        t = term(x, z, z - y, 0)
+        total += t
+        small_run = small_run + 1 if t <= 1e-16 * total and t < prev else 0
+        prev, z = t, z + 1
+    return total
+
+
+def left_eigen_residual(kernel, pol: np.ndarray, kap: float) -> float:
+    """Residual of sum_x K(x,y) P_n(x) = kappa(n) P_n(y), scaled by ||P_n||_inf."""
+    lhs = kernel.matrix.T @ pol
+    return float(np.max(np.abs(lhs - kap * pol)) / np.max(np.abs(pol)))
+
+
+def right_eigen_residual(kernel, pol: np.ndarray, kap: float) -> float:
+    """Residual of sum_y K(x,y) pi(y) P_n(y) = kappa(n) pi(x) P_n(x), scaled
+    by the sup of |pi P_n|."""
+    v = kernel.pi * pol
+    lhs = kernel.matrix @ v
+    return float(np.max(np.abs(lhs - kap * v)) / np.max(np.abs(v)))
+
+
+def parse_matrix_csv(text: str) -> np.ndarray:
+    """A ``matrix_csv`` text back to the matrix (its rows hold no whitespace)."""
+    return np.array([[float(v) for v in row.split(",")] for row in text.split()])
+
+
+# ---------------------------------------------------------------------------
+# Jordan-Wigner brute-force referee for the free-fermion layer
+# ---------------------------------------------------------------------------
+
+#: hard cap on the 2^M construction
+JW_MAX_SITES = 12
+
+#: eigenvalues of reduced density matrices at or below this count as zero
+JW_EIGENVALUE_FLOOR = 1e-12
+
+
+def jordan_wigner_operators(nsites: int) -> list[sp.csr_matrix]:
+    """Annihilation operators c_x as exact sparse sign-string matrices.
+
+    c_x = Z otimes ... otimes Z otimes sigma- otimes 1 ... (x Z factors);
+    every canonical anticommutation relation then holds exactly, entry by
+    entry, which is what makes this construction a trustworthy referee.
+    Site 0 is the leftmost tensor factor; the vacuum is basis state 0.
+    """
+    if nsites > JW_MAX_SITES:
+        raise ValueError(f"{nsites} sites exceed the oracle cap {JW_MAX_SITES}")
+    sigma_minus = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    sigma_z = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    eye2 = sp.identity(2, format="csr")
+    ops = []
+    for x in range(nsites):
+        factors = [sigma_z] * x + [sigma_minus] + [eye2] * (nsites - x - 1)
+        op = factors[0]
+        for f in factors[1:]:
+            op = sp.kron(op, f, format="csr")
+        ops.append(op)
+    return ops
+
+
+def jordan_wigner_hamiltonian(h: np.ndarray) -> sp.csr_matrix:
+    """H_f = sum_{x,y} H(x,y) c_x^dag c_y on the 2^M Fock space."""
+    h = np.asarray(h, dtype=float)
+    nsites = h.shape[0]
+    ops = jordan_wigner_operators(nsites)
+    dags = [op.T.tocsr() for op in ops]
+    out = sp.csr_matrix((2**nsites, 2**nsites))
+    for x in range(nsites):
+        for y in range(nsites):
+            if h[x, y] != 0.0:
+                out = out + h[x, y] * (dags[x] @ ops[y])
+    return out.tocsr()
+
+
+def jordan_wigner_spectrum(h: np.ndarray) -> np.ndarray:
+    """Sorted exact many-body spectrum of the quadratic Hamiltonian."""
+    hf = jordan_wigner_hamiltonian(h).toarray()
+    return np.sort(np.linalg.eigvalsh(hf))
+
+
+def mode_operator(phi_col: np.ndarray, ops: list[sp.csr_matrix]) -> sp.csr_matrix:
+    """chat_n = sum_x phi_n(x) c_x for one eigenvector column."""
+    return sum(c * op for c, op in zip(phi_col, ops)).tocsr()
+
+
+def jordan_wigner_ground_state(phi: np.ndarray, filled) -> np.ndarray:
+    """State vector prod_{n in filled} chat_n^dag |vacuum> on 2^M sites."""
+    nsites = phi.shape[0]
+    ops = jordan_wigner_operators(nsites)
+    psi = np.zeros(2**nsites)
+    psi[0] = 1.0
+    for n in sorted(filled):
+        psi = mode_operator(phi[:, n], ops).T @ psi
+    norm = np.linalg.norm(psi)
+    if norm == 0.0:
+        raise ValueError("filled-mode construction annihilated the vacuum")
+    return psi / norm
+
+
+def reduced_density_entropy(psi: np.ndarray, nblock: int) -> float:
+    """Von Neumann entropy of the first ``nblock`` sites of a pure state.
+
+    The reduced density matrix comes from reshaping the amplitude vector to
+    (2^nblock, 2^rest); leading sites are the leading tensor factors, so
+    only left-aligned blocks are supported (the sign strings of interior
+    blocks would reach outside the block).
+    """
+    nsites = psi.size.bit_length() - 1
+    if 2**nsites != psi.size or not 0 <= nblock <= nsites:
+        raise ValueError(f"block size {nblock} on a state of length {psi.size}")
+    if nblock == 0 or nblock == nsites:
+        return 0.0
+    a = psi.reshape(2**nblock, 2 ** (nsites - nblock))
+    lams = np.linalg.eigvalsh(a @ a.T)
+    lams = lams[lams > JW_EIGENVALUE_FLOOR]
+    return float(-np.sum(lams * np.log(lams)))

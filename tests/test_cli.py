@@ -1,9 +1,15 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import parse_matrix_csv
 
 import askeychain as ak
 from askeychain import export
@@ -66,7 +72,7 @@ class TestKernelCommand:
             tmp_path, "kernel", "--recipe", "krawtchouk type=i a=0.3 b=0.5 N=5"
         )
         assert code == 0
-        mat = export.parse_matrix_csv(text)
+        mat = parse_matrix_csv(text)
         assert mat.shape == (6, 6)
         np.testing.assert_allclose(mat.sum(axis=0), 1.0, atol=1e-12)
 
@@ -121,6 +127,16 @@ class TestKernelCommand:
         assert code == 2
         assert not out.parent.exists()
         assert capsys.readouterr().err.startswith("error: cannot write --out ")
+
+    def test_out_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            code, _ = run(tmp_path, "kernel", "--recipe", "krawtchouk type=i a=0.3 b=0.5 N=5")
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert (tmp_path / "out.dat").stat().st_mode & 0o777 == 0o644
+        assert [p.name for p in tmp_path.iterdir()] == ["out.dat"]
 
     @pytest.mark.parametrize("command", ["kernel", "verify"])
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
@@ -261,7 +277,7 @@ class TestCommandTable:
             assert csv_rows == [list(r) for r in json_rows]
         else:
             key = "phi" if command == "eigvecs" else "matrix"
-            np.testing.assert_array_equal(export.parse_matrix_csv(text), np.array(payload[key]))
+            np.testing.assert_array_equal(parse_matrix_csv(text), np.array(payload[key]))
 
 
 class TestSpectrumAndEigvecs:
@@ -282,7 +298,7 @@ class TestSpectrumAndEigvecs:
             tmp_path, "eigvecs", "--recipe", "hahn type=i a=1.0 b=2.0 c=3.0 N=12"
         )
         assert code == 0
-        phi = export.parse_matrix_csv(text)
+        phi = parse_matrix_csv(text)
         assert np.max(np.abs(phi.T @ phi - np.eye(13))) <= 1e-9
 
     def test_hamiltonian_symmetric(self, tmp_path):
@@ -290,7 +306,7 @@ class TestSpectrumAndEigvecs:
             tmp_path, "hamiltonian", "--recipe", "qhahn type=iii a=0.3 b=0.5 c=0.4 q=0.5 N=8"
         )
         assert code == 0
-        h = export.parse_matrix_csv(text)
+        h = parse_matrix_csv(text)
         np.testing.assert_allclose(h, h.T, atol=1e-15)
 
 
@@ -389,7 +405,7 @@ class TestRoundTrips:
         rng = np.random.default_rng(7)
         mat = rng.standard_normal((9, 9)) * np.exp(rng.uniform(-30, 30, (9, 9)))
         text = export.matrix_csv(mat)
-        back = export.parse_matrix_csv(text)
+        back = parse_matrix_csv(text)
         np.testing.assert_array_equal(back, mat)
 
     def test_json_envelope_roundtrip_exact(self, tmp_path):
@@ -417,4 +433,20 @@ class TestRoundTrips:
             tmp_path, "kernel", "--recipe", "krawtchouk type=iii a=0.4 b=0.5 N=7"
         )
         assert code == 0
-        np.testing.assert_array_equal(export.parse_matrix_csv(text), kern.matrix)
+        np.testing.assert_array_equal(parse_matrix_csv(text), kern.matrix)
+
+
+class TestLibraryBoundary:
+    def test_cli_import_leaves_out_scipy_sparse(self):
+        src = str(Path(ak.__file__).resolve().parents[1])
+        code = "import sys, askeychain.cli; print('scipy.sparse' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_oracles_import_nothing_from_the_package(self):
+        tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+        modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        modules += [str(n.module) for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert "numpy" in modules
+        assert not [m for m in modules if m.split(".")[0] == "askeychain"]

@@ -380,10 +380,3 @@ class TestLimits:
     def test_meixner_to_charlier_decreasing(self):
         d = [F.meixner_to_charlier_distance(1.0, a) for a in (10, 100, 1000)]
         assert d[0] > d[1] > d[2]
-
-    def test_reports_flag_convergence(self):
-        assert F.krawtchouk_to_charlier_report(1.0).strictly_decreasing
-        assert F.hahn_to_meixner_report(1.5, 0.4).strictly_decreasing
-        assert F.meixner_to_charlier_report(1.0).strictly_decreasing
-        stuck = F.LimitReport((10.0, 100.0), (1e-3, 1e-3))
-        assert not stuck.strictly_decreasing

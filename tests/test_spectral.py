@@ -17,15 +17,14 @@ from askeychain.spectral import (
     classical_hamiltonian,
     completeness_defect,
     eigen_residuals,
-    left_eigen_residual,
     numeric_spectrum,
     orthonormality_defect,
-    right_eigen_residual,
     similarity_asymmetry,
     spectrum_comparison,
 )
 
 from conftest import FINITE_GRID, TRUNCATED_GRID, grid_recipes
+from oracles import left_eigen_residual, right_eigen_residual
 
 
 def _dummy_kernel(matrix, pi):
