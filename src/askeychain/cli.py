@@ -144,7 +144,7 @@ def _emit(path: str, text: str) -> None:
 def _base_payload(recipe: ConvolutionRecipe, lattice, N: int | None) -> dict:
     return {
         "recipe": recipe.to_string(N),
-        "stationary": recipe.stationary_spec(N if recipe.is_finite else None).to_string(),
+        "stationary": recipe.stationary_spec(N).to_string(),
         "lattice": lattice.to_dict(),
     }
 

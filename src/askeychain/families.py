@@ -21,6 +21,11 @@ q-Pochhammer prefixes, exponentiated once at the end: products like
 binom(N,x) p^x (1-p)^(N-x) leave the double range long before N ~ 1e3.
 ``log_measure_grid`` is the one implementation of the five measures; the
 scalar ``log_measure`` and ``measure`` are its one-point calls.
+
+A recipe is valid exactly when its two factor measures are, so
+``_check_params`` holds the only parameter ranges.  ``lambda3`` is the
+unsized stationary measure; ``ConvolutionRecipe.stationary_spec(N)`` gives
+the lattice.
 """
 
 from __future__ import annotations
@@ -56,6 +61,25 @@ _PARAM_NAMES = {
 }
 
 
+def _check_params(family: Family, params: tuple[float, ...]) -> None:
+    """Arity and range of a family's measure parameters: the one copy of the
+    validity rules, shared by lattice specs and convolution factors."""
+    names = _PARAM_NAMES[family]
+    if len(params) != len(names):
+        raise DomainError(f"{family.value} takes parameters {names}, got {params}")
+    p = params
+    if family is Family.KRAWTCHOUK and not 0.0 < p[0] < 1.0:
+        raise DomainError(f"krawtchouk needs 0 < p < 1, got p={p[0]}")
+    if family is Family.CHARLIER and not p[0] > 0.0:
+        raise DomainError(f"charlier needs a > 0, got a={p[0]}")
+    if family is Family.HAHN and not (p[0] > 0.0 and p[1] > 0.0):
+        raise DomainError(f"hahn needs a, b > 0, got {p}")
+    if family is Family.MEIXNER and not (p[0] > 0.0 and 0.0 < p[1] < 1.0):
+        raise DomainError(f"meixner needs a > 0 and 0 < b < 1, got {p}")
+    if family is Family.Q_HAHN and not (0.0 < p[0] < 1.0 and p[1] < 1.0 and 0.0 < p[2] < 1.0):
+        raise DomainError(f"qhahn needs 0 < a < 1, b < 1, 0 < q < 1, got {p}")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A polynomial family together with its parameters and lattice size.
@@ -69,31 +93,12 @@ class FamilySpec:
     N: int | None = None
 
     def __post_init__(self) -> None:
-        names = _PARAM_NAMES[self.family]
-        if len(self.params) != len(names):
-            raise DomainError(
-                f"{self.family.value} takes parameters {names}, got {self.params}"
-            )
+        _check_params(self.family, self.params)
         if self.family in FINITE_FAMILIES:
             if self.N is None or self.N < 0:
                 raise DomainError(f"{self.family.value} needs a lattice size N >= 0")
         elif self.N is not None:
             raise DomainError(f"{self.family.value} lives on Z>=0; N must be None")
-        f, p = self.family, self.params
-        if f is Family.KRAWTCHOUK and not 0.0 < p[0] < 1.0:
-            raise DomainError(f"krawtchouk needs 0 < p < 1, got p={p[0]}")
-        if f is Family.CHARLIER and not p[0] > 0.0:
-            raise DomainError(f"charlier needs a > 0, got a={p[0]}")
-        if f is Family.HAHN and not (p[0] > 0.0 and p[1] > 0.0):
-            raise DomainError(f"hahn needs a, b > 0, got {p}")
-        if f is Family.MEIXNER and not (p[0] > 0.0 and 0.0 < p[1] < 1.0):
-            raise DomainError(f"meixner needs a > 0 and 0 < b < 1, got {p}")
-        if f is Family.Q_HAHN:
-            a, b, q = p
-            if not (0.0 < a < 1.0 and b < 1.0 and 0.0 < q < 1.0):
-                raise DomainError(
-                    f"qhahn needs 0 < a < 1, b < 1, 0 < q < 1, got {p}"
-                )
 
     @property
     def is_finite(self) -> bool:
@@ -123,6 +128,11 @@ class FamilySpec:
 def _check_point(spec: FamilySpec, x: int) -> None:
     if x < 0 or (spec.N is not None and x > spec.N):
         raise DomainError(f"lattice point {x} outside {spec.to_string()}")
+
+
+def _check_degree(spec: FamilySpec, n: int) -> None:
+    if n < 0 or (spec.is_finite and n > spec.N):
+        raise DomainError(f"degree {n} outside lattice of {spec.to_string()}")
 
 
 def _log_qpoch_prefix(w: float, q: float, kmax: int) -> np.ndarray:
@@ -298,8 +308,7 @@ def polynomial_vector(spec: FamilySpec, n: int, npoints: int | None = None) -> n
     """
     if npoints is None:
         npoints = spec.size
-    if n < 0 or (spec.is_finite and n > spec.N):
-        raise DomainError(f"degree {n} outside lattice of {spec.to_string()}")
+    _check_degree(spec, n)
     if n == 0:
         return np.ones(npoints)
     window = spec.size if spec.is_finite else max(npoints, n + 1)
@@ -317,27 +326,20 @@ def polynomial(spec: FamilySpec, n: int, x: int) -> float:
     """P_n(x) with the normalization P_n(0) = 1 (exactly, by convention)."""
     _check_point(spec, x)
     if x == 0:
-        if n < 0 or (spec.is_finite and n > spec.N):
-            raise DomainError(f"degree {n} outside lattice of {spec.to_string()}")
+        _check_degree(spec, n)
         return 1.0
     return float(polynomial_vector(spec, n, x + 1)[x])
 
 
 def _log_norm_sq(spec: FamilySpec, n: int) -> float:
-    if n < 0 or (spec.is_finite and n > spec.N):
-        raise DomainError(f"degree {n} outside lattice of {spec.to_string()}")
+    _check_degree(spec, n)
     if n == 0:
         return 0.0
     f, p, N = spec.family, spec.params, spec.N
-    if f is Family.KRAWTCHOUK:
-        (pp,) = p
-        out = (
-            gammaln(N + 1) - gammaln(n + 1) - gammaln(N - n + 1)
-            + n * (math.log(pp) - math.log1p(-pp))
-        )
-    elif f is Family.CHARLIER:
-        (a,) = p
-        out = n * math.log(a) - gammaln(n + 1)
+    if f in (Family.KRAWTCHOUK, Family.CHARLIER, Family.MEIXNER):
+        # self-dual families: d_n^2 pi(0) = pi(n)
+        log_pi = _log_pi(spec, np.array([0, n]))
+        out = log_pi[1] - log_pi[0]
     elif f is Family.HAHN:
         a, b = p
         out = (
@@ -348,9 +350,6 @@ def _log_norm_sq(spec: FamilySpec, n: int) -> float:
             + gammaln(a + b + N) - gammaln(a + b)
             - gammaln(n + a + b + N) + gammaln(n + a + b - 1)
         )
-    elif f is Family.MEIXNER:
-        a, b = p
-        out = gammaln(a + n) - gammaln(a) + n * math.log(b) - gammaln(n + 1)
     else:
         a, b, q = p
         lqf = _log_qpoch_prefix(q, q, N)
@@ -511,101 +510,112 @@ RECIPE_PARAM_NAMES = {
 }
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
+@dataclass(frozen=True)
+class MeasureFactor:
+    """A family measure without a lattice size: a recipe's unsized stationary
+    measure, or one factor of its convolution sum, whose lattice-size slot
+    the convolution geometry fills (semi-infinite families ignore it).
+    Out-of-range parameters are refused at construction."""
+
+    family: Family
+    params: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        _check_params(self.family, self.params)
 
 
-def lambda3_map(
+def _convolution(
     family: Family, conv_type: ConvType, params: tuple[float, ...]
-) -> FamilySpec:
-    """Output-family parameters for a convolution of two measures.
+) -> tuple[MeasureFactor, MeasureFactor, MeasureFactor]:
+    """(lambda3, factor2, factor1) of a convolution recipe.
 
-    ``params`` are the raw convolution inputs (a, b[, c[, q]]); the result
-    is the family spec (without N) of the stationary measure.  Raises
-    UnsupportedCombination for pairs that do not exist and DomainError for
+    A recipe is valid exactly when its two factor measures are, so the
+    factors are built first: that is the range check, and no lambda3
+    arithmetic runs on an invalid recipe.  Raises UnsupportedCombination
+    for pairs that do not exist and DomainError, naming the recipe, for
     out-of-range inputs.
     """
     f, t = family, conv_type
+    if f is Family.CHARLIER and t is ConvType.II:
+        raise UnsupportedCombination("charlier kernels are constructed only for types i and iii")
+    if f is Family.Q_HAHN and t is ConvType.II:
+        raise UnsupportedCombination("the type ii convolution does not exist for q-hahn")
+
+    def factor(fam: Family, p: tuple[float, ...]) -> MeasureFactor:
+        try:
+            return MeasureFactor(fam, p)
+        except DomainError as exc:
+            msg = f"{f.value} type {t.value} recipe {params} is out of range: {exc}"
+            raise DomainError(msg) from None
+
     if f is Family.KRAWTCHOUK:
         a, b = params
-        _require(0 < a < 1 and 0 < b < 1, f"krawtchouk convolution needs a, b in (0,1), got {params}")
+        f2, f1 = factor(f, (b,)), factor(f, (a,))
         if t is ConvType.I:
             p = b / (1 - a + a * b)
         elif t is ConvType.II:
             p = b / (1 - a + b)
         else:
             p = a * b / (1 - b + a * b)
-        return _unsized_spec(Family.KRAWTCHOUK, (p,))
+        return factor(f, (p,)), f2, f1
     if f is Family.CHARLIER:
         a, b = params
         if t is ConvType.I:
-            _require(0 < a < 1 and b > 0, f"charlier type i needs 0 < a < 1 and b > 0, got {params}")
-            return _unsized_spec(Family.CHARLIER, (b / (1 - a),))
-        if t is ConvType.III:
-            _require(a > 0 and 0 < b < 1, f"charlier type iii needs a > 0 and 0 < b < 1, got {params}")
-            return _unsized_spec(Family.CHARLIER, (a * b / (1 - b),))
-        raise UnsupportedCombination(
-            "charlier kernels are constructed only for types i and iii"
-        )
+            f2, f1 = factor(f, (b,)), factor(Family.KRAWTCHOUK, (a,))
+            return factor(f, (b / (1 - a),)), f2, f1
+        f2, f1 = factor(Family.KRAWTCHOUK, (b,)), factor(f, (a,))
+        return factor(f, (a * b / (1 - b),)), f2, f1
     if f is Family.HAHN:
         a, b, c = params
-        _require(a > 0 and b > 0 and c > 0, f"hahn convolution needs a, b, c > 0, got {params}")
-        if t is ConvType.I:
-            return _unsized_spec(Family.HAHN, (a + b, c))
-        if t is ConvType.II:
-            return _unsized_spec(Family.HAHN, (a + b, b + c))
-        return _unsized_spec(Family.HAHN, (c, a + b))
+        if t is ConvType.III:
+            f2, f1 = factor(f, (c, a)), factor(f, (a, b))
+            return factor(f, (c, a + b)), f2, f1
+        f2, f1 = factor(f, (b, c)), factor(f, (a, b))
+        return factor(f, (a + b, c) if t is ConvType.I else (a + b, b + c)), f2, f1
     if f is Family.MEIXNER:
         a, b, c = params
-        if t in (ConvType.I, ConvType.II):
-            _require(a > 0 and b > 0 and 0 < c < 1, f"meixner type i needs a, b > 0 and c in (0,1), got {params}")
-            return _unsized_spec(Family.MEIXNER, (a + b, c))
-        _require(a > 0 and 0 < b < 1 and c > 0, f"meixner type iii needs a, c > 0 and b in (0,1), got {params}")
-        return _unsized_spec(Family.MEIXNER, (c, b))
+        if t is ConvType.III:
+            f2, f1 = factor(Family.HAHN, (c, a)), factor(f, (a, b))
+            return factor(f, (c, b)), f2, f1
+        f2, f1 = factor(f, (b, c)), factor(Family.HAHN, (a, b))
+        return factor(f, (a + b, c)), f2, f1
     a, b, c, q = params
-    if t is ConvType.II:
-        raise UnsupportedCombination("the type ii convolution does not exist for q-hahn")
-    _require(0 < q < 1, f"qhahn needs q in (0,1), got q={q}")
-    if t is ConvType.I:
-        _require(0 < a < 1 and 0 < b < 1 and c < 1, f"qhahn type i needs a, b in (0,1) and c < 1, got {params}")
-        return _unsized_spec(Family.Q_HAHN, (a * b, c, q))
-    _require(0 < a < 1 and b < 1 and 0 < c < 1, f"qhahn type iii needs a, c in (0,1) and b < 1, got {params}")
-    return _unsized_spec(Family.Q_HAHN, (c, a * b, q))
+    if t is ConvType.III:
+        f2, f1 = factor(f, (c, a, q)), factor(f, (a, b, q))
+        return factor(f, (c, a * b, q)), f2, f1
+    f2, f1 = factor(f, (b, c, q)), factor(f, (a, b, q))
+    return factor(f, (a * b, c, q)), f2, f1
 
 
-def _unsized_spec(family: Family, params: tuple[float, ...]) -> FamilySpec:
-    """Spec carrying the mapped parameters only; finite families get a
-    placeholder N = 0 so the parameter ranges are validated immediately and
-    the real lattice size is attached by ``ConvolutionRecipe.stationary_spec``."""
-    if family in FINITE_FAMILIES:
-        return FamilySpec(family, params, N=0)
-    return FamilySpec(family, params, N=None)
+def lambda3_map(
+    family: Family, conv_type: ConvType, params: tuple[float, ...]
+) -> MeasureFactor:
+    """The unsized stationary measure of a convolution of two measures.
 
-
-@dataclass(frozen=True)
-class MeasureFactor:
-    """One measure factor inside a convolution sum; the lattice-size slot is
-    filled by the convolution geometry (semi-infinite families ignore it)."""
-
-    family: Family
-    params: tuple[float, ...]
+    ``params`` are the raw convolution inputs (a, b[, c[, q]]); the lattice
+    is attached by ``ConvolutionRecipe.stationary_spec``.  Raises as
+    ``_convolution`` does.
+    """
+    return _convolution(family, conv_type, params)[0]
 
 
 @dataclass(frozen=True)
 class ConvolutionRecipe:
     """A (family, type, parameters) triple defining one reversible kernel.
 
-    ``lambda3`` is the stationary family (recomputed, never stored stale),
-    ``factor2``/``factor1`` the two measures entering the convolution sum.
-    Meixner type ii is an alias of type i (the two limits coincide); it is
-    canonicalized at construction.
+    ``lambda3`` is the unsized stationary measure and ``factors`` the
+    (factor2, factor1) pair, the lambda2 and lambda1 measures entering the
+    convolution sum; both are built once, at construction.
+    ``stationary_spec(N)`` puts lambda3 on its lattice.  Meixner type ii is
+    an alias of type i (the two limits coincide); it is canonicalized at
+    construction.
     """
 
     family: Family
     conv_type: ConvType
     params: tuple[float, ...]
-    lambda3: FamilySpec = field(init=False, compare=False)
+    lambda3: MeasureFactor = field(init=False, compare=False)
+    factors: tuple[MeasureFactor, MeasureFactor] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         names = RECIPE_PARAM_NAMES[self.family]
@@ -615,56 +625,17 @@ class ConvolutionRecipe:
             )
         if self.family is Family.MEIXNER and self.conv_type is ConvType.II:
             object.__setattr__(self, "conv_type", ConvType.I)
-        lam3 = lambda3_map(self.family, self.conv_type, self.params)
+        lam3, f2, f1 = _convolution(self.family, self.conv_type, self.params)
         object.__setattr__(self, "lambda3", lam3)
+        object.__setattr__(self, "factors", (f2, f1))
 
     @property
     def is_finite(self) -> bool:
         return self.family in FINITE_FAMILIES
 
-    @property
-    def factors(self) -> tuple[MeasureFactor, MeasureFactor]:
-        """(factor2, factor1): the lambda2 and lambda1 measures of the sum."""
-        f, t, p = self.family, self.conv_type, self.params
-        if f is Family.KRAWTCHOUK:
-            a, b = p
-            return MeasureFactor(f, (b,)), MeasureFactor(f, (a,))
-        if f is Family.CHARLIER:
-            a, b = p
-            if t is ConvType.I:
-                return (
-                    MeasureFactor(Family.CHARLIER, (b,)),
-                    MeasureFactor(Family.KRAWTCHOUK, (a,)),
-                )
-            return (
-                MeasureFactor(Family.KRAWTCHOUK, (b,)),
-                MeasureFactor(Family.CHARLIER, (a,)),
-            )
-        if f is Family.HAHN:
-            a, b, c = p
-            if t is ConvType.III:
-                return MeasureFactor(f, (c, a)), MeasureFactor(f, (a, b))
-            return MeasureFactor(f, (b, c)), MeasureFactor(f, (a, b))
-        if f is Family.MEIXNER:
-            a, b, c = p
-            if t is ConvType.III:
-                return (
-                    MeasureFactor(Family.HAHN, (c, a)),
-                    MeasureFactor(Family.MEIXNER, (a, b)),
-                )
-            return (
-                MeasureFactor(Family.MEIXNER, (b, c)),
-                MeasureFactor(Family.HAHN, (a, b)),
-            )
-        a, b, c, q = p
-        if t is ConvType.III:
-            return MeasureFactor(f, (c, a, q)), MeasureFactor(f, (a, b, q))
-        return MeasureFactor(f, (b, c, q)), MeasureFactor(f, (a, b, q))
-
     def stationary_spec(self, N: int | None) -> FamilySpec:
-        if self.is_finite:
-            return FamilySpec(self.lambda3.family, self.lambda3.params, N=N)
-        return self.lambda3
+        """The stationary measure on {0..N}; semi-infinite families ignore N."""
+        return FamilySpec(self.lambda3.family, self.lambda3.params, N if self.is_finite else None)
 
     def to_string(self, N: int | None = None) -> str:
         names = RECIPE_PARAM_NAMES[self.family]
@@ -816,33 +787,27 @@ def spectral_gap(recipe: ConvolutionRecipe, nmax: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _distance(spec: FamilySpec, limit: FamilySpec, window: int) -> float:
+    """sup_x |pi_spec(x) - pi_limit(x)| on x <= window (pi is 0 off a lattice)."""
+    xs = np.arange(window + 1)
+    return float(np.max(np.abs(np.exp(_log_pi(spec, xs)) - np.exp(_log_pi(limit, xs)))))
+
+
 def krawtchouk_to_charlier_distance(p: float, N: int, window: int = 15) -> float:
     """sup_x |pi_K(x, N, p/N) - pi_C(x, p)| on x <= window (K is 0 past N)."""
     if p <= 0:
         raise DomainError(f"limit parameter p must be > 0, got {p}")
     kspec = FamilySpec(Family.KRAWTCHOUK, (p / N,), N=N)
-    cspec = FamilySpec(Family.CHARLIER, (p,))
-    xs = np.arange(window + 1)
-    pk = np.array([measure(kspec, int(x)) if x <= N else 0.0 for x in xs])
-    pc = np.array([measure(cspec, int(x)) for x in xs])
-    return float(np.max(np.abs(pk - pc)))
+    return _distance(kspec, FamilySpec(Family.CHARLIER, (p,)), window)
 
 
 def hahn_to_meixner_distance(a: float, b: float, N: int, window: int = 15) -> float:
     """sup_x |pi_H(x, N, a, N(1-b)/b) - pi_M(x, a, b)| on x <= window."""
     hspec = FamilySpec(Family.HAHN, (a, N * (1.0 - b) / b), N=N)
-    mspec = FamilySpec(Family.MEIXNER, (a, b))
-    xs = np.arange(window + 1)
-    ph = np.array([measure(hspec, int(x)) if x <= N else 0.0 for x in xs])
-    pm = np.array([measure(mspec, int(x)) for x in xs])
-    return float(np.max(np.abs(ph - pm)))
+    return _distance(hspec, FamilySpec(Family.MEIXNER, (a, b)), window)
 
 
 def meixner_to_charlier_distance(b: float, a: float, window: int = 15) -> float:
     """sup_x |pi_M(x, a, b/(a+b)) - pi_C(x, b)| on x <= window (a -> inf)."""
     mspec = FamilySpec(Family.MEIXNER, (a, b / (a + b)))
-    cspec = FamilySpec(Family.CHARLIER, (b,))
-    xs = np.arange(window + 1)
-    pm = np.array([measure(mspec, int(x)) for x in xs])
-    pc = np.array([measure(cspec, int(x)) for x in xs])
-    return float(np.max(np.abs(pm - pc)))
+    return _distance(mspec, FamilySpec(Family.CHARLIER, (b,)), window)

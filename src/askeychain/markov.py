@@ -129,21 +129,18 @@ def truncation_cutoff(spec: FamilySpec, tail_eps: float) -> int:
         sd = math.sqrt(a * b) / (1.0 - b)
     else:
         raise DomainError(f"{spec.family.value} lattice is finite; no truncation")
-    M = max(4, int(mean + 10.0 * sd) + 4)
-    while stationary_tail_bound(spec, M) > tail_eps:
-        M += max(2, M // 8)
+    M = _certified_cutoff(spec, max(4, int(mean + 10.0 * sd) + 4), tail_eps)
     while M > 4 and stationary_tail_bound(spec, M - 1) <= tail_eps:
         M -= 1
     return M
 
 
-def _measure_tail_cutoff(fam: Family, params: tuple[float, ...], eps: float) -> int:
-    """Window after which a semi-infinite factor measure has tail <= eps."""
-    spec = FamilySpec(fam, params)
-    m = 4
-    while stationary_tail_bound(spec, m) > eps:
-        m += max(2, m // 8)
-    return m
+def _certified_cutoff(spec: FamilySpec, M: int, eps: float) -> int:
+    """First window end in the scan M, M + max(2, M // 8), ... whose
+    certified tail bound sum_{x>M} pi(x) is at most eps."""
+    while stationary_tail_bound(spec, M) > eps:
+        M += max(2, M // 8)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +176,7 @@ def _build_matrix(recipe: ConvolutionRecipe, size: int) -> np.ndarray:
         zmax = N
     else:
         # extend z until the remaining lambda1 tail cannot move any entry
-        zmax = N + _measure_tail_cutoff(factor1.family, factor1.params, 1e-18)
+        zmax = N + _certified_cutoff(FamilySpec(factor1.family, factor1.params), 4, 1e-18)
     x, z = np.indices((size, zmax + 1))
     e = np.exp(log_measure_grid(factor2.family, factor2.params, x, z))
     z2, y = np.indices((zmax + 1, size))
@@ -199,20 +196,25 @@ def build_kernel(
     Finite families need the lattice size N.  Semi-infinite families are
     truncated: the window starts at the certified stationary-tail cutoff
     for ``tail_eps`` and is enlarged until the worst column-sum deficit is
-    at most 10 * tail_eps or the window holds 2000 points; the achieved
-    deficit is recorded on the lattice spec.  An explicit N fixes a
-    truncated window at 0..N without adaptation (small oracle runs).  The
-    stationary vector is always recomputed from the lambda3 parameter map,
-    never from a numeric eigenvector.
+    at most 10 * tail_eps or the window holds MAX_WINDOW_POINTS points; the
+    achieved deficit is recorded on the lattice spec.  An explicit N fixes
+    a truncated window at 0..N without adaptation (small oracle runs).  A
+    lattice, finite or truncated, whose first window would hold more than
+    MAX_WINDOW_POINTS points is refused.  The stationary vector is always
+    recomputed from the lambda3 parameter map, never from a numeric
+    eigenvector.
     """
+    if recipe.is_finite and N is None:
+        raise DomainError(f"{recipe.family.value} kernels need a lattice size N")
+    spec = recipe.stationary_spec(N)
+    M = truncation_cutoff(spec, tail_eps) if N is None else N
+    if M + 1 > MAX_WINDOW_POINTS:
+        lattice = f"{recipe.family.value} lattice of {M + 1} points"
+        raise DomainError(f"{lattice} exceeds the {MAX_WINDOW_POINTS}-point cap")
     if recipe.is_finite:
-        if N is None:
-            raise DomainError(f"{recipe.family.value} kernels need a lattice size N")
         matrix = _build_matrix(recipe, N + 1)
-        pi = measure_vector(recipe.stationary_spec(N))
         lattice = LatticeSpec(LatticeKind.FINITE, N + 1)
-        return ConvolutionKernel(matrix, pi, recipe, lattice)
-    M = truncation_cutoff(recipe.lambda3, tail_eps) if N is None else N
+        return ConvolutionKernel(matrix, measure_vector(spec), recipe, lattice)
     while True:
         matrix = _build_matrix(recipe, M + 1)
         deficiency = float(np.max(np.abs(matrix.sum(axis=0) - 1.0)))
@@ -222,17 +224,17 @@ def build_kernel(
         nxt = min(max(M + 8, int(M * 1.25)), MAX_WINDOW_POINTS - 1)
         # never grow past the representable range of the stationary vector
         # (pi must stay strictly positive for the similarity transform)
-        while nxt > M and log_measure(recipe.lambda3, nxt) <= -700.0:
+        while nxt > M and log_measure(spec, nxt) <= -700.0:
             nxt -= max(1, (nxt - M) // 4)
         if nxt == M:
             break
         M = nxt
-    pi = measure_vector(recipe.lambda3, M + 1)
+    pi = measure_vector(spec, M + 1)
     lattice = LatticeSpec(
         LatticeKind.TRUNCATED,
         M + 1,
         tail_eps=tail_eps,
-        tail_bound=stationary_tail_bound(recipe.lambda3, M),
+        tail_bound=stationary_tail_bound(spec, M),
         col_deficiency=deficiency,
     )
     return ConvolutionKernel(matrix, pi, recipe, lattice)

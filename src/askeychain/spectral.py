@@ -37,6 +37,8 @@ from .markov import (
 
 #: window spill past which a truncated mode is left out of the eigenvector checks
 _RELIABLE_MODE_DEFECT = 1e-10
+#: largest |H - H^T| entry ``numeric_spectrum`` accepts as symmetric
+_SYM_TOL = 1e-10
 
 
 def classical_hamiltonian(kernel: ConvolutionKernel) -> np.ndarray:
@@ -47,22 +49,22 @@ def classical_hamiltonian(kernel: ConvolutionKernel) -> np.ndarray:
     enforced by averaging; the pre-averaging asymmetry is available from
     ``similarity_asymmetry`` and is recorded on spectral systems.
     """
-    h = _similarity(kernel)
-    return 0.5 * (h + h.T)
+    return _hamiltonian(kernel)[0]
 
 
 def similarity_asymmetry(kernel: ConvolutionKernel) -> float:
     """Max entrywise |H - H^T| of the raw similarity transform."""
-    h = _similarity(kernel)
-    return float(np.max(np.abs(h - h.T)))
+    return _hamiltonian(kernel)[1]
 
 
-def _similarity(kernel: ConvolutionKernel) -> np.ndarray:
+def _hamiltonian(kernel: ConvolutionKernel) -> tuple[np.ndarray, float]:
+    """The symmetrized H and the asymmetry of the raw transform it came from."""
     pi = kernel.pi
     if np.any(pi <= 0.0):
         raise DomainError("stationary distribution must be strictly positive")
     s = np.sqrt(pi)
-    return kernel.matrix * (s[None, :] / s[:, None])
+    h = kernel.matrix * (s[None, :] / s[:, None])
+    return 0.5 * (h + h.T), float(np.max(np.abs(h - h.T)))
 
 
 @dataclass(frozen=True)
@@ -100,11 +102,9 @@ def analytic_eigensystem(
     """Build H, kappa(n) and the orthonormal eigenvector matrix for a recipe."""
     if kernel is None:
         kernel = build_kernel(recipe, N=N, tail_eps=tail_eps)
-    asym = similarity_asymmetry(kernel)
-    h = classical_hamiltonian(kernel)
+    h, asym = _hamiltonian(kernel)
     size = kernel.size
-    stationary = recipe.stationary_spec(kernel.lattice.N if recipe.is_finite else None)
-    phi = orthonormal_columns(stationary, npoints=size)
+    phi = orthonormal_columns(recipe.stationary_spec(kernel.lattice.N), npoints=size)
     kap = kappa_vector(recipe, size - 1)
     return SpectralSystem(
         hamiltonian=h,
@@ -117,7 +117,7 @@ def analytic_eigensystem(
     )
 
 
-def numeric_spectrum(h: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
+def numeric_spectrum(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted descending.
 
     Backed by a dense backward-stable symmetric eigensolver (LAPACK via
@@ -127,7 +127,7 @@ def numeric_spectrum(h: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ContractViolation(f"expected a square matrix, got shape {h.shape}")
-    if h.size and float(np.max(np.abs(h - h.T))) > sym_tol:
+    if h.size and float(np.max(np.abs(h - h.T))) > _SYM_TOL:
         raise ContractViolation("matrix is not symmetric within tolerance")
     return np.linalg.eigvalsh(h)[::-1]
 

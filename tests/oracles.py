@@ -146,6 +146,28 @@ def kernel_entry(recipe, x: int, y: int, N: int | None = None) -> float:
     return total
 
 
+def recipe_in_range(family: str, conv_type: str, params: tuple) -> bool:
+    """The parameter ranges of the thirteen convolution recipes, written out
+    by hand per (family, type): the reference for the library's rule that a
+    recipe is valid exactly when both of its factor measures are."""
+    unit = [0 < v < 1 for v in params]
+    pos = [v > 0 for v in params]
+    if family == "krawtchouk":
+        return unit[0] and unit[1]
+    if family == "charlier":
+        return unit[0] and pos[1] if conv_type == "i" else pos[0] and unit[1]
+    if family == "hahn":
+        return all(pos)
+    if family == "meixner":
+        if conv_type == "iii":
+            return pos[0] and unit[1] and pos[2]
+        return pos[0] and pos[1] and unit[2]
+    a, b, c, q = params
+    if conv_type == "i":
+        return unit[3] and unit[0] and unit[1] and c < 1
+    return unit[3] and unit[0] and b < 1 and unit[2]
+
+
 def left_eigen_residual(kernel, pol: np.ndarray, kap: float) -> float:
     """Residual of sum_x K(x,y) P_n(x) = kappa(n) P_n(y), scaled by ||P_n||_inf."""
     lhs = kernel.matrix.T @ pol

@@ -121,6 +121,19 @@ class TestKernelCommand:
         assert text == ""
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command, recipe", [
+        ("kernel", "krawtchouk type=i a=0.3 b=0.5 N=2000"),
+        ("kernel", "krawtchouk type=i a=0.3 b=0.5 N=1000000000"),
+        ("spectrum", "hahn type=ii a=1.0 b=0.5 c=1.0 N=2000"),
+        ("spectrum", "hahn type=ii a=1.0 b=0.5 c=1.0 N=1000000000"),
+        ("kernel", "charlier type=i a=0.5 b=1000.0"),  # certified window: 2324 points
+    ])
+    def test_lattice_above_window_cap_exits_2(self, tmp_path, capsys, command, recipe):
+        code, text = run(tmp_path, command, "--recipe", recipe)
+        assert code == 2
+        assert text == ""
+        assert "exceeds the 2000-point cap" in capsys.readouterr().err
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "k.csv"
         code = main(["kernel", "--recipe", "krawtchouk type=i a=0.3 b=0.5 N=5", "--out", str(out)])

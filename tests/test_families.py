@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from askeychain import families as F
 from askeychain.errors import DomainError, UnsupportedCombination
-from askeychain.families import ConvolutionRecipe, ConvType, Family, FamilySpec
+from askeychain.families import ConvolutionRecipe, ConvType, Family, FamilySpec, MeasureFactor
 
 import oracles
-from conftest import FINITE_GRID, HAHN2_DUAL_GRID, TRUNCATED_GRID
+from conftest import FINITE_GRID, HAHN2_DUAL_GRID, TRUNCATED_GRID, all_combos
 
 SAMPLE_SPECS = [
     FamilySpec(Family.KRAWTCHOUK, (0.3,), N=12),
@@ -39,6 +41,14 @@ class TestFamilySpec:
             FamilySpec(Family.Q_HAHN, (1.3, 0.5, 0.5), N=5)
         with pytest.raises(DomainError):
             FamilySpec(Family.KRAWTCHOUK, (0.5,))
+
+    def test_measure_factor_validated(self):
+        # a factor carries the same range rules as a spec, without the lattice
+        assert MeasureFactor(Family.KRAWTCHOUK, (0.5,)).params == (0.5,)
+        with pytest.raises(DomainError):
+            MeasureFactor(Family.KRAWTCHOUK, (1.2,))
+        with pytest.raises(DomainError):
+            MeasureFactor(Family.Q_HAHN, (0.3, 0.5))
 
 
 class TestMeasure:
@@ -300,12 +310,56 @@ class TestLambda3Maps:
         assert r2.conv_type is ConvType.I
         assert r2.lambda3 == r1.lambda3
 
+    def test_lambda3_is_unsized(self):
+        recipe, N = F.parse_recipe("hahn type=i a=1 b=2 c=3 N=20")
+        assert recipe.lambda3 == MeasureFactor(Family.HAHN, (3.0, 3.0))
+        spec = recipe.stationary_spec(N)
+        assert spec == FamilySpec(Family.HAHN, (3.0, 3.0), N=20)
+        assert F.measure_vector(spec).sum() == pytest.approx(1.0, rel=1e-13)
+
     def test_recomputing_lambda3_is_stable(self):
         for (fam, t), plist in {**FINITE_GRID, **TRUNCATED_GRID}.items():
             for params in plist:
                 r = ConvolutionRecipe(fam, t, params)
                 again = F.lambda3_map(fam, r.conv_type, params)
                 assert again == r.lambda3
+
+
+# values on both sides of every boundary (0 and 1) of the recipe ranges; the
+# ones next to a boundary stay far enough off it that no lambda3 rounds onto
+# it (see test_lambda3_rounded_onto_boundary_is_refused)
+_EDGE_VALUES = st.sampled_from([-0.5, 0.0, 1e-3, 0.3, 0.7, 0.999, 1.0, 1.5, 6.0])
+
+
+class TestRecipeRanges:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_valid_exactly_in_reference_ranges(self, data):
+        fam, t = data.draw(st.sampled_from(all_combos()))
+        n = len(F.RECIPE_PARAM_NAMES[fam])
+        params = tuple(data.draw(st.lists(_EDGE_VALUES, min_size=n, max_size=n)))
+        if oracles.recipe_in_range(fam, t, params):
+            ConvolutionRecipe(fam, t, params)
+        else:
+            with pytest.raises(DomainError):
+                ConvolutionRecipe(fam, t, params)
+
+    def test_pinned_grid_in_range(self):
+        for (fam, t), plist in {**FINITE_GRID, **TRUNCATED_GRID}.items():
+            for params in plist:
+                assert oracles.recipe_in_range(fam, t, params)
+                ConvolutionRecipe(fam, t, params)
+
+    def test_error_names_the_recipe(self):
+        with pytest.raises(DomainError, match=r"charlier type i recipe \(1\.0, 1\.0\)"):
+            ConvolutionRecipe(Family.CHARLIER, ConvType.I, (1.0, 1.0))
+
+    def test_lambda3_rounded_onto_boundary_is_refused(self):
+        # inside the ranges, but p = b / (1 - a + ab) = 1 - 1e-18 rounds to 1.0
+        params = (1.0 - 1e-9, 1.0 - 1e-9)
+        assert oracles.recipe_in_range("krawtchouk", "i", params)
+        with pytest.raises(DomainError, match="got p=1.0"):
+            ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, params)
 
 
 class TestKappa:
