@@ -5,7 +5,6 @@ free lattice fermions built on top."""
 from .errors import (
     ContractViolation,
     DomainError,
-    SizeCapExceeded,
     UnsupportedCombination,
 )
 from .families import (
@@ -13,16 +12,11 @@ from .families import (
     ConvType,
     Family,
     FamilySpec,
-    kappa,
     kappa_vector,
-    lambda3_map,
     measure,
     measure_vector,
-    norm_constant_sq,
     orthonormal_columns,
     parse_recipe,
-    polynomial,
-    polynomial_vector,
     spectral_gap,
 )
 from .fermion import (
@@ -31,7 +25,6 @@ from .fermion import (
     block_entropy,
     correlation_matrix,
     entropy_profile,
-    many_body_energies,
 )
 from .markov import (
     ConvolutionKernel,
@@ -46,7 +39,6 @@ from .spectral import (
     CheckResult,
     SpectralSystem,
     analytic_eigensystem,
-    classical_hamiltonian,
     numeric_spectrum,
     spectrum_comparison,
     verification_report,
@@ -66,27 +58,19 @@ __all__ = [
     "KernelReport",
     "LatticeKind",
     "LatticeSpec",
-    "SizeCapExceeded",
     "SpectralSystem",
     "UnsupportedCombination",
     "analytic_eigensystem",
     "block_entropy",
     "build_kernel",
-    "classical_hamiltonian",
     "correlation_matrix",
     "entropy_profile",
-    "kappa",
     "kappa_vector",
-    "lambda3_map",
-    "many_body_energies",
     "measure",
     "measure_vector",
-    "norm_constant_sq",
     "numeric_spectrum",
     "orthonormal_columns",
     "parse_recipe",
-    "polynomial",
-    "polynomial_vector",
     "spectral_gap",
     "spectrum_comparison",
     "truncation_cutoff",

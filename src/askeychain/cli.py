@@ -12,7 +12,8 @@ is ``families.parse_recipe``, and ``verify`` formats the invariant suite of
 ``spectral.verification_report``.
 
 Exit codes: 0 success, 1 tolerance failure, 2 usage or domain error
-(including an unusable --tol and an --out path that cannot be written).
+(including an unusable --tol, a non-finite --mu or --perturb delta, and an
+--out path that cannot be written).
 
 The default filling for the fermion commands is mu = 0 (occupy exactly the
 negative-eigenvalue modes); this is a convention of this tool, not of the
@@ -155,6 +156,8 @@ def _perturbed(kernel: ConvolutionKernel, spec: str) -> ConvolutionKernel:
         x, y, delta = int(xs), int(ys), float(ds)
     except ValueError:
         raise DomainError(f"bad --perturb {spec!r}, expected x,y,delta") from None
+    if not math.isfinite(delta):
+        raise DomainError(f"--perturb delta must be finite, got {delta}")
     if not (0 <= x < kernel.size and 0 <= y < kernel.size):
         raise DomainError(f"--perturb entry ({x},{y}) outside the {kernel.size}x{kernel.size} kernel")
     matrix = kernel.matrix.copy()

@@ -11,7 +11,3 @@ class ContractViolation(ValueError):
 
 class UnsupportedCombination(ValueError):
     """The requested (family, convolution type) pair does not exist."""
-
-
-class SizeCapExceeded(ValueError):
-    """An exhaustive enumeration was asked for more modes than its cap."""

@@ -2,30 +2,32 @@
 
 Five families are implemented: Krawtchouk (K), Charlier (C), Hahn (H),
 Meixner (M) and q-Hahn (qH).  For each one this module provides the
-normalized orthogonality measure pi, the polynomials P_n normalized to
-P_n(0) = 1, the squared norm constants d_n^2, the orthonormal functions
-phi_n(x) = d_n sqrt(pi(x)) P_n(x), and the parameter maps lambda3 /
-eigenvalue formulas kappa(n) for the three convolution types that turn a
-pair of measures into a reversible Markov kernel.
+normalized orthogonality measure pi, the orthonormal functions
+phi_n(x) = d_n sqrt(pi(x)) P_n(x) (P_n the polynomials normalized to
+P_n(0) = 1, d_n^2 their squared norm constants), and the parameter maps
+lambda3 / eigenvalue formulas kappa(n) for the three convolution types
+that turn a pair of measures into a reversible Markov kernel.  The
+pipeline needs only phi, so P_n and d_n^2 are not offered on their own;
+the tests read them off the columns of phi.
 
-Polynomial values are produced by the three-term recurrence in the degree
-(started from P_0 = 1), not by summing the defining hypergeometric series:
+The basis is produced by the three-term recurrence in the degree, run on
+the weighted functions, not by summing the defining hypergeometric series:
 the series terms alternate in sign and cancel catastrophically for degrees
 and lattice points past ~25, while the recurrence stays accurate through
 the lattice sizes supported here.  The series themselves are evaluated
 only in the tests, in exact rational arithmetic, as the small-instance
 cross-check.
 
-Measures and norm constants are sums of log-gamma differences and log
-q-Pochhammer prefixes, exponentiated once at the end: products like
-binom(N,x) p^x (1-p)^(N-x) leave the double range long before N ~ 1e3.
-``log_measure_grid`` is the one implementation of the five measures; the
-scalar ``log_measure`` and ``measure`` are its one-point calls.
+Measures are sums of log-gamma differences and log q-Pochhammer prefixes,
+exponentiated once at the end: products like binom(N,x) p^x (1-p)^(N-x)
+leave the double range long before N ~ 1e3.  ``log_measure_grid`` is the
+one implementation of the five measures; the scalar ``log_measure`` and
+``measure`` are its one-point calls.
 
 A recipe is valid exactly when its two factor measures are, so
-``_check_params`` holds the only parameter ranges.  ``lambda3`` is the
-unsized stationary measure; ``ConvolutionRecipe.stationary_spec(N)`` gives
-the lattice.
+``_check_params`` holds the only parameter ranges, finiteness included.
+``lambda3`` is the unsized stationary measure;
+``ConvolutionRecipe.stationary_spec(N)`` gives the lattice.
 """
 
 from __future__ import annotations
@@ -62,11 +64,14 @@ _PARAM_NAMES = {
 
 
 def _check_params(family: Family, params: tuple[float, ...]) -> None:
-    """Arity and range of a family's measure parameters: the one copy of the
-    validity rules, shared by lattice specs and convolution factors."""
+    """Arity, finiteness and range of a family's measure parameters: the one
+    copy of the validity rules, shared by lattice specs and convolution
+    factors (a recipe's raw parameters and its lambda3 included)."""
     names = _PARAM_NAMES[family]
     if len(params) != len(names):
         raise DomainError(f"{family.value} takes parameters {names}, got {params}")
+    if not all(math.isfinite(v) for v in params):
+        raise DomainError(f"{family.value} parameters must be finite, got {params}")
     p = params
     if family is Family.KRAWTCHOUK and not 0.0 < p[0] < 1.0:
         raise DomainError(f"krawtchouk needs 0 < p < 1, got p={p[0]}")
@@ -128,11 +133,6 @@ class FamilySpec:
 def _check_point(spec: FamilySpec, x: int) -> None:
     if x < 0 or (spec.N is not None and x > spec.N):
         raise DomainError(f"lattice point {x} outside {spec.to_string()}")
-
-
-def _check_degree(spec: FamilySpec, n: int) -> None:
-    if n < 0 or (spec.is_finite and n > spec.N):
-        raise DomainError(f"degree {n} outside lattice of {spec.to_string()}")
 
 
 def _log_qpoch_prefix(w: float, q: float, kmax: int) -> np.ndarray:
@@ -230,7 +230,7 @@ def measure_vector(spec: FamilySpec, npoints: int | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# three-term recurrence data and polynomial evaluation
+# three-term recurrence data and the orthonormal basis
 # ---------------------------------------------------------------------------
 
 
@@ -296,80 +296,6 @@ def site_values(spec: FamilySpec, npoints: int) -> np.ndarray:
         q = spec.params[2]
         return np.expm1(-x * math.log(q))
     return -x
-
-
-def polynomial_vector(spec: FamilySpec, n: int, npoints: int | None = None) -> np.ndarray:
-    """P_n over the lattice window.
-
-    Recovered from the orthonormal basis as phi_n / (d_n sqrt(pi)) in log
-    space: running the bare-polynomial recurrence directly is unstable
-    wherever P_n is the recessive solution (already at x = 0, where the
-    normalized value 1 sits under generically growing neighbors).
-    """
-    if npoints is None:
-        npoints = spec.size
-    _check_degree(spec, n)
-    if n == 0:
-        return np.ones(npoints)
-    window = spec.size if spec.is_finite else max(npoints, n + 1)
-    phi = orthonormal_columns(spec, window)[:npoints, n]
-    half_log_pi = 0.5 * _log_pi(spec, np.arange(npoints))
-    with np.errstate(over="ignore"):
-        return np.sign(phi) * np.exp(
-            np.log(np.abs(phi), where=phi != 0.0, out=np.full(npoints, -np.inf))
-            - 0.5 * _log_norm_sq(spec, n)
-            - half_log_pi
-        )
-
-
-def polynomial(spec: FamilySpec, n: int, x: int) -> float:
-    """P_n(x) with the normalization P_n(0) = 1 (exactly, by convention)."""
-    _check_point(spec, x)
-    if x == 0:
-        _check_degree(spec, n)
-        return 1.0
-    return float(polynomial_vector(spec, n, x + 1)[x])
-
-
-def _log_norm_sq(spec: FamilySpec, n: int) -> float:
-    _check_degree(spec, n)
-    if n == 0:
-        return 0.0
-    f, p, N = spec.family, spec.params, spec.N
-    if f in (Family.KRAWTCHOUK, Family.CHARLIER, Family.MEIXNER):
-        # self-dual families: d_n^2 pi(0) = pi(n)
-        log_pi = _log_pi(spec, np.array([0, n]))
-        out = log_pi[1] - log_pi[0]
-    elif f is Family.HAHN:
-        a, b = p
-        out = (
-            gammaln(N + 1) - gammaln(n + 1) - gammaln(N - n + 1)
-            + gammaln(a + n) - gammaln(a)
-            - gammaln(b + n) + gammaln(b)
-            + math.log(2 * n + a + b - 1)
-            + gammaln(a + b + N) - gammaln(a + b)
-            - gammaln(n + a + b + N) + gammaln(n + a + b - 1)
-        )
-    else:
-        a, b, q = p
-        lqf = _log_qpoch_prefix(q, q, N)
-        # (ab q^{-1}; q)_n / (1 - ab q^{-1}) = (ab; q)_{n-1}, written so that
-        # ab ~ q never produces 0/0
-        out = (
-            lqf[N] - lqf[n] - lqf[N - n]
-            + _log_qpoch_prefix(a, q, n)[n]
-            + _log_qpoch_prefix(a * b, q, n - 1)[n - 1]
-            + math.log1p(-a * b * q ** (2 * n - 1))
-            - _log_qpoch_prefix(a * b * q**N, q, n)[n]
-            - _log_qpoch_prefix(b, q, n)[n]
-            - n * math.log(a)
-        )
-    return float(out)
-
-
-def norm_constant_sq(spec: FamilySpec, n: int) -> float:
-    """d_n^2 > 0 making d_n sqrt(pi) P_n orthonormal; d_0^2 = 1."""
-    return math.exp(_log_norm_sq(spec, n))
 
 
 _CLIP = 1e150  # keeps runaway recurrence branches finite (they are discarded)
@@ -587,18 +513,6 @@ def _convolution(
     return factor(f, (a * b, c, q)), f2, f1
 
 
-def lambda3_map(
-    family: Family, conv_type: ConvType, params: tuple[float, ...]
-) -> MeasureFactor:
-    """The unsized stationary measure of a convolution of two measures.
-
-    ``params`` are the raw convolution inputs (a, b[, c[, q]]); the lattice
-    is attached by ``ConvolutionRecipe.stationary_spec``.  Raises as
-    ``_convolution`` does.
-    """
-    return _convolution(family, conv_type, params)[0]
-
-
 @dataclass(frozen=True)
 class ConvolutionRecipe:
     """A (family, type, parameters) triple defining one reversible kernel.
@@ -687,8 +601,6 @@ def parse_recipe(text: str) -> tuple[ConvolutionRecipe, int | None]:
         N = int(kv["N"]) if "N" in kv else None
     except ValueError as exc:
         raise DomainError(f"bad numeric value in recipe: {exc}") from None
-    if not all(math.isfinite(v) for v in params):
-        raise DomainError(f"recipe parameters must be finite, got {params}")
     if N is not None and N < 0:
         raise DomainError(f"lattice size must be N >= 0, got N={N}")
     recipe = ConvolutionRecipe(family, conv_type, params)
@@ -770,44 +682,7 @@ def _hahn_type2_kappa_tail(a: float, b: float, c: float, nmax: int) -> np.ndarra
     return out
 
 
-def kappa(recipe: ConvolutionRecipe, n: int) -> float:
-    if n < 0:
-        raise DomainError(f"mode index must be >= 0, got {n}")
-    return float(kappa_vector(recipe, n)[n])
-
-
 def spectral_gap(recipe: ConvolutionRecipe, nmax: int) -> float:
     """1 - max_{n>=1} |kappa(n)|: the mixing rate of the chain."""
     kap = kappa_vector(recipe, nmax)
     return 1.0 - float(np.max(np.abs(kap[1:]))) if nmax >= 1 else 1.0
-
-
-# ---------------------------------------------------------------------------
-# limit relations between families
-# ---------------------------------------------------------------------------
-
-
-def _distance(spec: FamilySpec, limit: FamilySpec, window: int) -> float:
-    """sup_x |pi_spec(x) - pi_limit(x)| on x <= window (pi is 0 off a lattice)."""
-    xs = np.arange(window + 1)
-    return float(np.max(np.abs(np.exp(_log_pi(spec, xs)) - np.exp(_log_pi(limit, xs)))))
-
-
-def krawtchouk_to_charlier_distance(p: float, N: int, window: int = 15) -> float:
-    """sup_x |pi_K(x, N, p/N) - pi_C(x, p)| on x <= window (K is 0 past N)."""
-    if p <= 0:
-        raise DomainError(f"limit parameter p must be > 0, got {p}")
-    kspec = FamilySpec(Family.KRAWTCHOUK, (p / N,), N=N)
-    return _distance(kspec, FamilySpec(Family.CHARLIER, (p,)), window)
-
-
-def hahn_to_meixner_distance(a: float, b: float, N: int, window: int = 15) -> float:
-    """sup_x |pi_H(x, N, a, N(1-b)/b) - pi_M(x, a, b)| on x <= window."""
-    hspec = FamilySpec(Family.HAHN, (a, N * (1.0 - b) / b), N=N)
-    return _distance(hspec, FamilySpec(Family.MEIXNER, (a, b)), window)
-
-
-def meixner_to_charlier_distance(b: float, a: float, window: int = 15) -> float:
-    """sup_x |pi_M(x, a, b/(a+b)) - pi_C(x, b)| on x <= window (a -> inf)."""
-    mspec = FamilySpec(Family.MEIXNER, (a, b / (a + b)))
-    return _distance(mspec, FamilySpec(Family.CHARLIER, (b,)), window)

@@ -9,21 +9,21 @@ kappa(n) < mu.  Ground-state observables come from the two-point
 correlation matrix C(x,y) = sum_{filled} phi_n(x) phi_n(y), a projector
 whose block eigenvalues give the entanglement entropy of the block.
 
-The brute-force referee for all of the above, the explicit 2^M-dimensional
-Jordan-Wigner construction, lives with the tests (``tests/oracles.py``).
+The pipeline needs only the ground state, so the subset sums are not a
+library function.  They live with the tests (``tests/oracles.py``, as
+``many_body_energies``), beside the brute-force referee for all of the
+above, the explicit 2^M-dimensional Jordan-Wigner construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SizeCapExceeded
+from .errors import DomainError
 from .spectral import SpectralSystem
-
-#: hard cap on the 2^M subset-sum enumeration of ``many_body_energies``
-MAX_MODES = 12
 
 #: eigenvalues of block correlation matrices are clamped away from the
 #: log singularities at 0 and 1 by this amount
@@ -36,7 +36,9 @@ class FreeFermionModel:
 
     With the default filling (mu = 0) exactly the negative-kappa modes are
     occupied, which is the nontrivial ground state for kernels with
-    negative eigenvalues and the Fock vacuum otherwise.
+    negative eigenvalues and the Fock vacuum otherwise.  ``mu`` must be
+    finite even when ``filled_modes`` overrides it; any finite mu > 1
+    already fills every mode.
     """
 
     spectral: SpectralSystem
@@ -44,6 +46,8 @@ class FreeFermionModel:
     filled_modes: frozenset[int] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.mu):
+            raise DomainError(f"chemical potential mu must be finite, got {self.mu}")
         if self.filled_modes is None:
             filled = frozenset(
                 int(n) for n in np.flatnonzero(self.spectral.kappas < self.mu)
@@ -105,20 +109,3 @@ def entropy_profile(corr: CorrelationMatrix | np.ndarray) -> np.ndarray:
     c = corr.matrix if isinstance(corr, CorrelationMatrix) else np.asarray(corr)
     return np.array([block_entropy(c, (0, k)) for k in range(c.shape[0] + 1)])
 
-
-def many_body_energies(single_particle: np.ndarray | SpectralSystem) -> np.ndarray:
-    """All 2^size subset sums of the single-particle energies, sorted.
-
-    Accepts a spectral system (whose analytic kappa(n) are used) or a bare
-    level array.  This is the exact many-body spectrum of the diagonalized
-    quadratic Hamiltonian; capped because the list doubles per mode.
-    """
-    if isinstance(single_particle, SpectralSystem):
-        single_particle = single_particle.kappas
-    levels = np.asarray(single_particle, dtype=float)
-    if levels.size > MAX_MODES:
-        raise SizeCapExceeded(f"{levels.size} modes exceed the cap {MAX_MODES}")
-    energies = np.zeros(1)
-    for k in levels:
-        energies = np.concatenate([energies, energies + k])
-    return np.sort(energies)

@@ -9,7 +9,7 @@ and pi(., lambda1):
     type iii: K(x,y) = sum_{z=max(x,y)}^{N}           pi(x, z, l2) pi(z-y, N-y, l1)
 
 and the stationary distribution is the measure of the mapped family
-lambda3 (see ``families.lambda3_map``).  The builders below evaluate the
+lambda3 (``ConvolutionRecipe.lambda3``).  The builders below evaluate the
 two factors on whole index grids (in log space, exponentiated once) and
 reduce each type to a matrix product or a per-column convolution; columns
 are mathematically independent, so construction parallelizes trivially and
@@ -91,6 +91,9 @@ class ConvolutionKernel:
 # truncation of semi-infinite lattices
 # ---------------------------------------------------------------------------
 
+COL_TARGET_FACTOR = 10.0
+MAX_WINDOW_POINTS = 2000
+
 
 def stationary_tail_bound(spec: FamilySpec, M: int) -> float:
     """Certified upper bound on sum_{x>M} pi(x) from the term-ratio bound.
@@ -117,9 +120,17 @@ def stationary_tail_bound(spec: FamilySpec, M: int) -> float:
 
 def truncation_cutoff(spec: FamilySpec, tail_eps: float) -> int:
     """Smallest window end M (within a coarse scan) with a certified tail
-    bound sum_{x>M} pi(x) <= tail_eps."""
+    bound sum_{x>M} pi(x) <= tail_eps.
+
+    The bound does not increase with M wherever it is finite, so a measure
+    whose bound at the last point of a MAX_WINDOW_POINTS window is still
+    above tail_eps is refused at once, before any scan.
+    """
     if not 0.0 < tail_eps <= 1e-6:
         raise DomainError(f"tail_eps must lie in (0, 1e-6], got {tail_eps}")
+    if stationary_tail_bound(spec, MAX_WINDOW_POINTS - 1) > tail_eps:
+        window = f"the certified {spec.to_string()} window for tail_eps={tail_eps}"
+        raise DomainError(f"{window} exceeds the {MAX_WINDOW_POINTS}-point cap")
     if spec.family is Family.CHARLIER:
         (a,) = spec.params
         mean, sd = a, math.sqrt(a)
@@ -182,10 +193,6 @@ def _build_matrix(recipe: ConvolutionRecipe, size: int) -> np.ndarray:
     z2, y = np.indices((zmax + 1, size))
     g = np.exp(log_measure_grid(factor1.family, factor1.params, z2 - y, N - y))
     return e @ g
-
-
-COL_TARGET_FACTOR = 10.0
-MAX_WINDOW_POINTS = 2000
 
 
 def build_kernel(

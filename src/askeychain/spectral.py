@@ -2,7 +2,10 @@
 
 Conjugating a reversible kernel by diag(sqrt(pi)) gives a real symmetric
 matrix H(x,y) = K(x,y) sqrt(pi(y)/pi(x)) with the same spectrum, the
-Perron-Frobenius vector sqrt(pi), and eigenvalues in (-1, 1].  For the
+Perron-Frobenius vector sqrt(pi), and eigenvalues in (-1, 1].
+``analytic_eigensystem`` builds it once and keeps it, with the asymmetry of
+the unsymmetrized transform, as ``SpectralSystem.hamiltonian`` and
+``.presym_asymmetry``; there is no separate Hamiltonian entry point.  For the
 convolution kernels the full eigensystem is known in closed form: the
 eigenvalues kappa(n) and the orthonormal eigenvectors
 phi_n(x) = d_n sqrt(pi(x)) P_n(x).  ``numeric_spectrum`` (a dense
@@ -41,24 +44,13 @@ _RELIABLE_MODE_DEFECT = 1e-10
 _SYM_TOL = 1e-10
 
 
-def classical_hamiltonian(kernel: ConvolutionKernel) -> np.ndarray:
-    """H = diag(pi)^(-1/2) K diag(pi)^(1/2), symmetrized by (H + H^T)/2.
-
-    The input kernel must satisfy detailed balance (within tolerance),
-    otherwise the result is not meaningfully symmetric.  Exact symmetry is
-    enforced by averaging; the pre-averaging asymmetry is available from
-    ``similarity_asymmetry`` and is recorded on spectral systems.
-    """
-    return _hamiltonian(kernel)[0]
-
-
-def similarity_asymmetry(kernel: ConvolutionKernel) -> float:
-    """Max entrywise |H - H^T| of the raw similarity transform."""
-    return _hamiltonian(kernel)[1]
-
-
 def _hamiltonian(kernel: ConvolutionKernel) -> tuple[np.ndarray, float]:
-    """The symmetrized H and the asymmetry of the raw transform it came from."""
+    """H = diag(pi)^(-1/2) K diag(pi)^(1/2), symmetrized by (H + H^T)/2, and
+    the max entrywise |H - H^T| of the raw transform it came from.
+
+    The kernel must satisfy detailed balance (within tolerance), otherwise
+    the result is not meaningfully symmetric.
+    """
     pi = kernel.pi
     if np.any(pi <= 0.0):
         raise DomainError("stationary distribution must be strictly positive")

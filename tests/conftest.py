@@ -13,11 +13,20 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from askeychain import ConvolutionRecipe, ConvType, Family, build_kernel
+from askeychain import (
+    ConvolutionRecipe,
+    ConvType,
+    Family,
+    FamilySpec,
+    build_kernel,
+    measure_vector,
+    orthonormal_columns,
+)
 
 # (family, conv_type) -> list of parameter tuples; 13 exposed combinations
 # (meixner type ii is the alias of type i and is exercised through it)
@@ -73,6 +82,54 @@ def grid_recipes():
         for params in plist:
             out.append((ConvolutionRecipe(fam, t, params), None))
     return out
+
+
+def basis_polynomials(spec, npoints=None):
+    """P[x, n] = P_n(x) and d2[n] = d_n^2 read off the library's orthonormal
+    basis phi_n(x) = d_n sqrt(pi(x)) P_n(x), whose column 0 is sqrt(pi):
+
+        P_n(x) = phi_n(x) phi_0(0) / (phi_n(0) phi_0(x)),  d_n^2 = (phi_n(0) / phi_0(0))^2,
+
+    so P_0 = 1 and d_0^2 = 1 exactly.  Columns whose values leave the
+    double range on a long window come back as inf or nan.
+    """
+    phi = orthonormal_columns(spec, npoints)
+    row0 = phi[0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        P = phi * row0[0] / (row0[None, :] * phi[:, :1])
+    return P, (row0 / row0[0]) ** 2
+
+
+def _sup_distance(spec, limit, window=15):
+    """sup_x |pi_spec(x) - pi_limit(x)| on x <= window (pi is 0 off a lattice)."""
+    def pi(s):
+        npts = min(window + 1, s.size) if s.is_finite else window + 1
+        return np.pad(measure_vector(s, npts), (0, window + 1 - npts))
+
+    return float(np.max(np.abs(pi(spec) - pi(limit))))
+
+
+def limit_distances():
+    """The three inter-family limits as distance sequences that must fall:
+    Krawtchouk(1/N) -> Charlier(1) and Hahn(1.5, 1.5N) -> Meixner(1.5, 0.4)
+    as N = 10, 100, 1000, and Meixner(a, 1/(a+1)) -> Charlier(1) as
+    a = 10, 100, 1000."""
+    charlier = FamilySpec(Family.CHARLIER, (1.0,))
+    meixner = FamilySpec(Family.MEIXNER, (1.5, 0.4))
+    return {
+        "krawtchouk->charlier": [
+            _sup_distance(FamilySpec(Family.KRAWTCHOUK, (1.0 / N,), N=N), charlier)
+            for N in (10, 100, 1000)
+        ],
+        "hahn->meixner": [
+            _sup_distance(FamilySpec(Family.HAHN, (1.5, N * (1.0 - 0.4) / 0.4), N=N), meixner)
+            for N in (10, 100, 1000)
+        ],
+        "meixner->charlier": [
+            _sup_distance(FamilySpec(Family.MEIXNER, (a, 1.0 / (a + 1.0))), charlier)
+            for a in (10, 100, 1000)
+        ],
+    }
 
 
 @pytest.fixture(scope="session")

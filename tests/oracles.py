@@ -80,6 +80,14 @@ def hahn_type2_kappa_sum(a: float, b: float, c: float, n: int) -> float:
     return math.fsum(terms)
 
 
+def _qpoch(w: float, q: float, n: int) -> float:
+    """(w; q)_n as a direct product."""
+    out = 1.0
+    for k in range(n):
+        out *= 1 - w * q**k
+    return out
+
+
 def measure_direct(family: str, params: tuple, x: int, N: int | None = None) -> float:
     """Measures straight from their defining formulas, in linear arithmetic."""
     if family == "krawtchouk":
@@ -105,13 +113,34 @@ def measure_direct(family: str, params: tuple, x: int, N: int | None = None) -> 
         )
     if family == "qhahn":
         a, b, q = params
-        def qpoch(w, n):
-            out = 1.0
-            for k in range(n):
-                out *= 1 - w * q**k
-            return out
-        qbin = qpoch(q, N) / (qpoch(q, x) * qpoch(q, N - x))
-        return qbin * qpoch(a, x) * qpoch(b, N - x) * a ** (N - x) / qpoch(a * b, N)
+        qbin = _qpoch(q, q, N) / (_qpoch(q, q, x) * _qpoch(q, q, N - x))
+        return qbin * _qpoch(a, q, x) * _qpoch(b, q, N - x) * a ** (N - x) / _qpoch(a * b, q, N)
+    raise ValueError(family)
+
+
+def norm_sq_direct(family: str, params: tuple, n: int, N: int | None = None) -> float:
+    """Squared norm constants d_n^2 (P_n(0) = 1, d_0^2 = 1) from their closed
+    forms: self-duality d_n^2 pi(0) = pi(n) for Krawtchouk, Charlier and
+    Meixner, lgamma sums for Hahn, direct q-Pochhammer products for q-Hahn."""
+    if n == 0:
+        return 1.0
+    if family in ("krawtchouk", "charlier", "meixner"):
+        return measure_direct(family, params, n, N) / measure_direct(family, params, 0, N)
+    if family == "hahn":
+        a, b = params
+        return (2 * n + a + b - 1) * math.exp(
+            math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1)
+            + math.lgamma(a + n) - math.lgamma(a) - math.lgamma(b + n) + math.lgamma(b)
+            + math.lgamma(a + b + N) - math.lgamma(a + b)
+            + math.lgamma(n + a + b - 1) - math.lgamma(n + a + b + N)
+        )
+    if family == "qhahn":
+        a, b, q = params
+        qbin = _qpoch(q, q, N) / (_qpoch(q, q, n) * _qpoch(q, q, N - n))
+        return (
+            qbin * _qpoch(a, q, n) * _qpoch(a * b, q, n - 1) * (1 - a * b * q ** (2 * n - 1))
+            / (_qpoch(a * b * q**N, q, n) * _qpoch(b, q, n) * a**n)
+        )
     raise ValueError(family)
 
 
@@ -191,11 +220,23 @@ def parse_matrix_csv(text: str) -> np.ndarray:
 # Jordan-Wigner brute-force referee for the free-fermion layer
 # ---------------------------------------------------------------------------
 
-#: hard cap on the 2^M construction
+#: hard cap on the 2^M constructions (Fock space and subset sums)
 JW_MAX_SITES = 12
 
 #: eigenvalues of reduced density matrices at or below this count as zero
 JW_EIGENVALUE_FLOOR = 1e-12
+
+
+def many_body_energies(levels: np.ndarray) -> np.ndarray:
+    """All 2^M subset sums of M single-particle levels, sorted: the exact
+    many-body spectrum of the diagonalized quadratic Hamiltonian."""
+    levels = np.asarray(levels, dtype=float)
+    if levels.size > JW_MAX_SITES:
+        raise ValueError(f"{levels.size} modes exceed the oracle cap {JW_MAX_SITES}")
+    energies = np.zeros(1)
+    for k in levels:
+        energies = np.concatenate([energies, energies + k])
+    return np.sort(energies)
 
 
 def jordan_wigner_operators(nsites: int) -> list[sp.csr_matrix]:

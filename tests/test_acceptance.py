@@ -20,16 +20,12 @@ from askeychain.families import (
     ConvType,
     Family,
     FamilySpec,
-    hahn_to_meixner_distance,
-    krawtchouk_to_charlier_distance,
     measure_vector,
-    meixner_to_charlier_distance,
 )
 from askeychain.fermion import (
     FreeFermionModel,
     block_entropy,
     correlation_matrix,
-    many_body_energies,
 )
 from askeychain.spectral import (
     analytic_eigensystem,
@@ -41,13 +37,19 @@ from askeychain.spectral import (
 )
 
 import oracles
-from oracles import jordan_wigner_ground_state, jordan_wigner_spectrum, reduced_density_entropy
+from oracles import (
+    jordan_wigner_ground_state,
+    jordan_wigner_spectrum,
+    many_body_energies,
+    reduced_density_entropy,
+)
 from conftest import (
     ACCEPT_NS,
     ACCEPT_TAIL_EPS,
     FINITE_GRID,
     HAHN2_DUAL_GRID,
     TRUNCATED_GRID,
+    limit_distances,
 )
 
 
@@ -255,17 +257,8 @@ def test_criterion_07_entropy_oracle():
 
 
 def test_criterion_08_limit_checks():
-    seqs = {
-        "krawtchouk->charlier": [
-            krawtchouk_to_charlier_distance(1.0, N) for N in (10, 100, 1000)
-        ],
-        "hahn->meixner": [
-            hahn_to_meixner_distance(1.5, 0.4, N) for N in (10, 100, 1000)
-        ],
-        "meixner->charlier": [
-            meixner_to_charlier_distance(1.0, a) for a in (10, 100, 1000)
-        ],
-    }
+    # sup distances of the library's measures (measure_vector)
+    seqs = limit_distances()
     ok = all(d[0] > d[1] > d[2] for d in seqs.values())
     detail = "; ".join(
         f"{name} {d[0]:.1e} > {d[1]:.1e} > {d[2]:.1e}" for name, d in seqs.items()

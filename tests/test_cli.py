@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,8 @@ class TestKernelCommand:
             "charlier type=i a=0.5 b=inf",
             "meixner type=i a=nan b=1 c=0.2",
             "krawtchouk type=i a=0.3 b=0.5 N=-3",
+            "charlier type=i a=0.5 b=1e308",  # lambda3 = b / (1 - a) overflows
+            "charlier type=iii a=1e308 b=0.9",  # lambda3 = a b / (1 - b) overflows
         ],
     )
     def test_non_finite_or_negative_size_exits_2(self, tmp_path, capsys, recipe):
@@ -127,9 +130,13 @@ class TestKernelCommand:
         ("spectrum", "hahn type=ii a=1.0 b=0.5 c=1.0 N=2000"),
         ("spectrum", "hahn type=ii a=1.0 b=0.5 c=1.0 N=1000000000"),
         ("kernel", "charlier type=i a=0.5 b=1000.0"),  # certified window: 2324 points
+        ("kernel", "charlier type=i a=0.5 b=1e11"),
+        ("kernel", "charlier type=i a=0.5 b=1e300"),
     ])
     def test_lattice_above_window_cap_exits_2(self, tmp_path, capsys, command, recipe):
+        t0 = time.perf_counter()
         code, text = run(tmp_path, command, "--recipe", recipe)
+        assert time.perf_counter() - t0 < 5.0  # refused before any window scan
         assert code == 2
         assert text == ""
         assert "exceeds the 2000-point cap" in capsys.readouterr().err
@@ -201,6 +208,19 @@ class TestVerifyCommand:
         assert code == 2
         assert text == ""
         assert "outside the 6x6 kernel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+    def test_non_finite_perturb_delta_exits_2(self, tmp_path, capsys, delta):
+        code, text = run(
+            tmp_path,
+            "verify",
+            "--recipe",
+            "krawtchouk type=i a=0.3 b=0.5 N=5",
+            f"--perturb=0,0,{delta}",
+        )
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: --perturb delta must be finite")
 
     @pytest.mark.parametrize(
         "recipe, perturb",
@@ -397,6 +417,18 @@ class TestFermionCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["correlation", "entropy"])
+    @pytest.mark.parametrize("extra", [["--mu=inf"], ["--mu=-inf"], ["--mu=nan"],
+                                       ["--mu=inf", "--filled=0,1"]])
+    def test_non_finite_mu_exits_2(self, tmp_path, capsys, command, extra):
+        code, text = run(
+            tmp_path, command, "--recipe", "krawtchouk type=ii a=0.2 b=0.6 N=7",
+            "--format", "json", *extra,
+        )
+        assert code == 2
+        assert text == ""
+        assert "mu must be finite" in capsys.readouterr().err
+
     def test_bad_block_exits_2(self, tmp_path):
         code, _ = run(
             tmp_path,
@@ -463,3 +495,23 @@ class TestLibraryBoundary:
         modules += [str(n.module) for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
         assert "numpy" in modules
         assert not [m for m in modules if m.split(".")[0] == "askeychain"]
+
+    def test_every_top_level_definition_is_used(self):
+        # a function or class of the package that nothing in src/ uses and
+        # __all__ does not export is test-only code living in the library
+        pkg = Path(ak.__file__).parent
+        trees = {path.name: ast.parse(path.read_text()) for path in pkg.glob("*.py")}
+        orphans = []
+        for name, tree in trees.items():
+            for node in tree.body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                inside = {id(n) for n in ast.walk(node)}
+                used = any(
+                    id(n) not in inside
+                    and node.name in (getattr(n, "id", None), getattr(n, "attr", None))
+                    for t in trees.values() for n in ast.walk(t)
+                )
+                if not used and node.name not in ak.__all__:
+                    orphans.append(f"{name}:{node.name}")
+        assert not orphans

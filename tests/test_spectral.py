@@ -8,23 +8,23 @@ from askeychain.families import (
     Family,
     FamilySpec,
     kappa_vector,
-    norm_constant_sq,
-    polynomial_vector,
 )
 from askeychain.markov import ConvolutionKernel, LatticeKind, LatticeSpec, build_kernel
 from askeychain.spectral import (
     analytic_eigensystem,
-    classical_hamiltonian,
     completeness_defect,
     eigen_residuals,
     numeric_spectrum,
     orthonormality_defect,
-    similarity_asymmetry,
     spectrum_comparison,
 )
 
-from conftest import FINITE_GRID, TRUNCATED_GRID, grid_recipes
+from conftest import FINITE_GRID, TRUNCATED_GRID, basis_polynomials, grid_recipes
 from oracles import left_eigen_residual, right_eigen_residual
+
+
+def _system(kern):
+    return analytic_eigensystem(kern.recipe, kernel=kern)
 
 
 def _dummy_kernel(matrix, pi):
@@ -35,13 +35,13 @@ def _dummy_kernel(matrix, pi):
 class TestClassicalHamiltonian:
     def test_uniform_pi_leaves_symmetric_kernel_alone(self):
         k = np.array([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]])
-        h = classical_hamiltonian(_dummy_kernel(k, np.full(3, 1 / 3)))
+        h = _system(_dummy_kernel(k, np.full(3, 1 / 3))).hamiltonian
         np.testing.assert_allclose(h, k, rtol=1e-15)
 
     def test_entrywise_formula(self):
         r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.3, 0.5))
         kern = build_kernel(r, N=2)
-        h = classical_hamiltonian(kern)
+        h = _system(kern).hamiltonian
         s = np.sqrt(kern.pi)
         for x in range(3):
             for y in range(3):
@@ -52,7 +52,7 @@ class TestClassicalHamiltonian:
     def test_sqrt_pi_is_unit_eigenvector(self, kernel_cache):
         for recipe, N in grid_recipes():
             kern = kernel_cache(recipe, N)
-            h = classical_hamiltonian(kern)
+            h = _system(kern).hamiltonian
             s = np.sqrt(kern.pi)
             resid = np.max(np.abs(h @ s - s))
             tol = 1e-12 if kern.lattice.kind is LatticeKind.FINITE else 1e-9
@@ -60,7 +60,7 @@ class TestClassicalHamiltonian:
 
     def test_asymmetry_is_rounding_level(self, kernel_cache):
         for recipe, N in grid_recipes():
-            assert similarity_asymmetry(kernel_cache(recipe, N)) <= 1e-13
+            assert _system(kernel_cache(recipe, N)).presym_asymmetry <= 1e-13
 
 
 class TestAnalyticEigensystem:
@@ -105,14 +105,14 @@ class TestNumericSpectrum:
     def test_spectrum_inside_unit_interval(self, kernel_cache):
         for recipe, N in grid_recipes():
             kern = kernel_cache(recipe, N)
-            vals = numeric_spectrum(classical_hamiltonian(kern))
+            vals = numeric_spectrum(_system(kern).hamiltonian)
             assert vals[0] <= 1.0 + 1e-12, recipe.to_string(N)
             assert vals[-1] >= -1.0 - 1e-12, recipe.to_string(N)
 
     def test_unit_eigenvalue_attained_exactly_once(self, kernel_cache):
         for recipe, N in grid_recipes():
             kern = kernel_cache(recipe, N)
-            vals = numeric_spectrum(classical_hamiltonian(kern))
+            vals = numeric_spectrum(_system(kern).hamiltonian)
             assert abs(vals[0] - 1.0) <= 1e-10, recipe.to_string(N)
             gap = 1.0 - float(np.max(np.abs(kappa_vector(recipe, kern.size - 1)[1:])))
             assert vals[1] <= 1.0 - 0.5 * gap, recipe.to_string(N)
@@ -135,9 +135,10 @@ class TestTheoremEigenvectors:
             kern = kernel_cache(r, N)
             stationary = r.stationary_spec(kern.lattice.N if r.is_finite else None)
             kap = kappa_vector(r, kern.size - 1)
+            P, _ = basis_polynomials(stationary, kern.size)
             nmax = min(12, kern.size - 1)
             for n in range(nmax + 1):
-                pol = polynomial_vector(stationary, n, kern.size)
+                pol = P[:, n]
                 assert left_eigen_residual(kern, pol, kap[n]) <= 1e-9, (fam, t, n)
                 assert right_eigen_residual(kern, pol, kap[n]) <= 1e-9, (fam, t, n)
 
