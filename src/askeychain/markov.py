@@ -120,17 +120,11 @@ def stationary_tail_bound(spec: FamilySpec, M: int) -> float:
 
 def truncation_cutoff(spec: FamilySpec, tail_eps: float) -> int:
     """Smallest window end M (within a coarse scan) with a certified tail
-    bound sum_{x>M} pi(x) <= tail_eps.
-
-    The bound does not increase with M wherever it is finite, so a measure
-    whose bound at the last point of a MAX_WINDOW_POINTS window is still
-    above tail_eps is refused at once, before any scan.
+    bound sum_{x>M} pi(x) <= tail_eps; refused at once when no window of
+    MAX_WINDOW_POINTS points reaches tail_eps (see ``_certified_cutoff``).
     """
     if not 0.0 < tail_eps <= 1e-6:
         raise DomainError(f"tail_eps must lie in (0, 1e-6], got {tail_eps}")
-    if stationary_tail_bound(spec, MAX_WINDOW_POINTS - 1) > tail_eps:
-        window = f"the certified {spec.to_string()} window for tail_eps={tail_eps}"
-        raise DomainError(f"{window} exceeds the {MAX_WINDOW_POINTS}-point cap")
     if spec.family is Family.CHARLIER:
         (a,) = spec.params
         mean, sd = a, math.sqrt(a)
@@ -140,15 +134,24 @@ def truncation_cutoff(spec: FamilySpec, tail_eps: float) -> int:
         sd = math.sqrt(a * b) / (1.0 - b)
     else:
         raise DomainError(f"{spec.family.value} lattice is finite; no truncation")
-    M = _certified_cutoff(spec, max(4, int(mean + 10.0 * sd) + 4), tail_eps)
+    window = f"the certified {spec.to_string()} window"
+    M = _certified_cutoff(spec, max(4, int(mean + 10.0 * sd) + 4), tail_eps, window)
     while M > 4 and stationary_tail_bound(spec, M - 1) <= tail_eps:
         M -= 1
     return M
 
 
-def _certified_cutoff(spec: FamilySpec, M: int, eps: float) -> int:
+def _certified_cutoff(spec: FamilySpec, M: int, eps: float, window: str) -> int:
     """First window end in the scan M, M + max(2, M // 8), ... whose
-    certified tail bound sum_{x>M} pi(x) is at most eps."""
+    certified tail bound sum_{x>M} pi(x) is at most eps.
+
+    The bound does not increase with M wherever it is finite, so a measure
+    whose bound at the last point of a MAX_WINDOW_POINTS window is still
+    above eps is refused at once, before any scan; ``window`` names it in
+    the message.
+    """
+    if stationary_tail_bound(spec, MAX_WINDOW_POINTS - 1) > eps:
+        raise DomainError(f"{window} for tail_eps={eps} exceeds the {MAX_WINDOW_POINTS}-point cap")
     while stationary_tail_bound(spec, M) > eps:
         M += max(2, M // 8)
     return M
@@ -170,24 +173,21 @@ def _build_matrix(recipe: ConvolutionRecipe, size: int) -> np.ndarray:
         b = np.exp(log_measure_grid(factor1.family, factor1.params, z2, y))
         return a @ b
     if recipe.conv_type is ConvType.II:
+        # row n of each grid is ln pi(.; n); column y convolves two row prefixes
+        n, u = np.indices((size, size))
+        e2 = np.exp(log_measure_grid(factor2.family, factor2.params, u, n))
+        e1 = np.exp(log_measure_grid(factor1.family, factor1.params, u, n))
         out = np.empty((size, size))
         for y in range(size):
-            u = np.arange(N - y + 1)
-            v2 = np.exp(
-                log_measure_grid(factor2.family, factor2.params, u, np.full(N - y + 1, N - y))
-            )
-            zz = np.arange(y + 1)
-            v1 = np.exp(
-                log_measure_grid(factor1.family, factor1.params, zz, np.full(y + 1, y))
-            )
-            out[:, y] = np.convolve(v2, v1)
+            out[:, y] = np.convolve(e2[N - y, : N - y + 1], e1[y, : y + 1])
         return out
     # type iii: the z sum runs past the window for semi-infinite lattices
     if recipe.is_finite:
         zmax = N
     else:
         # extend z until the remaining lambda1 tail cannot move any entry
-        zmax = N + _certified_cutoff(FamilySpec(factor1.family, factor1.params), 4, 1e-18)
+        spec1 = FamilySpec(factor1.family, factor1.params)
+        zmax = N + _certified_cutoff(spec1, 4, 1e-18, f"the type iii z sum over {spec1.to_string()}")
     x, z = np.indices((size, zmax + 1))
     e = np.exp(log_measure_grid(factor2.family, factor2.params, x, z))
     z2, y = np.indices((zmax + 1, size))

@@ -132,6 +132,10 @@ class TestKernelCommand:
         ("kernel", "charlier type=i a=0.5 b=1000.0"),  # certified window: 2324 points
         ("kernel", "charlier type=i a=0.5 b=1e11"),
         ("kernel", "charlier type=i a=0.5 b=1e300"),
+        # lambda3 = 1 (a small window), but the z sum over the Charlier(a)
+        # factor would need ~1e300 points, and 2674 points for a=2000
+        ("kernel", "charlier type=iii a=1e300 b=1e-300"),
+        ("kernel", "charlier type=iii a=2000 b=0.0004"),
     ])
     def test_lattice_above_window_cap_exits_2(self, tmp_path, capsys, command, recipe):
         t0 = time.perf_counter()
@@ -488,6 +492,15 @@ class TestLibraryBoundary:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
         assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("module", ["askeychain", "askeychain.cli"])
+    def test_import_leaves_out_scipy(self, module):
+        # scipy is a test dependency only (the Jordan-Wigner referee)
+        src = str(Path(ak.__file__).resolve().parents[1])
+        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_oracles_import_nothing_from_the_package(self):
         tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())

@@ -222,6 +222,20 @@ class TestVerifyKernel:
         assert not rep.passed
         assert rep.max_stochastic_violation == pytest.approx(1e-6, rel=1e-6)
 
+    @pytest.mark.parametrize("family, conv_type, params", [
+        (Family.HAHN, ConvType.II, (1.0, 0.5, 1.0)),
+        (Family.HAHN, ConvType.III, (1.0, 2.0, 1.0)),
+        (Family.KRAWTCHOUK, ConvType.I, (0.3, 0.5)),
+        (Family.KRAWTCHOUK, ConvType.II, (0.2, 0.6)),
+    ])
+    def test_finite_kernels_at_n800_meet_default_tolerance(self, family, conv_type, params):
+        # the column sums miss 1e-12 once the measures lose ~5e-13 per entry,
+        # as log-gamma differences of ~4551 do; positivity is not asserted
+        # (underflowed entries of the Krawtchouk kernels at this size)
+        rep = verify_kernel(build_kernel(ConvolutionRecipe(family, conv_type, params), N=800))
+        assert rep.tol == 1e-12
+        assert rep.passed, rep
+
     def test_default_tolerances_by_kind(self):
         finite = build_kernel(
             ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.3, 0.5)), N=4

@@ -1,4 +1,10 @@
-"""High-precision reference checks for the eigenvector machinery.
+"""High-precision reference checks for the measures and the eigenvector
+machinery.
+
+The measures are running sums of log term ratios; they are pinned against
+40-digit log-gamma closed forms up to N = 800 and, on the semi-infinite
+lattices, out to ~2000 points, where log-gamma differences in double
+precision lose ~1e-12.
 
 The matched-recurrence construction of the orthonormal basis is the one
 piece whose accuracy is not obvious from structure alone, so it is pinned
@@ -12,7 +18,48 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from askeychain.families import Family, FamilySpec, orthonormal_columns
+from askeychain.families import Family, FamilySpec, log_measure_grid, orthonormal_columns
+
+
+def _mp_log_measure(family, params, N, x):
+    lg = mp.loggamma
+    if family is Family.CHARLIER:
+        (a,) = map(mpf, params)
+        return -a + x * mp.log(a) - lg(x + 1)
+    if family is Family.MEIXNER:
+        a, b = map(mpf, params)
+        return lg(a + x) - lg(a) + x * mp.log(b) + a * mp.log1p(-b) - lg(x + 1)
+    binom = lg(N + 1) - lg(x + 1) - lg(N - x + 1)
+    if family is Family.KRAWTCHOUK:
+        (p,) = map(mpf, params)
+        return binom + x * mp.log(p) + (N - x) * mp.log1p(-p)
+    a, b = map(mpf, params)
+    return binom + lg(a + x) - lg(a) + lg(b + N - x) - lg(b) - lg(a + b + N) + lg(a + b)
+
+
+@pytest.mark.parametrize("spec, xmax", [
+    (FamilySpec(Family.CHARLIER, (500.0,)), 1540),
+    (FamilySpec(Family.CHARLIER, (50.0,)), 400),
+    (FamilySpec(Family.MEIXNER, (30.0, 0.9)), 1000),
+    (FamilySpec(Family.MEIXNER, (0.5, 0.99)), 1999),
+    (FamilySpec(Family.KRAWTCHOUK, (0.3,), N=800), 800),
+    (FamilySpec(Family.KRAWTCHOUK, (0.01,), N=800), 800),
+    (FamilySpec(Family.HAHN, (1.0, 3.0), N=800), 800),
+    (FamilySpec(Family.HAHN, (50.0, 0.2), N=800), 800),
+    (FamilySpec(Family.KRAWTCHOUK, (0.7,), N=400), 400),
+    (FamilySpec(Family.HAHN, (0.5, 0.5), N=400), 400),
+    (FamilySpec(Family.KRAWTCHOUK, (0.3,), N=200), 200),
+    (FamilySpec(Family.HAHN, (2.0, 7.0), N=200), 200),
+], ids=lambda v: v.to_string() if isinstance(v, FamilySpec) else str(v))
+def test_log_measure_matches_40_digit_reference(spec, xmax):
+    # every 7th point, wherever pi(x) is a normal double
+    xs = np.arange(0, xmax + 1, 7)
+    got = log_measure_grid(spec.family, spec.params, xs, np.full(xs.shape, spec.N or 0))
+    mp.dps = 40
+    ref = np.array([float(_mp_log_measure(spec.family, spec.params, spec.N, int(x))) for x in xs])
+    keep = ref >= -708.0
+    assert keep.sum() >= 28
+    assert np.max(np.abs(got[keep] - ref[keep])) <= 1e-12
 
 
 def _mp_qpoch(w, q, n):
