@@ -13,7 +13,6 @@ from .families import (
     Family,
     FamilySpec,
     kappa_vector,
-    measure,
     measure_vector,
     orthonormal_columns,
     parse_recipe,
@@ -66,7 +65,6 @@ __all__ = [
     "correlation_matrix",
     "entropy_profile",
     "kappa_vector",
-    "measure",
     "measure_vector",
     "numeric_spectrum",
     "orthonormal_columns",

@@ -27,8 +27,8 @@ log-sum-exp (finite lattices) or started from the closed-form pi(0)
 Log-gamma differences would cancel instead: ln Gamma(801) ~ 4551 leaves
 ~5e-13 of error in every entry at N = 800, while the running sums stay within
 ~4e-13 of 40-digit references out to ln pi = -708.  ``log_measure_grid``
-is the one implementation of the five measures; the scalar
-``log_measure`` and ``measure`` are its one-point calls.
+is the one implementation of the five measures; ``measure_vector`` is its
+call for one lattice row.
 
 A recipe is valid exactly when its two factor measures are, so
 ``_check_params`` holds the only parameter ranges, finiteness included.
@@ -135,11 +135,6 @@ class FamilySpec:
 # ---------------------------------------------------------------------------
 
 
-def _check_point(spec: FamilySpec, x: int) -> None:
-    if x < 0 or (spec.N is not None and x > spec.N):
-        raise DomainError(f"lattice point {x} outside {spec.to_string()}")
-
-
 def _log_qpoch_prefix(w: float, q: float, kmax: int) -> np.ndarray:
     """Array L[k] = ln (w;q)_k for k = 0..kmax; requires all factors > 0."""
     k = np.arange(kmax)
@@ -215,7 +210,8 @@ def log_measure_grid(
     largest size (a single row for the semi-infinite families), so the
     cost is that of the table, not of the number of points.  Used by the
     kernel builders, where the two measure factors are evaluated on whole
-    index grids at once, and at single points by ``log_measure``.
+    index grids at once, and by ``measure_vector`` and the truncation
+    certificate for one lattice row.
     """
     pts = np.asarray(pts)
     sizes = np.asarray(sizes)
@@ -246,30 +242,19 @@ def log_measure_grid(
     return np.where(valid, out, -np.inf)
 
 
-def _log_pi(spec: FamilySpec, x: np.ndarray) -> np.ndarray:
-    """ln pi at the points ``x`` of the lattice of ``spec``."""
-    sizes = np.full(x.shape, spec.N if spec.N is not None else 0)
-    return log_measure_grid(spec.family, spec.params, x, sizes)
-
-
-def log_measure(spec: FamilySpec, x: int) -> float:
-    """Natural log of the normalized orthogonality measure pi(x)."""
-    _check_point(spec, x)
-    return float(_log_pi(spec, np.array([x]))[0])
-
-
-def measure(spec: FamilySpec, x: int) -> float:
-    """pi(x): strictly positive; sums to 1 over the family's lattice."""
-    return float(np.exp(log_measure(spec, x)))
-
-
-def measure_vector(spec: FamilySpec, npoints: int | None = None) -> np.ndarray:
-    """pi over lattice points 0..npoints-1 (defaults to the full finite lattice)."""
+def _log_pi(spec: FamilySpec, npoints: int | None = None) -> np.ndarray:
+    """ln pi over lattice points 0..npoints-1 (defaults to the full finite lattice)."""
     if npoints is None:
         npoints = spec.size
     if spec.is_finite and npoints > spec.size:
         raise DomainError(f"window {npoints} exceeds lattice size {spec.size}")
-    return np.exp(_log_pi(spec, np.arange(npoints)))
+    x = np.arange(npoints)
+    return log_measure_grid(spec.family, spec.params, x, np.full(x.shape, spec.N or 0))
+
+
+def measure_vector(spec: FamilySpec, npoints: int | None = None) -> np.ndarray:
+    """pi over lattice points 0..npoints-1 (defaults to the full finite lattice)."""
+    return np.exp(_log_pi(spec, npoints))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +332,7 @@ _VALID_BOUND = 1.0 + 1e-6  # orthonormal entries cannot exceed 1
 
 def _weighted_setup(spec: FamilySpec, npoints: int):
     theta = site_values(spec, npoints)
-    half_log_pi = 0.5 * _log_pi(spec, np.arange(npoints))
+    half_log_pi = 0.5 * _log_pi(spec, npoints)
     A, C = recurrence_coefficients(spec, npoints - 1)
     b = np.sign(A[:-1]) * np.sqrt(A[:-1] * C[1:])
     return theta, np.exp(half_log_pi), A, C, b

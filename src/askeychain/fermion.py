@@ -25,11 +25,6 @@ import numpy as np
 from .errors import DomainError
 from .spectral import SpectralSystem
 
-#: eigenvalues of block correlation matrices are clamped away from the
-#: log singularities at 0 and 1 by this amount
-ENTROPY_CLAMP = 1e-12
-
-
 @dataclass(frozen=True)
 class FreeFermionModel:
     """Spectral data plus a choice of filled modes.
@@ -84,15 +79,19 @@ def correlation_matrix(model: FreeFermionModel) -> CorrelationMatrix:
 
 
 def _binary_entropy(lams: np.ndarray) -> float:
-    lams = np.clip(lams, ENTROPY_CLAMP, 1.0 - ENTROPY_CLAMP)
-    return float(-np.sum(lams * np.log(lams) + (1.0 - lams) * np.log1p(-lams)))
+    lams = np.clip(lams, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = lams * np.log(lams) + (1.0 - lams) * np.log1p(-lams)
+    # 0 ln 0 = 0 at both ends; 0.0 - sum turns an all-zero -0.0 into 0.0
+    return float(0.0 - np.sum(np.where((lams > 0.0) & (lams < 1.0), terms, 0.0)))
 
 
 def block_entropy(corr: CorrelationMatrix | np.ndarray, block: tuple[int, int]) -> float:
     """Entanglement entropy of the contiguous sites [start, stop).
 
     S = -sum_j [l_j ln l_j + (1-l_j) ln(1-l_j)] over the eigenvalues of the
-    block submatrix of C, clamped away from the log singularities.
+    block submatrix of C, clipped into [0, 1], with 0 ln 0 = 0: an exact
+    product state has entropy 0.
     """
     c = corr.matrix if isinstance(corr, CorrelationMatrix) else np.asarray(corr)
     start, stop = block

@@ -15,11 +15,16 @@ reduce each type to a matrix product or a per-column convolution; columns
 are mathematically independent, so construction parallelizes trivially and
 the finished kernel is immutable.  The direct per-entry sums these builders
 are tested against live with the tests (``tests/oracles.py``).
+
+Charlier and Meixner measures live on all of Z>=0 and are served on a
+certified finite window.  One row ln pi(0..MAX_WINDOW_POINTS) per measure
+gives the geometric tail bound for every window end at once
+(``stationary_tail_bounds``); the window, the cap refusal, the growth guard,
+the stationary vector and the recorded bound are all read off that row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,9 +36,7 @@ from .families import (
     ConvType,
     Family,
     FamilySpec,
-    log_measure,
     log_measure_grid,
-    measure,
     measure_vector,
 )
 
@@ -95,66 +98,55 @@ COL_TARGET_FACTOR = 10.0
 MAX_WINDOW_POINTS = 2000
 
 
-def stationary_tail_bound(spec: FamilySpec, M: int) -> float:
-    """Certified upper bound on sum_{x>M} pi(x) from the term-ratio bound.
+def _check_tail_eps(tail_eps: float) -> None:
+    if not 0.0 < tail_eps <= 1e-6:
+        raise DomainError(f"tail_eps must lie in (0, 1e-6], got {tail_eps}")
+
+
+def stationary_tail_bounds(spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
+    """ln pi(x) for x = 0..MAX_WINDOW_POINTS, and the certified upper bound on
+    sum_{x>M} pi(x) for every window end M = 0..MAX_WINDOW_POINTS-1.
 
     Both semi-infinite measures have eventually decreasing term ratios
     r(x) = pi(x+1)/pi(x); past M the tail is dominated by the geometric
-    series pi(M+1) / (1 - r) with r = sup_{x>M} r(x).
+    series pi(M+1) / (1 - r) with r = sup_{x>M} r(x), and the bound is
+    infinite where r >= 1.  Wherever it is finite the bound does not
+    increase with M.  One measure row serves every M.
     """
+    M = np.arange(MAX_WINDOW_POINTS)
     if spec.family is Family.CHARLIER:
         (a,) = spec.params
         r = a / (M + 2)
     elif spec.family is Family.MEIXNER:
         a, b = spec.params
         # ratio b (a+x)/(x+1): decreasing in x for a > 1, else below b
-        r = b * max(1.0, (a + M + 1) / (M + 2))
+        r = b * np.maximum(1.0, (a + M + 1) / (M + 2))
     else:
         raise DomainError(f"{spec.family.value} lattice is finite; no truncation")
-    if r >= 1.0:
-        return math.inf
+    log_pi = log_measure_grid(spec.family, spec.params, np.arange(MAX_WINDOW_POINTS + 1), 0)
     # tiny headroom keeps the certificate valid under float rounding (the
     # bound is an analytic equality for Meixner at a = 1)
-    return measure(spec, M + 1) / (1.0 - r) * (1.0 + 1e-10)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bounds = np.exp(log_pi[1:]) / (1.0 - r) * (1.0 + 1e-10)
+    return log_pi, np.where(r < 1.0, bounds, np.inf)
+
+
+def _first_certified(bounds: np.ndarray, eps: float, window: str) -> int:
+    """Smallest M >= 4 with bounds[M] <= eps.  The bounds do not increase,
+    so a measure still above eps at the last point of a MAX_WINDOW_POINTS
+    window is refused; ``window`` names it in the message."""
+    if bounds[-1] > eps:
+        raise DomainError(f"{window} for tail_eps={eps} exceeds the {MAX_WINDOW_POINTS}-point cap")
+    return max(4, int(np.argmax(bounds <= eps)))
 
 
 def truncation_cutoff(spec: FamilySpec, tail_eps: float) -> int:
-    """Smallest window end M (within a coarse scan) with a certified tail
-    bound sum_{x>M} pi(x) <= tail_eps; refused at once when no window of
-    MAX_WINDOW_POINTS points reaches tail_eps (see ``_certified_cutoff``).
-    """
-    if not 0.0 < tail_eps <= 1e-6:
-        raise DomainError(f"tail_eps must lie in (0, 1e-6], got {tail_eps}")
-    if spec.family is Family.CHARLIER:
-        (a,) = spec.params
-        mean, sd = a, math.sqrt(a)
-    elif spec.family is Family.MEIXNER:
-        a, b = spec.params
-        mean = a * b / (1.0 - b)
-        sd = math.sqrt(a * b) / (1.0 - b)
-    else:
-        raise DomainError(f"{spec.family.value} lattice is finite; no truncation")
+    """Smallest window end M >= 4 with a certified tail bound
+    sum_{x>M} pi(x) <= tail_eps; refused when no window of
+    MAX_WINDOW_POINTS points reaches tail_eps."""
+    _check_tail_eps(tail_eps)
     window = f"the certified {spec.to_string()} window"
-    M = _certified_cutoff(spec, max(4, int(mean + 10.0 * sd) + 4), tail_eps, window)
-    while M > 4 and stationary_tail_bound(spec, M - 1) <= tail_eps:
-        M -= 1
-    return M
-
-
-def _certified_cutoff(spec: FamilySpec, M: int, eps: float, window: str) -> int:
-    """First window end in the scan M, M + max(2, M // 8), ... whose
-    certified tail bound sum_{x>M} pi(x) is at most eps.
-
-    The bound does not increase with M wherever it is finite, so a measure
-    whose bound at the last point of a MAX_WINDOW_POINTS window is still
-    above eps is refused at once, before any scan; ``window`` names it in
-    the message.
-    """
-    if stationary_tail_bound(spec, MAX_WINDOW_POINTS - 1) > eps:
-        raise DomainError(f"{window} for tail_eps={eps} exceeds the {MAX_WINDOW_POINTS}-point cap")
-    while stationary_tail_bound(spec, M) > eps:
-        M += max(2, M // 8)
-    return M
+    return _first_certified(stationary_tail_bounds(spec)[1], tail_eps, window)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +177,17 @@ def _build_matrix(recipe: ConvolutionRecipe, size: int) -> np.ndarray:
     if recipe.is_finite:
         zmax = N
     else:
-        # extend z until the remaining lambda1 tail cannot move any entry
+        # extend z until the remaining lambda1 tail cannot move any entry:
+        # the first point of the scan 4, 6, 8, ..., M + max(2, M // 8) that
+        # certifies 1e-18 (ending the range at ``first`` itself would move
+        # the bits of K)
         spec1 = FamilySpec(factor1.family, factor1.params)
-        zmax = N + _certified_cutoff(spec1, 4, 1e-18, f"the type iii z sum over {spec1.to_string()}")
+        window = f"the type iii z sum over {spec1.to_string()}"
+        first = _first_certified(stationary_tail_bounds(spec1)[1], 1e-18, window)
+        zext = 4
+        while zext < first:
+            zext += max(2, zext // 8)
+        zmax = N + zext
     x, z = np.indices((size, zmax + 1))
     e = np.exp(log_measure_grid(factor2.family, factor2.params, x, z))
     z2, y = np.indices((zmax + 1, size))
@@ -201,20 +201,26 @@ def build_kernel(
     """Construct the kernel with its stationary distribution attached.
 
     Finite families need the lattice size N.  Semi-infinite families are
-    truncated: the window starts at the certified stationary-tail cutoff
-    for ``tail_eps`` and is enlarged until the worst column-sum deficit is
-    at most 10 * tail_eps or the window holds MAX_WINDOW_POINTS points; the
-    achieved deficit is recorded on the lattice spec.  An explicit N fixes
-    a truncated window at 0..N without adaptation (small oracle runs).  A
+    truncated: the window starts at the first certified stationary-tail
+    cutoff for ``tail_eps`` and is enlarged until the worst column-sum
+    deficit is at most 10 * tail_eps or the window holds MAX_WINDOW_POINTS
+    points; the achieved deficit is recorded on the lattice spec.  An
+    explicit N fixes a truncated window at 0..N without adaptation (small
+    oracle runs).  ``tail_eps`` must lie in (0, 1e-6] for every recipe.  A
     lattice, finite or truncated, whose first window would hold more than
     MAX_WINDOW_POINTS points is refused.  The stationary vector is always
     recomputed from the lambda3 parameter map, never from a numeric
     eigenvector.
     """
+    _check_tail_eps(tail_eps)
     if recipe.is_finite and N is None:
         raise DomainError(f"{recipe.family.value} kernels need a lattice size N")
     spec = recipe.stationary_spec(N)
-    M = truncation_cutoff(spec, tail_eps) if N is None else N
+    M = N
+    if not recipe.is_finite:
+        log_pi, bounds = stationary_tail_bounds(spec)
+        if N is None:
+            M = _first_certified(bounds, tail_eps, f"the certified {spec.to_string()} window")
     if M + 1 > MAX_WINDOW_POINTS:
         lattice = f"{recipe.family.value} lattice of {M + 1} points"
         raise DomainError(f"{lattice} exceeds the {MAX_WINDOW_POINTS}-point cap")
@@ -231,20 +237,19 @@ def build_kernel(
         nxt = min(max(M + 8, int(M * 1.25)), MAX_WINDOW_POINTS - 1)
         # never grow past the representable range of the stationary vector
         # (pi must stay strictly positive for the similarity transform)
-        while nxt > M and log_measure(spec, nxt) <= -700.0:
+        while nxt > M and log_pi[nxt] <= -700.0:
             nxt -= max(1, (nxt - M) // 4)
         if nxt == M:
             break
         M = nxt
-    pi = measure_vector(spec, M + 1)
     lattice = LatticeSpec(
         LatticeKind.TRUNCATED,
         M + 1,
         tail_eps=tail_eps,
-        tail_bound=stationary_tail_bound(spec, M),
+        tail_bound=float(bounds[M]),
         col_deficiency=deficiency,
     )
-    return ConvolutionKernel(matrix, pi, recipe, lattice)
+    return ConvolutionKernel(matrix, np.exp(log_pi[: M + 1]), recipe, lattice)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,11 @@ class TestKernelCommand:
     def test_bad_parameters_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "kernel", "--recipe", "krawtchouk type=i a=1.3 b=0.5 N=5")
         assert code == 2
+        # --eps is range-checked for every recipe, finite ones included
+        for recipe in ("hahn type=i a=1 b=2 c=3 N=10", "charlier type=i a=0.5 b=1.0"):
+            for eps in ("1e-3", "0", "-1e-12", "nan"):
+                code, text = run(tmp_path, "kernel", "--recipe", recipe, f"--eps={eps}")
+                assert (code, text) == (2, ""), (recipe, eps)
 
     @pytest.mark.parametrize(
         "recipe",
@@ -379,6 +384,19 @@ class TestFermionCommands:
         assert prof.size == 21
         assert prof[0] == 0.0 and prof[-1] <= 1e-8
         assert prof.max() > 0.1
+
+    @pytest.mark.parametrize("mu, bound", [("0", 0.0), ("2", 1e-11)])
+    def test_product_state_entropy_is_zero(self, tmp_path, mu, bound):
+        # Krawtchouk i has no negative kappa: mu = 0 leaves the vacuum and
+        # mu = 2 fills every mode, and both are product states
+        recipe = "krawtchouk type=i a=0.3 b=0.5 N=40"
+        code, text = run(tmp_path, "entropy", "--recipe", recipe, "--mu", mu)
+        assert code == 0
+        rows = text.strip().splitlines()[1:]
+        assert len(rows) == 42
+        assert not any(",-" in row for row in rows)
+        prof = np.array([float(row.split(",")[1]) for row in rows])
+        assert np.all(prof >= 0.0) and prof.max() <= bound
 
     def test_single_block_flag(self, tmp_path):
         code, text = run(

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askeychain import markov
+from askeychain import families, markov
 from askeychain.errors import DomainError
 from askeychain.families import (
     ConvolutionRecipe,
     ConvType,
     Family,
     FamilySpec,
-    measure,
     measure_vector,
 )
 from askeychain.markov import (
@@ -22,7 +21,7 @@ from askeychain.markov import (
     build_kernel,
     eigenvalue_moduli_excess,
     perron_frobenius_residual,
-    stationary_tail_bound,
+    stationary_tail_bounds,
     truncation_cutoff,
     verify_kernel,
 )
@@ -152,17 +151,40 @@ class TestVectorizedAgainstReference:
         np.testing.assert_allclose(k[:, 4], col, rtol=1e-12)
 
 
+#: certified window sizes (points) at tail_eps 1e-12, 1e-8 and 1e-6
+WINDOW_POINTS = {
+    (Family.CHARLIER, ConvType.I, (0.4, 0.8)): (41, 29, 19),
+    (Family.CHARLIER, ConvType.I, (0.2, 0.5)): (21, 18, 16),
+    (Family.CHARLIER, ConvType.I, (0.6, 1.2)): (73, 52, 39),
+    (Family.CHARLIER, ConvType.III, (1.0, 0.4)): (37, 26, 16),
+    (Family.CHARLIER, ConvType.III, (0.5, 0.5)): (44, 33, 24),
+    (Family.CHARLIER, ConvType.III, (2.0, 0.3)): (30, 19, 17),
+    (Family.MEIXNER, ConvType.I, (1.0, 6.0, 0.2)): (364, 82, 39),
+    (Family.MEIXNER, ConvType.I, (0.5, 7.0, 0.25)): (214, 58, 34),
+    (Family.MEIXNER, ConvType.I, (2.0, 7.0, 0.25)): (353, 94, 53),
+    (Family.MEIXNER, ConvType.II, (1.0, 6.0, 0.2)): (364, 82, 39),
+    (Family.MEIXNER, ConvType.II, (0.5, 7.0, 0.25)): (214, 58, 34),
+    (Family.MEIXNER, ConvType.II, (2.0, 7.0, 0.25)): (353, 94, 53),
+    (Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0)): (367, 67, 33),
+    (Family.MEIXNER, ConvType.III, (7.0, 0.25, 0.5)): (246, 57, 25),
+    (Family.MEIXNER, ConvType.III, (6.0, 0.25, 2.0)): (510, 117, 54),
+    (Family.CHARLIER, ConvType.I, (0.9, 20.0)): (887, 692, 659),
+    (Family.MEIXNER, ConvType.I, (1.0, 1.0, 0.2)): (439, 439, 439),
+}
+
+
 class TestTruncation:
     def test_charlier_cutoff_certified(self):
         spec = FamilySpec(Family.CHARLIER, (1.0,))
         M = truncation_cutoff(spec, 1e-12)
         assert M >= 10
-        assert stationary_tail_bound(spec, M) <= 1e-12
+        _, bounds = stationary_tail_bounds(spec)
+        assert bounds[M] <= 1e-12
         # bound is a true bound on the summed tail, and the retained window
         # carries at least 1 - eps of the mass
-        tail = sum(measure(spec, x) for x in range(M + 1, M + 200))
-        assert tail <= stationary_tail_bound(spec, M)
-        assert sum(measure(spec, x) for x in range(M + 1)) >= 1 - 1e-12
+        pi = measure_vector(spec, M + 200)
+        assert pi[M + 1 :].sum() <= bounds[M]
+        assert pi[: M + 1].sum() >= 1 - 1e-12
 
     def test_concentrated_charlier_small_cutoff(self):
         spec = FamilySpec(Family.CHARLIER, (1e-4,))
@@ -171,9 +193,24 @@ class TestTruncation:
     def test_meixner_geometric_bound(self):
         spec = FamilySpec(Family.MEIXNER, (1.0, 0.5))
         M = truncation_cutoff(spec, 1e-12)
-        assert stationary_tail_bound(spec, M) <= 1e-12
-        tail = sum(measure(spec, x) for x in range(M + 1, M + 400))
-        assert tail <= stationary_tail_bound(spec, M)
+        _, bounds = stationary_tail_bounds(spec)
+        assert bounds[M] <= 1e-12
+        assert measure_vector(spec, M + 400)[M + 1 :].sum() <= bounds[M]
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec(Family.CHARLIER, (1.0,)),
+        FamilySpec(Family.CHARLIER, (900.0,)),
+        FamilySpec(Family.MEIXNER, (0.5, 0.9)),
+        FamilySpec(Family.MEIXNER, (40.0, 0.95)),
+    ])
+    def test_bounds_do_not_increase(self, spec):
+        # the cutoff is the first certified M, so the bound row must not
+        # rise again once finite, and the row is ln pi itself
+        log_pi, bounds = stationary_tail_bounds(spec)
+        finite = bounds[np.isfinite(bounds)]
+        assert finite.size > 0
+        assert np.all(np.diff(finite) <= 0.0)
+        np.testing.assert_array_equal(np.exp(log_pi), measure_vector(spec, log_pi.size))
 
     def test_eps_range_checked(self):
         spec = FamilySpec(Family.CHARLIER, (1.0,))
@@ -194,6 +231,37 @@ class TestTruncation:
         assert np.max(np.abs(kern.matrix.sum(axis=0) - 1.0)) == pytest.approx(
             lat.col_deficiency
         )
+
+    @pytest.mark.parametrize("eps_index, eps", enumerate((1e-12, 1e-8, 1e-6)))
+    @pytest.mark.parametrize("key", list(WINDOW_POINTS), ids=lambda k: f"{k[0].value}-{k[1].value}-{k[2]}")
+    def test_window_sizes_pinned(self, kernel_cache, key, eps_index, eps):
+        kern = kernel_cache(ConvolutionRecipe(*key), None, tail_eps=eps)
+        assert kern.lattice.npoints == WINDOW_POINTS[key][eps_index]
+        assert kern.lattice.tail_bound <= eps
+        # the window never starts below the first certified cutoff
+        M0 = truncation_cutoff(kern.recipe.stationary_spec(None), eps)
+        assert M0 + 1 <= kern.lattice.npoints
+
+    def test_one_measure_row_per_window_build(self, monkeypatch):
+        # the certificate, window, growth guard, pi and tail bound all come
+        # from one ln pi row; each window build evaluates its two factor
+        # grids and, for type iii, the row fixing its z range
+        calls = []
+        grid = families.log_measure_grid
+
+        def counted(*args):
+            calls.append(args[0])
+            return grid(*args)
+
+        monkeypatch.setattr(markov, "log_measure_grid", counted)
+        monkeypatch.setattr(families, "log_measure_grid", counted)
+        sizes = []
+        build = markov._build_matrix
+        monkeypatch.setattr(markov, "_build_matrix", lambda r, n: sizes.append(n) or build(r, n))
+        kern = build_kernel(ConvolutionRecipe(Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0)))
+        assert sizes[-1] == kern.size == 367
+        assert len(sizes) > 1
+        assert len(calls) <= 3 * len(sizes) + 2
 
 
 class TestVerifyKernel:
