@@ -18,6 +18,7 @@ above, the explicit 2^M-dimensional Jordan-Wigner construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,8 @@ class FreeFermionModel:
     occupied, which is the nontrivial ground state for kernels with
     negative eigenvalues and the Fock vacuum otherwise.  ``mu`` must be
     finite even when ``filled_modes`` overrides it; any finite mu > 1
-    already fills every mode.
+    already fills every mode.  Explicit filled modes are integer indices
+    (bools and floats such as 2.0 are refused) and are stored as ``int``.
     """
 
     spectral: SpectralSystem
@@ -49,7 +51,11 @@ class FreeFermionModel:
             )
             object.__setattr__(self, "filled_modes", filled)
         else:
-            object.__setattr__(self, "filled_modes", frozenset(self.filled_modes))
+            modes = list(self.filled_modes)
+            odd = [n for n in modes if isinstance(n, bool) or not isinstance(n, numbers.Integral)]
+            if odd:
+                raise DomainError(f"filled modes must be integer mode indices, got {odd}")
+            object.__setattr__(self, "filled_modes", frozenset(int(n) for n in modes))
         bad = [n for n in self.filled_modes if not 0 <= n < self.spectral.size]
         if bad:
             raise DomainError(f"filled modes {bad} outside 0..{self.spectral.size - 1}")

@@ -21,10 +21,15 @@ certified finite window.  One row ln pi(0..MAX_WINDOW_POINTS) per measure
 gives the geometric tail bound for every window end at once
 (``stationary_tail_bounds``); the window, the cap refusal, the growth guard,
 the stationary vector and the recorded bound are all read off that row.
+
+Verification reads K itself and runs no eigensolver: the spectral radius is
+bounded by the induced 1-norm and the Perron-Frobenius vector is one linear
+solve; their eigensolver referees live with the tests.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,6 +41,7 @@ from .families import (
     ConvType,
     Family,
     FamilySpec,
+    MeasureFactor,
     log_measure_grid,
     measure_vector,
 )
@@ -154,6 +160,22 @@ def truncation_cutoff(spec: FamilySpec, tail_eps: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _type_iii_z_extension(factor1: MeasureFactor) -> int:
+    """How far past the window a semi-infinite type iii z sum runs, until the
+    lambda1 tail cannot move any entry of K: the first point of the scan
+    4, 6, 8, ..., M + max(2, M // 8) that certifies 1e-18 (ending the range
+    at the first certified point itself would move the bits of K).  One
+    value per factor, shared by every window build of a recipe."""
+    spec1 = FamilySpec(factor1.family, factor1.params)
+    window = f"the type iii z sum over {spec1.to_string()}"
+    first = _first_certified(stationary_tail_bounds(spec1)[1], 1e-18, window)
+    zext = 4
+    while zext < first:
+        zext += max(2, zext // 8)
+    return zext
+
+
 def _build_matrix(recipe: ConvolutionRecipe, size: int) -> np.ndarray:
     factor2, factor1 = recipe.factors
     N = size - 1
@@ -174,20 +196,7 @@ def _build_matrix(recipe: ConvolutionRecipe, size: int) -> np.ndarray:
             out[:, y] = np.convolve(e2[N - y, : N - y + 1], e1[y, : y + 1])
         return out
     # type iii: the z sum runs past the window for semi-infinite lattices
-    if recipe.is_finite:
-        zmax = N
-    else:
-        # extend z until the remaining lambda1 tail cannot move any entry:
-        # the first point of the scan 4, 6, 8, ..., M + max(2, M // 8) that
-        # certifies 1e-18 (ending the range at ``first`` itself would move
-        # the bits of K)
-        spec1 = FamilySpec(factor1.family, factor1.params)
-        window = f"the type iii z sum over {spec1.to_string()}"
-        first = _first_certified(stationary_tail_bounds(spec1)[1], 1e-18, window)
-        zext = 4
-        while zext < first:
-            zext += max(2, zext // 8)
-        zmax = N + zext
+    zmax = N if recipe.is_finite else N + _type_iii_z_extension(factor1)
     x, z = np.indices((size, zmax + 1))
     e = np.exp(log_measure_grid(factor2.family, factor2.params, x, z))
     z2, y = np.indices((zmax + 1, size))
@@ -298,16 +307,23 @@ def verify_kernel(kernel: ConvolutionKernel, tol: float | None = None) -> Kernel
 
 
 def perron_frobenius_residual(kernel: ConvolutionKernel) -> float:
-    """Max entrywise distance between the numeric eigenvector of the largest
-    kernel eigenvalue (normalized to sum 1) and the analytic pi."""
-    vals, vecs = np.linalg.eig(kernel.matrix)
-    lead = np.argmax(vals.real)
-    v = vecs[:, lead].real
-    v = v / v.sum()
-    return float(np.max(np.abs(v - kernel.pi)))
+    """Max entrywise distance between the kernel's Perron-Frobenius vector
+    (normalized to sum 1) and the analytic pi; inf when the solve finds the
+    system singular.  For column-stochastic K, 1^T (K - I + 1 1^T) = n 1^T,
+    so (K - I + 1 1^T) v = 1 is nonsingular exactly when eigenvalue 1 is
+    simple, and v is then that vector.  Like any eigenvector, v carries
+    rounding amplified by 1/gap.
+    """
+    n = kernel.size
+    try:
+        v = np.linalg.solve(kernel.matrix - np.eye(n) + 1.0, np.ones(n))
+    except np.linalg.LinAlgError:
+        return np.inf
+    return float(np.max(np.abs(v / v.sum() - kernel.pi)))
 
 
 def eigenvalue_moduli_excess(kernel: ConvolutionKernel) -> float:
-    """max |eigenvalue| - 1 of the kernel (should not exceed ~1e-12)."""
-    vals = np.linalg.eigvals(kernel.matrix)
-    return float(np.max(np.abs(vals)) - 1.0)
+    """Certified upper bound on max |eigenvalue| - 1 of the kernel: the
+    spectral radius of any matrix is at most its induced 1-norm, the
+    largest absolute column sum (Horn & Johnson, Matrix Analysis, 5.6)."""
+    return float(np.linalg.norm(kernel.matrix, 1) - 1.0)

@@ -9,7 +9,8 @@ the unsymmetrized transform, as ``SpectralSystem.hamiltonian`` and
 convolution kernels the full eigensystem is known in closed form: the
 eigenvalues kappa(n) and the orthonormal eigenvectors
 phi_n(x) = d_n sqrt(pi(x)) P_n(x).  ``numeric_spectrum`` (a dense
-backward-stable symmetric eigensolve) is the independent cross-check; the
+backward-stable symmetric eigensolve) is the independent cross-check and
+the only eigensolver the library runs (H and K share their spectrum); the
 kernel-side statements (P_n left and pi P_n right eigenvectors of K) are
 checked by the residual referees in ``tests/oracles.py``.
 

@@ -211,6 +211,22 @@ def right_eigen_residual(kernel, pol: np.ndarray, kap: float) -> float:
     return float(np.max(np.abs(lhs - kap * v)) / np.max(np.abs(v)))
 
 
+def perron_frobenius_vector(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvector of the eigenvalue with the largest real part, from the
+    dense nonsymmetric eigensolver, normalized to sum 1: the referee for the
+    linear solve in ``markov.perron_frobenius_residual``."""
+    vals, vecs = np.linalg.eig(matrix)
+    v = vecs[:, np.argmax(vals.real)].real
+    return v / v.sum()
+
+
+def eigvals_moduli_excess(matrix: np.ndarray) -> float:
+    """max |eigenvalue| - 1 from the dense nonsymmetric eigenvalue solver: the
+    quantity ``markov.eigenvalue_moduli_excess`` bounds from above.  Its own
+    rounding can put it a few n * eps above the true spectral radius."""
+    return float(np.max(np.abs(np.linalg.eigvals(matrix))) - 1.0)
+
+
 def parse_matrix_csv(text: str) -> np.ndarray:
     """A ``matrix_csv`` text back to the matrix (its rows hold no whitespace)."""
     return np.array([[float(v) for v in row.split(",")] for row in text.split()])

@@ -546,3 +546,28 @@ class TestLibraryBoundary:
                 if not used and node.name not in ak.__all__:
                     orphans.append(f"{name}:{node.name}")
         assert not orphans
+
+    def test_no_nonsymmetric_eigensolver_in_the_library(self):
+        # K is similar to the symmetric H: the one eigensolver is eigvalsh;
+        # the eig/eigvals referees live in tests/oracles.py
+        pkg = Path(ak.__file__).parent
+        found = []
+        for path in pkg.glob("*.py"):
+            for n in ast.walk(ast.parse(path.read_text())):
+                names = [getattr(n, "attr", None)]
+                if isinstance(n, ast.ImportFrom):
+                    names += [a.name for a in n.names]
+                found += [f"{path.name}:{n.lineno}" for v in names if v in ("eig", "eigvals")]
+        assert not found
+
+    def test_verify_runs_without_nonsymmetric_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nonsymmetric eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for text in ("hahn type=ii a=0.7 b=1.0 c=0.4 N=20", "charlier type=iii a=1.0 b=0.4"):
+            recipe, N = ak.parse_recipe(text)
+            kernel = ak.build_kernel(recipe, N=N)
+            checks = ak.verification_report(kernel, ak.analytic_eigensystem(recipe, kernel=kernel))
+            assert all(c.passed for c in checks), text

@@ -160,8 +160,13 @@ class TestCorrelationMatrix:
 
     def test_filled_modes_validated(self):
         sys_ = _system(Family.KRAWTCHOUK, ConvType.I, (0.3, 0.5), 4)
-        with pytest.raises(DomainError):
-            FreeFermionModel(sys_, filled_modes=frozenset({9}))
+        # out of range, non-integral, an integral float and a bool
+        for modes in ({9}, {1.5}, {2.0}, {True}):
+            with pytest.raises(DomainError):
+                FreeFermionModel(sys_, filled_modes=frozenset(modes))
+        model = FreeFermionModel(sys_, filled_modes={np.int64(2), 0})
+        assert model.filled_modes == {0, 2}
+        assert all(type(n) is int for n in model.filled_modes)
 
 
 class TestBlockEntropy:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ from askeychain.markov import (
     truncation_cutoff,
     verify_kernel,
 )
+from askeychain.spectral import analytic_eigensystem, verification_report
 
 from conftest import FINITE_GRID, TRUNCATED_GRID, grid_recipes
-from oracles import kernel_entry, measure_direct
+from oracles import eigvals_moduli_excess, kernel_entry, measure_direct, perron_frobenius_vector
 
 
 def _at(factor, x: int, size: int) -> float:
@@ -245,7 +247,9 @@ class TestTruncation:
     def test_one_measure_row_per_window_build(self, monkeypatch):
         # the certificate, window, growth guard, pi and tail bound all come
         # from one ln pi row; each window build evaluates its two factor
-        # grids and, for type iii, the row fixing its z range
+        # grids, and the row fixing the type iii z range is read once per
+        # recipe (cleared here so the count does not depend on test order)
+        markov._type_iii_z_extension.cache_clear()
         calls = []
         grid = families.log_measure_grid
 
@@ -261,7 +265,7 @@ class TestTruncation:
         kern = build_kernel(ConvolutionRecipe(Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0)))
         assert sizes[-1] == kern.size == 367
         assert len(sizes) > 1
-        assert len(calls) <= 3 * len(sizes) + 2
+        assert len(calls) <= 2 * len(sizes) + 2
 
 
 class TestVerifyKernel:
@@ -335,6 +339,70 @@ class TestSpectralSideInvariants:
             r = ConvolutionRecipe(fam, t, plist[0])
             rep = verify_kernel(build_kernel(r, N=60))
             assert rep.passed and rep.positivity, (fam, t)
+
+
+class TestCertificates:
+    """The Perron-Frobenius and moduli lines of ``verification_report``
+    against the nonsymmetric eigensolver referees of ``tests/oracles.py``."""
+
+    def test_perron_frobenius_vector_matches_eig_referee(self, kernel_cache):
+        for recipe, N in grid_recipes():
+            kern = kernel_cache(recipe, N)
+            # the residual against the referee's vector in place of pi
+            ref = perron_frobenius_vector(kern.matrix)
+            assert perron_frobenius_residual(replace(kern, pi=ref)) <= 1e-12, recipe.to_string(N)
+
+    def test_moduli_bound_is_at_least_eigvals_referee(self, kernel_cache):
+        rng = np.random.default_rng(1)
+        for recipe, N in grid_recipes():
+            kern = kernel_cache(recipe, N)
+            bumped = kern.matrix.copy()
+            bumped[0, 0] += 1e-9
+            noisy = kern.matrix + 1e-6 * rng.uniform(-1.0, 1.0, kern.matrix.shape)
+            # the referee is backward stable: it can read up to ~n eps above
+            # the true spectral radius (2.4e-15 on the 41-point Charlier i window)
+            slack = kern.size * np.finfo(float).eps
+            for matrix in (kern.matrix, bumped, noisy):
+                bound = eigenvalue_moduli_excess(replace(kern, matrix=matrix))
+                assert bound >= eigvals_moduli_excess(matrix) - slack, recipe.to_string(N)
+
+    def test_entry_moved_up_fails_moduli_line(self, kernel_cache):
+        for recipe, N in grid_recipes():
+            kern = kernel_cache(recipe, N)
+            n = kern.size
+            for x, y in [(0, 0), (n // 2, n // 2), (n - 1, 0), (0, n - 1)]:
+                bad = kern.matrix.copy()
+                bad[x, y] += 1e-9
+                excess = eigenvalue_moduli_excess(replace(kern, matrix=bad))
+                assert excess > 1e-12, (recipe.to_string(N), x, y)
+
+    @pytest.mark.parametrize("recipe, N", [
+        (ConvolutionRecipe(Family.HAHN, ConvType.II, (0.7, 1.0, 0.4)), 20),
+        (ConvolutionRecipe(Family.CHARLIER, ConvType.III, (1.0, 0.4)), None),
+    ])
+    def test_negative_entry_fails_positivity_and_moduli(self, kernel_cache, recipe, N):
+        kern = kernel_cache(recipe, N)
+        # entry (0, y) made negative, its mass moved to the diagonal of the
+        # same column: the column sums stay 1, the absolute sums do not
+        y = kern.size - 1
+        bad = kern.matrix.copy()
+        d = bad[0, y] + 1e-9
+        bad[0, y] -= d
+        bad[y, y] += d
+        bad_kern = replace(kern, matrix=bad)
+        checks = {c.name: c for c in verification_report(
+            bad_kern, analytic_eigensystem(recipe, kernel=bad_kern))}
+        assert checks["column-stochasticity"].passed
+        assert not checks["positivity"].passed
+        assert not checks["eigenvalue-moduli-excess"].passed
+
+    def test_identity_kernel_fails_perron_frobenius_without_raising(self):
+        # eigenvalue 1 of multiplicity 4: K - I + 1 1^T is singular
+        r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.5, 0.5))
+        kern = ConvolutionKernel(np.eye(4), np.full(4, 0.25), r, LatticeSpec(LatticeKind.FINITE, 4))
+        checks = {c.name: c for c in verification_report(kern, analytic_eigensystem(r, kernel=kern))}
+        assert not checks["perron-frobenius-match"].passed
+        assert checks["perron-frobenius-match"].measured == math.inf
 
 
 class TestRandomParameterProperties:
