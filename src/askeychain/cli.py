@@ -9,11 +9,13 @@ A run is specified by a one-line recipe, e.g.
 
 This module only parses flags, dispatches and formats: the recipe grammar
 is ``families.parse_recipe``, and ``verify`` formats the invariant suite of
-``spectral.verification_report``.
+``spectral.verification_report``.  Every command is one row of
+``_COMMANDS``, so every JSON envelope has one shape:
+``recipe, stationary, lattice`` and then the command's own fields.
 
 Exit codes: 0 success, 1 tolerance failure, 2 usage or domain error
-(including an unusable --tol, a non-finite --mu or --perturb delta, and an
---out path that cannot be written).
+(including an unusable --tol, a non-finite --mu, a --block outside the
+lattice, and an --out path that cannot be written).
 
 The default filling for the fermion commands is mu = 0 (occupy exactly the
 negative-eigenvalue modes); this is a convention of this tool, not of the
@@ -31,8 +33,8 @@ from . import export
 from .errors import DomainError, UnsupportedCombination
 from .families import ConvolutionRecipe, parse_recipe
 from .fermion import FreeFermionModel, block_entropy, correlation_matrix, entropy_profile
-from .markov import ConvolutionKernel, build_kernel, verify_kernel
-from .spectral import analytic_eigensystem, verification_report
+from .markov import build_kernel, verify_kernel
+from .spectral import CheckResult, analytic_eigensystem, verification_report
 
 _USAGE_ERROR = 2
 _TOLERANCE_ERROR = 1
@@ -45,15 +47,12 @@ def _parse_filled(text: str) -> frozenset[int]:
         raise DomainError(f"bad --filled {text!r}, expected comma-separated mode indices") from None
 
 
-def _parse_block(text: str, size: int) -> tuple[int, int]:
+def _parse_block(text: str) -> tuple[int, int]:
     try:
         start_s, _, stop_s = text.partition(":")
-        start, stop = int(start_s), int(stop_s)
+        return int(start_s), int(stop_s)
     except ValueError:
         raise DomainError(f"bad block spec {text!r}, expected start:stop") from None
-    if not 0 <= start <= stop <= size:
-        raise DomainError(f"block {text!r} outside lattice of {size} sites")
-    return start, stop
 
 
 def _model(args, system) -> FreeFermionModel:
@@ -70,7 +69,7 @@ def _correlation_fields(args, system) -> dict:
 def _entropy_fields(args, system) -> dict:
     corr = correlation_matrix(_model(args, system))
     if args.block is not None:
-        start, stop = _parse_block(args.block, corr.size)
+        start, stop = _parse_block(args.block)
         rows = [[stop - start, float(block_entropy(corr, (start, stop)))]]
     else:
         rows = [[k, float(s)] for k, s in enumerate(entropy_profile(corr))]
@@ -81,14 +80,24 @@ def _spectrum_csv(fields: dict) -> str:
     return export.rows_csv(("n", "kappa"), [(n, float(k)) for n, k in enumerate(fields["kappas"])])
 
 
+def _verify_fields(args, system) -> dict:
+    checks = verification_report(system, kernel_tol=args.tol)
+    return {"checks": [c.__dict__ for c in checks], "passed": all(c.passed for c in checks)}
+
+
+def _verify_text(fields: dict) -> str:
+    lines = [CheckResult(**c).line() for c in fields["checks"]]
+    lines.append("ALL PASS" if fields["passed"] else "FAILURES PRESENT")
+    return "\n".join(lines) + "\n"
+
+
 def _matrix_csv(fields: dict) -> str:
     return export.matrix_csv(fields["matrix"])
 
 
 #: command -> (help, JSON fields taken from the built kernel (``kernel``) or
-#: spectral system (the rest), CSV form of those fields); ``verify`` formats
-#: its own report
-_COMMANDS: dict[str, tuple[str, Callable | None, Callable | None]] = {
+#: spectral system (the rest), text form of those fields for --format csv)
+_COMMANDS: dict[str, tuple[str, Callable, Callable]] = {
     "kernel": ("emit the stochastic kernel and stationary distribution",
                lambda args, k: {"matrix": k.matrix, "pi": k.pi}, _matrix_csv),
     "hamiltonian": ("emit the symmetric Hamiltonian",
@@ -100,7 +109,7 @@ _COMMANDS: dict[str, tuple[str, Callable | None, Callable | None]] = {
     "correlation": ("emit the ground-state correlation matrix", _correlation_fields, _matrix_csv),
     "entropy": ("emit block entanglement entropies", _entropy_fields,
                 lambda f: export.rows_csv(("block_size", "entropy"), f["rows"])),
-    "verify": ("run the invariant suite and report violations", None, None),
+    "verify": ("run the invariant suite and report violations", _verify_fields, _verify_text),
 }
 
 
@@ -127,9 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "entropy":
             p.add_argument("--block", default=None,
                            help="single block start:stop instead of the full sweep")
-        if name == "verify":
-            p.add_argument("--perturb", default=None, metavar="X,Y,DELTA",
-                           help="test hook: perturb one kernel entry before verifying")
     return parser
 
 
@@ -142,61 +148,23 @@ def _emit(path: str, text: str) -> None:
         raise DomainError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
 
 
-def _base_payload(recipe: ConvolutionRecipe, lattice, N: int | None) -> dict:
-    return {
-        "recipe": recipe.to_string(N),
-        "stationary": recipe.stationary_spec(N).to_string(),
-        "lattice": lattice.to_dict(),
-    }
-
-
-def _perturbed(kernel: ConvolutionKernel, spec: str) -> ConvolutionKernel:
-    try:
-        xs, ys, ds = spec.split(",")
-        x, y, delta = int(xs), int(ys), float(ds)
-    except ValueError:
-        raise DomainError(f"bad --perturb {spec!r}, expected x,y,delta") from None
-    if not math.isfinite(delta):
-        raise DomainError(f"--perturb delta must be finite, got {delta}")
-    if not (0 <= x < kernel.size and 0 <= y < kernel.size):
-        raise DomainError(f"--perturb entry ({x},{y}) outside the {kernel.size}x{kernel.size} kernel")
-    matrix = kernel.matrix.copy()
-    matrix[x, y] += delta
-    return ConvolutionKernel(matrix, kernel.pi, kernel.recipe, kernel.lattice)
-
-
-def _verify(args, recipe: ConvolutionRecipe, N: int | None) -> tuple[str, bool]:
-    kernel = build_kernel(recipe, N=N, tail_eps=args.eps)
-    if args.perturb is not None:
-        kernel = _perturbed(kernel, args.perturb)
-    system = analytic_eigensystem(recipe, kernel=kernel)
-    checks = verification_report(kernel, system, kernel_tol=args.tol)
-    passed = all(c.passed for c in checks)
-    if args.format == "json":
-        payload = {"recipe": recipe.to_string(N),
-                   "checks": [c.__dict__ for c in checks], "passed": passed}
-        return export.envelope_json(payload), passed
-    lines = [c.line() for c in checks]
-    lines.append("ALL PASS" if passed else "FAILURES PRESENT")
-    return "\n".join(lines) + "\n", passed
-
-
 def _run(args, recipe: ConvolutionRecipe, N: int | None) -> tuple[str, bool]:
     """Build, take the command's fields and render only the requested format;
-    returns the text and whether the tolerance checks passed."""
-    if args.command == "verify":
-        return _verify(args, recipe, N)
-    _, fields_of, csv_of = _COMMANDS[args.command]
+    returns the text and whether the tolerance checks passed: the kernel
+    checks for ``kernel``, the whole suite for ``verify``, none for the rest."""
+    _, fields_of, text_of = _COMMANDS[args.command]
+    kernel = build_kernel(recipe, N=N, tail_eps=args.eps)
     if args.command == "kernel":
-        built = build_kernel(recipe, N=N, tail_eps=args.eps)
-        passed = verify_kernel(built, args.tol).passed
+        fields = fields_of(args, kernel)
+        passed = verify_kernel(kernel, args.tol).passed
     else:
-        built = analytic_eigensystem(recipe, N=N, tail_eps=args.eps)
-        passed = True
-    fields = fields_of(args, built)
-    if args.format == "json":
-        return export.envelope_json({**_base_payload(recipe, built.lattice, N), **fields}), passed
-    return csv_of(fields), passed
+        fields = fields_of(args, analytic_eigensystem(recipe, kernel=kernel))
+        passed = fields.get("passed", True)
+    if args.format == "csv":
+        return text_of(fields), passed
+    payload = {"recipe": recipe.to_string(N), "stationary": recipe.stationary_spec(N).to_string(),
+               "lattice": kernel.lattice.to_dict(), **fields}
+    return export.envelope_json(payload), passed
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,11 +4,12 @@ Conjugating a reversible kernel by diag(sqrt(pi)) gives a real symmetric
 matrix H(x,y) = K(x,y) sqrt(pi(y)/pi(x)) with the same spectrum, the
 Perron-Frobenius vector sqrt(pi), and eigenvalues in (-1, 1].
 ``analytic_eigensystem`` builds it once and keeps it, with the asymmetry of
-the unsymmetrized transform, as ``SpectralSystem.hamiltonian`` and
-``.presym_asymmetry``; there is no separate Hamiltonian entry point.  For the
-convolution kernels the full eigensystem is known in closed form: the
-eigenvalues kappa(n) and the orthonormal eigenvectors
-phi_n(x) = d_n sqrt(pi(x)) P_n(x).  ``numeric_spectrum`` (a dense
+the unsymmetrized transform and the kernel it came from, as
+``SpectralSystem.hamiltonian``, ``.presym_asymmetry`` and ``.kernel``, so
+``verification_report`` takes the system alone; there is no separate
+Hamiltonian entry point.  For the convolution kernels the full eigensystem
+is known in closed form: the eigenvalues kappa(n) and the orthonormal
+eigenvectors phi_n(x) = d_n sqrt(pi(x)) P_n(x).  ``numeric_spectrum`` (a dense
 backward-stable symmetric eigensolve) is the independent cross-check and
 the only eigensolver the library runs (H and K share their spectrum); the
 kernel-side statements (P_n left and pi P_n right eigenvectors of K) are
@@ -32,7 +33,6 @@ from .families import ConvolutionRecipe, kappa_vector, orthonormal_columns, spec
 from .markov import (
     ConvolutionKernel,
     LatticeKind,
-    LatticeSpec,
     build_kernel,
     eigenvalue_moduli_excess,
     perron_frobenius_residual,
@@ -71,14 +71,16 @@ class SpectralSystem:
     hamiltonian: np.ndarray
     kappas: np.ndarray
     phi: np.ndarray
-    sqrt_pi: np.ndarray
-    recipe: ConvolutionRecipe
-    lattice: LatticeSpec
+    kernel: ConvolutionKernel
     presym_asymmetry: float
 
     @property
     def size(self) -> int:
         return self.hamiltonian.shape[0]
+
+    @property
+    def sqrt_pi(self) -> np.ndarray:
+        return np.sqrt(self.kernel.pi)
 
     def mode_norm_defects(self) -> np.ndarray:
         """|1 - ||phi_n||^2| per mode: the window spill of each eigenvector
@@ -92,9 +94,14 @@ def analytic_eigensystem(
     tail_eps: float = 1e-12,
     kernel: ConvolutionKernel | None = None,
 ) -> SpectralSystem:
-    """Build H, kappa(n) and the orthonormal eigenvector matrix for a recipe."""
+    """Build H, kappa(n) and the orthonormal eigenvector matrix for a recipe,
+    from ``kernel`` when given (it must have been built from ``recipe``)."""
     if kernel is None:
         kernel = build_kernel(recipe, N=N, tail_eps=tail_eps)
+    elif kernel.recipe != recipe:
+        raise ContractViolation(
+            f"kernel of {kernel.recipe.to_string()!r} given for {recipe.to_string()!r}"
+        )
     h, asym = _hamiltonian(kernel)
     size = kernel.size
     phi = orthonormal_columns(recipe.stationary_spec(kernel.lattice.N), npoints=size)
@@ -103,9 +110,7 @@ def analytic_eigensystem(
         hamiltonian=h,
         kappas=kap,
         phi=phi,
-        sqrt_pi=np.sqrt(kernel.pi),
-        recipe=recipe,
-        lattice=kernel.lattice,
+        kernel=kernel,
         presym_asymmetry=asym,
     )
 
@@ -174,22 +179,24 @@ def _check(name: str, measured: float, tol: float) -> CheckResult:
 
 
 def _reliable_modes(system: SpectralSystem) -> np.ndarray:
-    if system.lattice.kind is LatticeKind.FINITE:
+    if system.kernel.lattice.kind is LatticeKind.FINITE:
         return np.arange(system.size)
     return np.flatnonzero(system.mode_norm_defects() <= _RELIABLE_MODE_DEFECT)
 
 
 def verification_report(
-    kernel: ConvolutionKernel, system: SpectralSystem, kernel_tol: float | None = None
+    system: SpectralSystem, kernel_tol: float | None = None
 ) -> list[CheckResult]:
-    """Run the full invariant suite for one recipe; failed checks are
-    reported, never raised.  ``kernel_tol`` defaults as in ``verify_kernel``.
+    """Run the full invariant suite on a system and the kernel it carries;
+    failed checks are reported, never raised.  ``kernel_tol`` defaults as
+    in ``verify_kernel``.
 
     On truncated lattices the eigenvector checks are restricted to the
     modes that fit in the window (norm defect <= 1e-10): the spilling top
     modes of a finite window cannot satisfy the closed-form eigensystem of
     the infinite chain.  The spectral gap is reported, not checked.
     """
+    kernel = system.kernel
     rep = verify_kernel(kernel, kernel_tol)
     checks = [
         _check("column-stochasticity", rep.max_stochastic_violation, rep.tol),

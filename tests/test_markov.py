@@ -391,7 +391,7 @@ class TestCertificates:
         bad[y, y] += d
         bad_kern = replace(kern, matrix=bad)
         checks = {c.name: c for c in verification_report(
-            bad_kern, analytic_eigensystem(recipe, kernel=bad_kern))}
+            analytic_eigensystem(recipe, kernel=bad_kern))}
         assert checks["column-stochasticity"].passed
         assert not checks["positivity"].passed
         assert not checks["eigenvalue-moduli-excess"].passed
@@ -400,7 +400,7 @@ class TestCertificates:
         # eigenvalue 1 of multiplicity 4: K - I + 1 1^T is singular
         r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.5, 0.5))
         kern = ConvolutionKernel(np.eye(4), np.full(4, 0.25), r, LatticeSpec(LatticeKind.FINITE, 4))
-        checks = {c.name: c for c in verification_report(kern, analytic_eigensystem(r, kernel=kern))}
+        checks = {c.name: c for c in verification_report(analytic_eigensystem(r, kernel=kern))}
         assert not checks["perron-frobenius-match"].passed
         assert checks["perron-frobenius-match"].measured == math.inf
 

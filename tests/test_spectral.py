@@ -70,6 +70,20 @@ class TestAnalyticEigensystem:
         assert sys_.kappas[0] == 1.0
         np.testing.assert_allclose(sys_.phi[:, 0], sys_.sqrt_pi, rtol=1e-13)
 
+    def test_kernel_of_another_recipe_is_refused(self):
+        # accepted, it would pair Hahn iii's H with Hahn i's kappa(n) and phi
+        hahn_i = ConvolutionRecipe(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0))
+        hahn_iii = ConvolutionRecipe(Family.HAHN, ConvType.III, (1.0, 2.0, 1.0))
+        with pytest.raises(ContractViolation):
+            analytic_eigensystem(hahn_i, kernel=build_kernel(hahn_iii, N=10))
+
+    def test_system_carries_its_kernel(self):
+        r = ConvolutionRecipe(Family.HAHN, ConvType.III, (1.0, 2.0, 1.0))
+        kern = build_kernel(r, N=4)
+        sys_ = analytic_eigensystem(r, kernel=kern)
+        assert sys_.kernel is kern
+        assert sys_.sqrt_pi.tobytes() == np.sqrt(kern.pi).tobytes()
+
     def test_hahn_iii_residuals(self):
         sys_ = analytic_eigensystem(
             ConvolutionRecipe(Family.HAHN, ConvType.III, (1.0, 2.0, 1.0)), N=4
