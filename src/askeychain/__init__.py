@@ -31,7 +31,6 @@ from .markov import (
     LatticeKind,
     LatticeSpec,
     build_kernel,
-    truncation_cutoff,
     verify_kernel,
 )
 from .spectral import (
@@ -71,7 +70,6 @@ __all__ = [
     "parse_recipe",
     "spectral_gap",
     "spectrum_comparison",
-    "truncation_cutoff",
     "verification_report",
     "verify_kernel",
 ]

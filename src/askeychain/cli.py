@@ -13,9 +13,13 @@ is ``families.parse_recipe``, and ``verify`` formats the invariant suite of
 ``_COMMANDS``, so every JSON envelope has one shape:
 ``recipe, stationary, lattice`` and then the command's own fields.
 
-Exit codes: 0 success, 1 tolerance failure, 2 usage or domain error
-(including an unusable --tol, a non-finite --mu, a --block outside the
-lattice, and an --out path that cannot be written).
+Every command writes its output and exits by one rule: 0 when its checks
+pass, 1 when they fail (the output is still written).  The checks are
+``verify_kernel`` at --tol for every command but ``verify``, whose
+exit code is its whole suite, kernel checks included.  Exit 2 is a usage
+or domain error, with nothing written: an unusable --tol, an --eps outside
+(0, 1e-11] or on a finite recipe, a non-finite --mu, a --block outside the
+lattice, or an --out path that cannot be written.
 
 The default filling for the fermion commands is mu = 0 (occupy exactly the
 negative-eigenvalue modes); this is a convention of this tool, not of the
@@ -124,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--recipe", required=True, help="one-line family/type/parameter recipe")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--eps", type=float, default=1e-12,
-                       help="tail mass bound for truncated semi-infinite lattices")
+        p.add_argument("--eps", type=float, default=None,
+                       help="tail mass bound in (0, 1e-11] for truncated semi-infinite "
+                            "lattices (default 1e-12)")
         p.add_argument("--tol", type=float, default=None,
                        help="kernel tolerance override (default 1e-12 finite, 1e-10 truncated)")
         if name in ("correlation", "entropy"):
@@ -150,16 +155,16 @@ def _emit(path: str, text: str) -> None:
 
 def _run(args, recipe: ConvolutionRecipe, N: int | None) -> tuple[str, bool]:
     """Build, take the command's fields and render only the requested format;
-    returns the text and whether the tolerance checks passed: the kernel
-    checks for ``kernel``, the whole suite for ``verify``, none for the rest."""
+    returns the text and whether the checks passed: the suite for ``verify``
+    (it holds the kernel checks), the kernel checks at --tol for the rest."""
     _, fields_of, text_of = _COMMANDS[args.command]
     kernel = build_kernel(recipe, N=N, tail_eps=args.eps)
-    if args.command == "kernel":
-        fields = fields_of(args, kernel)
-        passed = verify_kernel(kernel, args.tol).passed
-    else:
-        fields = fields_of(args, analytic_eigensystem(recipe, kernel=kernel))
-        passed = fields.get("passed", True)
+    # check the kernel before building the system, and drop the system once its
+    # fields are taken: held, it raised a 401-point hamiltonian JSON's RSS 13 MB
+    passed = args.command == "verify" or verify_kernel(kernel, args.tol).passed
+    fields = fields_of(args, kernel if args.command == "kernel"
+                       else analytic_eigensystem(recipe, kernel=kernel))
+    passed = passed and fields.get("passed", True)
     if args.format == "csv":
         return text_of(fields), passed
     payload = {"recipe": recipe.to_string(N), "stationary": recipe.stationary_spec(N).to_string(),

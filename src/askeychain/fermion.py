@@ -92,25 +92,23 @@ def _binary_entropy(lams: np.ndarray) -> float:
     return float(0.0 - np.sum(np.where((lams > 0.0) & (lams < 1.0), terms, 0.0)))
 
 
-def block_entropy(corr: CorrelationMatrix | np.ndarray, block: tuple[int, int]) -> float:
+def block_entropy(corr: CorrelationMatrix, block: tuple[int, int]) -> float:
     """Entanglement entropy of the contiguous sites [start, stop).
 
     S = -sum_j [l_j ln l_j + (1-l_j) ln(1-l_j)] over the eigenvalues of the
     block submatrix of C, clipped into [0, 1], with 0 ln 0 = 0: an exact
     product state has entropy 0.
     """
-    c = corr.matrix if isinstance(corr, CorrelationMatrix) else np.asarray(corr)
     start, stop = block
-    if not 0 <= start <= stop <= c.shape[0]:
-        raise DomainError(f"block {block} outside lattice of {c.shape[0]} sites")
+    if not 0 <= start <= stop <= corr.size:
+        raise DomainError(f"block {block} outside lattice of {corr.size} sites")
     if start == stop:
         return 0.0
-    lams = np.linalg.eigvalsh(c[start:stop, start:stop])
+    lams = np.linalg.eigvalsh(corr.matrix[start:stop, start:stop])
     return _binary_entropy(lams)
 
 
-def entropy_profile(corr: CorrelationMatrix | np.ndarray) -> np.ndarray:
+def entropy_profile(corr: CorrelationMatrix) -> np.ndarray:
     """S([0,k)) for k = 0..size: the left-block entropy sweep."""
-    c = corr.matrix if isinstance(corr, CorrelationMatrix) else np.asarray(corr)
-    return np.array([block_entropy(c, (0, k)) for k in range(c.shape[0] + 1)])
+    return np.array([block_entropy(corr, (0, k)) for k in range(corr.size + 1)])
 

@@ -21,6 +21,10 @@ certified finite window.  One row ln pi(0..MAX_WINDOW_POINTS) per measure
 gives the geometric tail bound for every window end at once
 (``stationary_tail_bounds``); the window, the cap refusal, the growth guard,
 the stationary vector and the recorded bound are all read off that row.
+The window grows until its column sums meet COL_TARGET_FACTOR * tail_eps,
+so ``tail_eps`` is refused above MAX_TAIL_EPS (1e-11), where that target
+would miss the truncated kernel tolerance; finite recipes take no
+``tail_eps`` at all.
 
 Verification reads K itself and runs no eigensolver: the spectral radius is
 bounded by the induced 1-norm and the Perron-Frobenius vector is one linear
@@ -102,11 +106,12 @@ class ConvolutionKernel:
 
 COL_TARGET_FACTOR = 10.0
 MAX_WINDOW_POINTS = 2000
-
-
-def _check_tail_eps(tail_eps: float) -> None:
-    if not 0.0 < tail_eps <= 1e-6:
-        raise DomainError(f"tail_eps must lie in (0, 1e-6], got {tail_eps}")
+DEFAULT_TAIL_EPS = 1e-12
+#: default tolerances for verify_kernel, by lattice kind
+DEFAULT_KERNEL_TOL = {LatticeKind.FINITE: 1e-12, LatticeKind.TRUNCATED: 1e-10}
+#: the largest tail_eps whose window growth target (COL_TARGET_FACTOR *
+#: tail_eps) still meets the truncated kernel tolerance
+MAX_TAIL_EPS = DEFAULT_KERNEL_TOL[LatticeKind.TRUNCATED] / COL_TARGET_FACTOR
 
 
 def stationary_tail_bounds(spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -144,15 +149,6 @@ def _first_certified(bounds: np.ndarray, eps: float, window: str) -> int:
     if bounds[-1] > eps:
         raise DomainError(f"{window} for tail_eps={eps} exceeds the {MAX_WINDOW_POINTS}-point cap")
     return max(4, int(np.argmax(bounds <= eps)))
-
-
-def truncation_cutoff(spec: FamilySpec, tail_eps: float) -> int:
-    """Smallest window end M >= 4 with a certified tail bound
-    sum_{x>M} pi(x) <= tail_eps; refused when no window of
-    MAX_WINDOW_POINTS points reaches tail_eps."""
-    _check_tail_eps(tail_eps)
-    window = f"the certified {spec.to_string()} window"
-    return _first_certified(stationary_tail_bounds(spec)[1], tail_eps, window)
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +201,33 @@ def _build_matrix(recipe: ConvolutionRecipe, size: int) -> np.ndarray:
 
 
 def build_kernel(
-    recipe: ConvolutionRecipe, N: int | None = None, tail_eps: float = 1e-12
+    recipe: ConvolutionRecipe, N: int | None = None, tail_eps: float | None = None
 ) -> ConvolutionKernel:
     """Construct the kernel with its stationary distribution attached.
 
-    Finite families need the lattice size N.  Semi-infinite families are
-    truncated: the window starts at the first certified stationary-tail
-    cutoff for ``tail_eps`` and is enlarged until the worst column-sum
-    deficit is at most 10 * tail_eps or the window holds MAX_WINDOW_POINTS
-    points; the achieved deficit is recorded on the lattice spec.  An
-    explicit N fixes a truncated window at 0..N without adaptation (small
-    oracle runs).  ``tail_eps`` must lie in (0, 1e-6] for every recipe.  A
-    lattice, finite or truncated, whose first window would hold more than
-    MAX_WINDOW_POINTS points is refused.  The stationary vector is always
-    recomputed from the lambda3 parameter map, never from a numeric
-    eigenvector.
+    Finite families need the lattice size N and take no ``tail_eps``.
+    Semi-infinite families are truncated: the window starts at the first
+    certified stationary-tail cutoff for ``tail_eps`` (default 1e-12) and is
+    enlarged until the worst column-sum deficit is at most
+    COL_TARGET_FACTOR * tail_eps or the window holds MAX_WINDOW_POINTS
+    points; the achieved deficit is recorded on the lattice spec.
+    ``tail_eps`` must lie in (0, MAX_TAIL_EPS] = (0, 1e-11], where that
+    growth target still meets the truncated kernel tolerance.  An explicit
+    N fixes a truncated window at 0..N without adaptation (small oracle
+    runs).  A lattice, finite or truncated, whose first window would hold
+    more than MAX_WINDOW_POINTS points is refused.  The stationary vector
+    is always recomputed from the lambda3 parameter map, never from a
+    numeric eigenvector.
     """
-    _check_tail_eps(tail_eps)
-    if recipe.is_finite and N is None:
-        raise DomainError(f"{recipe.family.value} kernels need a lattice size N")
+    if recipe.is_finite:
+        if tail_eps is not None:
+            raise DomainError(f"{recipe.family.value} recipes take N, not --eps")
+        if N is None:
+            raise DomainError(f"{recipe.family.value} kernels need a lattice size N")
+    else:
+        tail_eps = DEFAULT_TAIL_EPS if tail_eps is None else tail_eps
+        if not 0.0 < tail_eps <= MAX_TAIL_EPS:
+            raise DomainError(f"tail_eps must lie in (0, {MAX_TAIL_EPS:g}], got {tail_eps}")
     spec = recipe.stationary_spec(N)
     M = N
     if not recipe.is_finite:
@@ -264,10 +268,6 @@ def build_kernel(
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
-
-#: default tolerances for verify_kernel, by lattice kind
-DEFAULT_KERNEL_TOL = {LatticeKind.FINITE: 1e-12, LatticeKind.TRUNCATED: 1e-10}
-
 
 @dataclass(frozen=True)
 class KernelReport:

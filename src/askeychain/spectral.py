@@ -89,15 +89,13 @@ class SpectralSystem:
 
 
 def analytic_eigensystem(
-    recipe: ConvolutionRecipe,
-    N: int | None = None,
-    tail_eps: float = 1e-12,
-    kernel: ConvolutionKernel | None = None,
+    recipe: ConvolutionRecipe, N: int | None = None, kernel: ConvolutionKernel | None = None
 ) -> SpectralSystem:
     """Build H, kappa(n) and the orthonormal eigenvector matrix for a recipe,
-    from ``kernel`` when given (it must have been built from ``recipe``)."""
+    from ``kernel`` when given (it must have been built from ``recipe``),
+    else from ``build_kernel(recipe, N)``."""
     if kernel is None:
-        kernel = build_kernel(recipe, N=N, tail_eps=tail_eps)
+        kernel = build_kernel(recipe, N=N)
     elif kernel.recipe != recipe:
         raise ContractViolation(
             f"kernel of {kernel.recipe.to_string()!r} given for {recipe.to_string()!r}"

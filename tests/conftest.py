@@ -134,10 +134,13 @@ def limit_distances():
 
 @pytest.fixture(scope="session")
 def kernel_cache():
-    """Kernels are deterministic; build each (recipe, N) once per session."""
+    """Kernels are deterministic; build each (recipe, N) once per session.
+    Semi-infinite recipes default to ACCEPT_TAIL_EPS; finite ones take none."""
     cache = {}
 
-    def get(recipe, N=None, tail_eps=ACCEPT_TAIL_EPS):
+    def get(recipe, N=None, tail_eps=None):
+        if tail_eps is None and not recipe.is_finite:
+            tail_eps = ACCEPT_TAIL_EPS
         key = (recipe.family, recipe.conv_type, recipe.params, N, tail_eps)
         if key not in cache:
             cache[key] = build_kernel(recipe, N=N, tail_eps=tail_eps)

@@ -129,7 +129,7 @@ class TestKernelCommand:
     def test_bad_parameters_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "kernel", "--recipe", "krawtchouk type=i a=1.3 b=0.5 N=5")
         assert code == 2
-        # --eps is range-checked for every recipe, finite ones included
+        # --eps is refused on a finite recipe and range-checked on the others
         for recipe in ("hahn type=i a=1 b=2 c=3 N=10", "charlier type=i a=0.5 b=1.0"):
             for eps in ("1e-3", "0", "-1e-12", "nan"):
                 code, text = run(tmp_path, "kernel", "--recipe", recipe, f"--eps={eps}")
@@ -199,6 +199,49 @@ class TestKernelCommand:
         assert code == 2
         assert text == ""
         assert capsys.readouterr().err.startswith("error: --tol must be finite and > 0")
+
+
+COMMANDS = ["kernel", "hamiltonian", "spectrum", "eigvecs", "correlation", "entropy", "verify"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+class TestExitContract:
+    """One rule for every command: the output is written, and the exit code
+    is 1 when the kernel checks at --tol fail (the whole suite for verify);
+    a refused flag exits 2 and writes nothing."""
+
+    TRUNCATED = "charlier type=iii a=1.0 b=0.4"
+    FINITE = "hahn type=i a=1 b=2 c=3 N=10"
+
+    def test_tolerance_gates_exit_code_not_output(self, tmp_path, command):
+        code, text = run(tmp_path, command, "--recipe", self.TRUNCATED, "--format", "json")
+        assert code == 0
+        code, failing = run(tmp_path, command, "--recipe", self.TRUNCATED, "--tol", "1e-300",
+                            "--format", "json")
+        assert code == 1
+        payload = json.loads(failing)
+        if command == "verify":
+            assert payload["passed"] is False
+            failed = {c["name"] for c in payload["checks"] if not c["passed"]}
+            assert "column-stochasticity" in failed
+        else:
+            assert failing == text
+
+    def test_eps_above_largest_accepted_exits_2(self, tmp_path, capsys, command, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("matrix built for a refused --eps")
+
+        monkeypatch.setattr("askeychain.markov._build_matrix", refuse)
+        code, _ = run(tmp_path, command, "--recipe", self.TRUNCATED, "--eps", "2e-11")
+        assert code == 2
+        assert not (tmp_path / "out.dat").exists()
+        assert "tail_eps must lie in (0, 1e-11]" in capsys.readouterr().err
+
+    def test_eps_on_finite_recipe_exits_2(self, tmp_path, capsys, command):
+        code, _ = run(tmp_path, command, "--recipe", self.FINITE, "--eps", "1e-12")
+        assert code == 2
+        assert not (tmp_path / "out.dat").exists()
+        assert "take N, not --eps" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -286,10 +329,7 @@ class TestCommandTable:
     @pytest.mark.parametrize(
         "recipe", ["krawtchouk type=ii a=0.2 b=0.6 N=6", "charlier type=iii a=1.0 b=0.4"]
     )
-    @pytest.mark.parametrize(
-        "command",
-        ["kernel", "hamiltonian", "spectrum", "eigvecs", "correlation", "entropy", "verify"],
-    )
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_csv_and_json_agree(self, tmp_path, command, recipe):
         code_csv, text = run(tmp_path, command, "--recipe", recipe)
         code_json, payload = run(tmp_path, command, "--recipe", recipe, "--format", "json")

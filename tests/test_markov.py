@@ -23,7 +23,6 @@ from askeychain.markov import (
     eigenvalue_moduli_excess,
     perron_frobenius_residual,
     stationary_tail_bounds,
-    truncation_cutoff,
     verify_kernel,
 )
 from askeychain.spectral import analytic_eigensystem, verification_report
@@ -153,32 +152,41 @@ class TestVectorizedAgainstReference:
         np.testing.assert_allclose(k[:, 4], col, rtol=1e-12)
 
 
-#: certified window sizes (points) at tail_eps 1e-12, 1e-8 and 1e-6
+#: tail_eps of the WINDOW_POINTS columns: the default and the largest accepted
+WINDOW_EPS = (1e-12, 1e-11)
+#: certified window sizes (points) at each tail_eps of WINDOW_EPS
 WINDOW_POINTS = {
-    (Family.CHARLIER, ConvType.I, (0.4, 0.8)): (41, 29, 19),
-    (Family.CHARLIER, ConvType.I, (0.2, 0.5)): (21, 18, 16),
-    (Family.CHARLIER, ConvType.I, (0.6, 1.2)): (73, 52, 39),
-    (Family.CHARLIER, ConvType.III, (1.0, 0.4)): (37, 26, 16),
-    (Family.CHARLIER, ConvType.III, (0.5, 0.5)): (44, 33, 24),
-    (Family.CHARLIER, ConvType.III, (2.0, 0.3)): (30, 19, 17),
-    (Family.MEIXNER, ConvType.I, (1.0, 6.0, 0.2)): (364, 82, 39),
-    (Family.MEIXNER, ConvType.I, (0.5, 7.0, 0.25)): (214, 58, 34),
-    (Family.MEIXNER, ConvType.I, (2.0, 7.0, 0.25)): (353, 94, 53),
-    (Family.MEIXNER, ConvType.II, (1.0, 6.0, 0.2)): (364, 82, 39),
-    (Family.MEIXNER, ConvType.II, (0.5, 7.0, 0.25)): (214, 58, 34),
-    (Family.MEIXNER, ConvType.II, (2.0, 7.0, 0.25)): (353, 94, 53),
-    (Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0)): (367, 67, 33),
-    (Family.MEIXNER, ConvType.III, (7.0, 0.25, 0.5)): (246, 57, 25),
-    (Family.MEIXNER, ConvType.III, (6.0, 0.25, 2.0)): (510, 117, 54),
-    (Family.CHARLIER, ConvType.I, (0.9, 20.0)): (887, 692, 659),
-    (Family.MEIXNER, ConvType.I, (1.0, 1.0, 0.2)): (439, 439, 439),
+    (Family.CHARLIER, ConvType.I, (0.4, 0.8)): (41, 40),
+    (Family.CHARLIER, ConvType.I, (0.2, 0.5)): (21, 20),
+    (Family.CHARLIER, ConvType.I, (0.6, 1.2)): (73, 72),
+    (Family.CHARLIER, ConvType.III, (1.0, 0.4)): (37, 36),
+    (Family.CHARLIER, ConvType.III, (0.5, 0.5)): (44, 43),
+    (Family.CHARLIER, ConvType.III, (2.0, 0.3)): (30, 29),
+    (Family.MEIXNER, ConvType.I, (1.0, 6.0, 0.2)): (364, 283),
+    (Family.MEIXNER, ConvType.I, (0.5, 7.0, 0.25)): (214, 159),
+    (Family.MEIXNER, ConvType.I, (2.0, 7.0, 0.25)): (353, 267),
+    (Family.MEIXNER, ConvType.II, (1.0, 6.0, 0.2)): (364, 283),
+    (Family.MEIXNER, ConvType.II, (0.5, 7.0, 0.25)): (214, 159),
+    (Family.MEIXNER, ConvType.II, (2.0, 7.0, 0.25)): (353, 267),
+    (Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0)): (367, 227),
+    (Family.MEIXNER, ConvType.III, (7.0, 0.25, 0.5)): (246, 151),
+    (Family.MEIXNER, ConvType.III, (6.0, 0.25, 2.0)): (510, 409),
+    (Family.CHARLIER, ConvType.I, (0.9, 20.0)): (887, 919),
+    (Family.MEIXNER, ConvType.I, (1.0, 1.0, 0.2)): (439, 439),
 }
+
+
+def certified_cutoff(spec: FamilySpec, eps: float) -> int:
+    """Smallest window end M >= 4 whose certified tail bound is <= eps."""
+    bounds = stationary_tail_bounds(spec)[1]
+    assert bounds[-1] <= eps, "no window of the row certifies eps"
+    return max(4, int(np.flatnonzero(bounds <= eps)[0]))
 
 
 class TestTruncation:
     def test_charlier_cutoff_certified(self):
         spec = FamilySpec(Family.CHARLIER, (1.0,))
-        M = truncation_cutoff(spec, 1e-12)
+        M = certified_cutoff(spec, 1e-12)
         assert M >= 10
         _, bounds = stationary_tail_bounds(spec)
         assert bounds[M] <= 1e-12
@@ -190,11 +198,11 @@ class TestTruncation:
 
     def test_concentrated_charlier_small_cutoff(self):
         spec = FamilySpec(Family.CHARLIER, (1e-4,))
-        assert truncation_cutoff(spec, 1e-12) <= 12
+        assert certified_cutoff(spec, 1e-12) <= 12
 
     def test_meixner_geometric_bound(self):
         spec = FamilySpec(Family.MEIXNER, (1.0, 0.5))
-        M = truncation_cutoff(spec, 1e-12)
+        M = certified_cutoff(spec, 1e-12)
         _, bounds = stationary_tail_bounds(spec)
         assert bounds[M] <= 1e-12
         assert measure_vector(spec, M + 400)[M + 1 :].sum() <= bounds[M]
@@ -214,14 +222,24 @@ class TestTruncation:
         assert np.all(np.diff(finite) <= 0.0)
         np.testing.assert_array_equal(np.exp(log_pi), measure_vector(spec, log_pi.size))
 
-    def test_eps_range_checked(self):
-        spec = FamilySpec(Family.CHARLIER, (1.0,))
-        with pytest.raises(DomainError):
-            truncation_cutoff(spec, 1e-3)
+    def test_eps_range_checked(self, monkeypatch):
+        # refused before any matrix is built
+        def refuse(*args):
+            raise AssertionError("matrix built for a refused tail_eps")
+
+        monkeypatch.setattr(markov, "_build_matrix", refuse)
+        r = ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.4, 0.8))
+        for eps in (2e-11, 1e-10, 1e-6, 1e-3, 0.0, -1e-12, math.nan):
+            with pytest.raises(DomainError, match=r"tail_eps must lie in \(0, 1e-11\]"):
+                build_kernel(r, tail_eps=eps)
+
+    def test_eps_bound_is_the_growth_target_of_the_tolerance(self):
+        tol = markov.DEFAULT_KERNEL_TOL[LatticeKind.TRUNCATED]
+        assert markov.MAX_TAIL_EPS * markov.COL_TARGET_FACTOR == pytest.approx(tol, rel=1e-15)
 
     def test_finite_family_rejected(self):
         with pytest.raises(DomainError):
-            truncation_cutoff(FamilySpec(Family.KRAWTCHOUK, (0.3,), N=5), 1e-12)
+            stationary_tail_bounds(FamilySpec(Family.KRAWTCHOUK, (0.3,), N=5))
 
     def test_truncated_lattice_is_certified(self):
         r = ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.4, 0.8))
@@ -234,15 +252,30 @@ class TestTruncation:
             lat.col_deficiency
         )
 
-    @pytest.mark.parametrize("eps_index, eps", enumerate((1e-12, 1e-8, 1e-6)))
+    @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-6, 1e-11],
+                             ids=["0-1e-12", "1-1e-08", "2-1e-06", "3-1e-11"])
     @pytest.mark.parametrize("key", list(WINDOW_POINTS), ids=lambda k: f"{k[0].value}-{k[1].value}-{k[2]}")
-    def test_window_sizes_pinned(self, kernel_cache, key, eps_index, eps):
+    def test_window_sizes_pinned(self, kernel_cache, key, eps):
+        if eps > markov.MAX_TAIL_EPS:
+            # a growth target of 10 eps would miss the 1e-10 kernel tolerance
+            with pytest.raises(DomainError, match="tail_eps must lie"):
+                build_kernel(ConvolutionRecipe(*key), tail_eps=eps)
+            return
         kern = kernel_cache(ConvolutionRecipe(*key), None, tail_eps=eps)
-        assert kern.lattice.npoints == WINDOW_POINTS[key][eps_index]
+        assert kern.lattice.npoints == WINDOW_POINTS[key][WINDOW_EPS.index(eps)]
         assert kern.lattice.tail_bound <= eps
         # the window never starts below the first certified cutoff
-        M0 = truncation_cutoff(kern.recipe.stationary_spec(None), eps)
+        M0 = certified_cutoff(kern.recipe.stationary_spec(None), eps)
         assert M0 + 1 <= kern.lattice.npoints
+
+    @pytest.mark.parametrize("recipe", [r for r, N in grid_recipes() if N is None],
+                             ids=ConvolutionRecipe.to_string)
+    def test_grid_passes_verify_at_largest_eps(self, kernel_cache, recipe):
+        # the growth target at the largest accepted tail_eps meets the tolerance
+        kern = kernel_cache(recipe, None, tail_eps=markov.MAX_TAIL_EPS)
+        failed = [c.name for c in verification_report(analytic_eigensystem(recipe, kernel=kern))
+                  if not c.passed]
+        assert not failed
 
     def test_one_measure_row_per_window_build(self, monkeypatch):
         # the certificate, window, growth guard, pi and tail bound all come

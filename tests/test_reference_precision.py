@@ -2,9 +2,9 @@
 machinery.
 
 The measures are running sums of log term ratios; they are pinned against
-40-digit log-gamma closed forms up to N = 800 and, on the semi-infinite
-lattices, out to ~2000 points, where log-gamma differences in double
-precision lose ~1e-12.
+40-digit log-gamma (q-Pochhammer for q-Hahn) closed forms up to N = 800
+and, on the semi-infinite lattices, out to ~2000 points, where log-gamma
+differences in double precision lose ~1e-12.
 
 The matched-recurrence construction of the orthonormal basis is the one
 piece whose accuracy is not obvious from structure alone, so it is pinned
@@ -23,6 +23,12 @@ from askeychain.families import Family, FamilySpec, log_measure_grid, orthonorma
 
 def _mp_log_measure(family, params, N, x):
     lg = mp.loggamma
+    if family is Family.Q_HAHN:
+        # [N x]_q (a;q)_x (b;q)_{N-x} a^(N-x) / (ab;q)_N
+        a, b, q = map(mpf, params)
+        qbin = _mp_qpoch(q, q, N) / (_mp_qpoch(q, q, x) * _mp_qpoch(q, q, N - x))
+        num = qbin * _mp_qpoch(a, q, x) * _mp_qpoch(b, q, N - x) * a ** (N - x)
+        return mp.log(num / _mp_qpoch(a * b, q, N))
     if family is Family.CHARLIER:
         (a,) = map(mpf, params)
         return -a + x * mp.log(a) - lg(x + 1)
@@ -50,6 +56,10 @@ def _mp_log_measure(family, params, N, x):
     (FamilySpec(Family.HAHN, (0.5, 0.5), N=400), 400),
     (FamilySpec(Family.KRAWTCHOUK, (0.3,), N=200), 200),
     (FamilySpec(Family.HAHN, (2.0, 7.0), N=200), 200),
+    (FamilySpec(Family.Q_HAHN, (0.3, 0.5, 0.5), N=200), 200),
+    (FamilySpec(Family.Q_HAHN, (0.2, 0.6, 0.6), N=400), 400),
+    (FamilySpec(Family.Q_HAHN, (0.3, -0.5, 0.7), N=400), 400),
+    (FamilySpec(Family.Q_HAHN, (0.15, 0.4, 0.5), N=800), 800),
 ], ids=lambda v: v.to_string() if isinstance(v, FamilySpec) else str(v))
 def test_log_measure_matches_40_digit_reference(spec, xmax):
     # every 7th point, wherever pi(x) is a normal double
