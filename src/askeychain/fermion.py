@@ -9,6 +9,16 @@ kappa(n) < mu.  Ground-state observables come from the two-point
 correlation matrix C(x,y) = sum_{filled} phi_n(x) phi_n(y), a projector
 whose block eigenvalues give the entanglement entropy of the block.
 
+C = Q Q^T with Q the N x m filled-mode columns of phi, so the library keeps
+Q and never needs C itself.  A block [s, t) of C is A A^T with A = Q[s:t],
+and its nonzero eigenvalues are those of the m x m Gram matrix A^T A; the
+other k - m (k = t - s) are zeros and add no entropy.  This holds for any
+Q, including the not quite orthonormal columns of a truncated window.  Each
+block therefore solves the smaller of its k x k and m x m eigenproblems,
+at O(k m min(k, m)) for the product and O(min(k, m)^3) for the solve.  The
+eigensolves of a left sweep cost O(N m^3) in place of O(N^4); the Gram
+products, O(N^2 m^2) in all, run at matrix-multiply speed.
+
 The pipeline needs only the ground state, so the subset sums are not a
 library function.  They live with the tests (``tests/oracles.py``, as
 ``many_body_energies``), beside the brute-force referee for all of the
@@ -67,21 +77,28 @@ class FreeFermionModel:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Ground-state two-point function C(x,y); symmetric projector with
-    eigenvalues in [0,1] and trace = number of filled modes."""
+    """Ground-state two-point function C = Q Q^T, held as its factor Q.
 
-    matrix: np.ndarray
+    ``modes`` is Q, the N x m filled-mode columns of phi in ascending mode
+    order.  ``matrix`` forms C, a symmetric projector with eigenvalues in
+    [0,1] and trace = number of filled modes, on each access.
+    """
+
+    modes: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.modes @ self.modes.T
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.modes.shape[0]
 
 
 def correlation_matrix(model: FreeFermionModel) -> CorrelationMatrix:
-    """C = phi_filled phi_filled^T."""
+    """C = phi_filled phi_filled^T, kept as phi_filled."""
     cols = sorted(model.filled_modes)
-    phi = model.spectral.phi[:, cols]
-    return CorrelationMatrix(phi @ phi.T)
+    return CorrelationMatrix(model.spectral.phi[:, cols])
 
 
 def _binary_entropy(lams: np.ndarray) -> float:
@@ -98,14 +115,20 @@ def block_entropy(corr: CorrelationMatrix, block: tuple[int, int]) -> float:
     S = -sum_j [l_j ln l_j + (1-l_j) ln(1-l_j)] over the eigenvalues of the
     block submatrix of C, clipped into [0, 1], with 0 ln 0 = 0: an exact
     product state has entropy 0.
+
+    The block of C is A A^T with A = Q[start:stop], k x m.  Its nonzero
+    eigenvalues equal those of the Gram matrix A^T A and the rest are zeros,
+    so the eigenvalues come from whichever of the two is smaller:
+    O(k m min(k, m)) to form it, O(min(k, m)^3) to solve it.
     """
     start, stop = block
     if not 0 <= start <= stop <= corr.size:
         raise DomainError(f"block {block} outside lattice of {corr.size} sites")
     if start == stop:
         return 0.0
-    lams = np.linalg.eigvalsh(corr.matrix[start:stop, start:stop])
-    return _binary_entropy(lams)
+    a = corr.modes[start:stop]
+    gram = a @ a.T if stop - start <= a.shape[1] else a.T @ a
+    return _binary_entropy(np.linalg.eigvalsh(gram))
 
 
 def entropy_profile(corr: CorrelationMatrix) -> np.ndarray:

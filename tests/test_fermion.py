@@ -16,6 +16,7 @@ from askeychain.errors import DomainError
 from askeychain.families import ConvolutionRecipe, ConvType, Family
 from askeychain.fermion import (
     FreeFermionModel,
+    _binary_entropy,
     block_entropy,
     correlation_matrix,
     entropy_profile,
@@ -25,6 +26,20 @@ from askeychain.spectral import analytic_eigensystem
 
 def _system(family, conv_type, params, N):
     return analytic_eigensystem(ConvolutionRecipe(family, conv_type, params), N=N)
+
+
+def _lowest_filling(sys_, m):
+    order = np.argsort(sys_.kappas, kind="stable")
+    return FreeFermionModel(sys_, filled_modes=frozenset(int(n) for n in order[:m]))
+
+
+# every pinned recipe on a 30-site lattice (an explicit window when truncated)
+GRAM_SIZE = 30
+GRAM_RECIPES = [
+    pytest.param(fam, t, params, id=f"{fam.value}-{t.value}-{params}")
+    for (fam, t), plist in {**FINITE_GRID, **TRUNCATED_GRID}.items()
+    for params in plist
+]
 
 
 class TestManyBodyEnergies:
@@ -151,6 +166,15 @@ class TestCorrelationMatrix:
             c = correlation_matrix(model).matrix
             assert np.trace(c) == pytest.approx((N + 1) // 2, abs=1e-10)
 
+    def test_matrix_is_the_filled_mode_product_bit_for_bit(self):
+        # the correlation export writes these bits
+        sys_ = _system(Family.KRAWTCHOUK, ConvType.II, (0.2, 0.6), 40)
+        model = FreeFermionModel(sys_)
+        phi = sys_.phi[:, sorted(model.filled_modes)]
+        corr = correlation_matrix(model)
+        np.testing.assert_array_equal(corr.modes, phi)
+        assert corr.matrix.tobytes() == (phi @ phi.T).tobytes()
+
     def test_principal_submatrix_spectrum_contained(self):
         sys_ = _system(Family.KRAWTCHOUK, ConvType.II, (0.3, 0.7), 9)
         c = correlation_matrix(FreeFermionModel(sys_)).matrix
@@ -221,3 +245,47 @@ class TestBlockEntropy:
         assert prof[0] == 0.0
         assert prof[-1] <= 1e-8
         assert prof.max() > 0.1
+
+
+class TestGramBranches:
+    """A block [s, t) of C = Q Q^T is solved as the smaller of A A^T (k x k)
+    and A^T A (m x m), A = Q[s:t]; both must give the entropy of the
+    explicit block of C."""
+
+    @pytest.mark.parametrize("fill_div", [4, 2])
+    @pytest.mark.parametrize("family,conv_type,params", GRAM_RECIPES)
+    def test_blocks_around_m_match_explicit_correlation(
+        self, family, conv_type, params, fill_div
+    ):
+        sys_ = _system(family, conv_type, params, GRAM_SIZE - 1)
+        m = GRAM_SIZE // fill_div
+        corr = correlation_matrix(_lowest_filling(sys_, m))
+        assert corr.modes.shape == (GRAM_SIZE, m)
+        c = corr.matrix
+        for k in (m - 1, m, m + 1):
+            for start in (0, 3, GRAM_SIZE - k):
+                stop = start + k
+                want = _binary_entropy(np.linalg.eigvalsh(c[start:stop, start:stop]))
+                got = block_entropy(corr, (start, stop))
+                assert abs(got - want) <= 1e-12, (start, stop)
+
+    @pytest.mark.parametrize("family,conv_type,params", GRAM_RECIPES)
+    def test_empty_filling_profile_is_exactly_zero(self, family, conv_type, params):
+        # m = 0: every nonempty block solves a 0 x 0 Gram matrix
+        sys_ = _system(family, conv_type, params, GRAM_SIZE - 1)
+        corr = correlation_matrix(FreeFermionModel(sys_, filled_modes=frozenset()))
+        prof = entropy_profile(corr)
+        assert prof.shape == (GRAM_SIZE + 1,)
+        assert all(s == 0.0 and not np.signbit(s) for s in prof)
+        assert block_entropy(corr, (5, 20)) == 0.0
+
+    @pytest.mark.parametrize(
+        "family,conv_type,params",
+        [p for p in GRAM_RECIPES if ConvolutionRecipe(*p.values).is_finite],
+    )
+    def test_full_filling_profile_vanishes(self, family, conv_type, params):
+        # finite lattices only: on a truncated window the columns of phi are
+        # not orthonormal, so filling every mode gives no projector
+        sys_ = _system(family, conv_type, params, GRAM_SIZE - 1)
+        model = FreeFermionModel(sys_, filled_modes=frozenset(range(GRAM_SIZE)))
+        assert np.max(entropy_profile(correlation_matrix(model))) <= 1e-8

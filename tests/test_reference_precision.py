@@ -12,13 +12,26 @@ against a 200-digit re-run of the same recurrence.  q-Hahn is the hard
 case (corner values decay like q^(n x) and the upward parasite grows at
 the same rate); Krawtchouk at p = 1/2 exercises the delocalized regime
 where no turning point exists.
+
+Block entropies are refereed by a 40-digit eigensolve of the k x k block
+A A^T of the correlation matrix, formed from the same float filled-mode
+columns the library uses, on blocks on both sides of the filling m.
 """
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from askeychain.families import Family, FamilySpec, log_measure_grid, orthonormal_columns
+from askeychain.families import (
+    ConvolutionRecipe,
+    ConvType,
+    Family,
+    FamilySpec,
+    log_measure_grid,
+    orthonormal_columns,
+)
+from askeychain.fermion import FreeFermionModel, block_entropy, correlation_matrix
+from askeychain.spectral import analytic_eigensystem
 
 
 def _mp_log_measure(family, params, N, x):
@@ -184,3 +197,30 @@ def test_meixner_window_basis_matches_reference():
     mp.dps = 200
     ref = _mp_meixner_phi(mpf(7), mpf("0.2"), 80)
     assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def _mp_block_entropy(rows):
+    # the k x k block A A^T of C, formed and solved at the working precision
+    a = mp.matrix(rows.tolist())
+    lams = mp.eigsy(a * a.T, eigvals_only=True)
+    total = mpf(0)
+    for lam in lams:
+        if 0 < lam < 1:
+            total -= lam * mp.log(lam) + (1 - lam) * mp.log(1 - lam)
+    return total
+
+
+@pytest.mark.parametrize("fill_div", [4, 2])
+def test_block_entropy_matches_40_digit_reference(fill_div):
+    # blocks on both sides of m, so both the k x k and the m x m Gram
+    # eigenproblems are refereed against the same float Q
+    recipe = ConvolutionRecipe(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0))
+    system = analytic_eigensystem(recipe, N=59)
+    m = system.size // fill_div
+    order = np.argsort(system.kappas, kind="stable")
+    model = FreeFermionModel(system, filled_modes=frozenset(int(n) for n in order[:m]))
+    corr = correlation_matrix(model)
+    mp.dps = 40
+    for k in (m - 1, m + 7, 45, 60):
+        ref = float(_mp_block_entropy(corr.modes[:k]))
+        assert abs(block_entropy(corr, (0, k)) - ref) <= 1e-12, k
