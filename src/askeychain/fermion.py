@@ -13,11 +13,14 @@ C = Q Q^T with Q the N x m filled-mode columns of phi, so the library keeps
 Q and never needs C itself.  A block [s, t) of C is A A^T with A = Q[s:t],
 and its nonzero eigenvalues are those of the m x m Gram matrix A^T A; the
 other k - m (k = t - s) are zeros and add no entropy.  This holds for any
-Q, including the not quite orthonormal columns of a truncated window.  Each
-block therefore solves the smaller of its k x k and m x m eigenproblems,
-at O(k m min(k, m)) for the product and O(min(k, m)^3) for the solve.  The
-eigensolves of a left sweep cost O(N m^3) in place of O(N^4); the Gram
-products, O(N^2 m^2) in all, run at matrix-multiply speed.
+Q, including the not quite orthonormal columns of a truncated window.  A
+single block therefore solves the smaller of its k x k and m x m
+eigenproblems, at O(k m min(k, m)) for the product and O(min(k, m)^3) for
+the solve.  The left sweep reuses its products: for k <= m each block is a
+leading principal submatrix of the one m x m product Q[:m] Q[:m]^T, and
+for k > m the Gram matrix grows by one rank-one term q_k q_k^T per site,
+so its products cost O(m^3 + N m^2) in all.  The eigensolves, O(N m^3),
+are the floor.
 
 The pipeline needs only the ground state, so the subset sums are not a
 library function.  They live with the tests (``tests/oracles.py``, as
@@ -102,18 +105,19 @@ def correlation_matrix(model: FreeFermionModel) -> CorrelationMatrix:
 
 
 def _binary_entropy(lams: np.ndarray) -> float:
-    lams = np.clip(lams, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = lams * np.log(lams) + (1.0 - lams) * np.log1p(-lams)
-    # 0 ln 0 = 0 at both ends; 0.0 - sum turns an all-zero -0.0 into 0.0
-    return float(0.0 - np.sum(np.where((lams > 0.0) & (lams < 1.0), terms, 0.0)))
+    # 0 ln 0 = 0 at both ends, and NaN adds nothing either
+    lams = lams[(lams > 0.0) & (lams < 1.0)]
+    terms = lams * np.log(lams) + (1.0 - lams) * np.log1p(-lams)
+    # 0.0 - sum, not -sum, keeps an empty sum at +0.0
+    return float(0.0 - np.sum(terms))
 
 
 def block_entropy(corr: CorrelationMatrix, block: tuple[int, int]) -> float:
     """Entanglement entropy of the contiguous sites [start, stop).
 
     S = -sum_j [l_j ln l_j + (1-l_j) ln(1-l_j)] over the eigenvalues of the
-    block submatrix of C, clipped into [0, 1], with 0 ln 0 = 0: an exact
+    block submatrix of C.  Eigenvalues outside (0, 1) add nothing (0 ln 0 =
+    0 at both ends, and rounding past either end is dropped): an exact
     product state has entropy 0.
 
     The block of C is A A^T with A = Q[start:stop], k x m.  Its nonzero
@@ -132,6 +136,26 @@ def block_entropy(corr: CorrelationMatrix, block: tuple[int, int]) -> float:
 
 
 def entropy_profile(corr: CorrelationMatrix) -> np.ndarray:
-    """S([0,k)) for k = 0..size: the left-block entropy sweep."""
-    return np.array([block_entropy(corr, (0, k)) for k in range(corr.size + 1)])
+    """S([0,k)) for k = 0..size: the left-block entropy sweep.
 
+    Each S([0,k)) equals ``block_entropy(corr, (0, k))`` up to rounding,
+    but the products are shared.  For k <= m the block is the leading
+    k x k submatrix of the one m x m product Q[:m] Q[:m]^T.  For k > m the
+    m x m Gram matrix Q[:k]^T Q[:k] starts from Q[:m]^T Q[:m] and gains
+    the rank-one term q q^T of each new row q: N - m updates of O(m^2)
+    each, where a new product per block would cost O(k m^2).  No entry of
+    S([0,k)) reads the complement rows Q[k:].  The eigensolves, O(N m^3)
+    in all, are the floor.
+    """
+    q = corr.modes
+    n, m = q.shape
+    profile = np.zeros(n + 1)
+    lead = q[:m]
+    block = lead @ lead.T
+    for k in range(1, m + 1):
+        profile[k] = _binary_entropy(np.linalg.eigvalsh(block[:k, :k]))
+    gram = lead.T @ lead
+    for k in range(m, n):
+        gram += np.outer(q[k], q[k])
+        profile[k + 1] = _binary_entropy(np.linalg.eigvalsh(gram))
+    return profile

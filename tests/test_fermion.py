@@ -15,6 +15,7 @@ from oracles import (
 from askeychain.errors import DomainError
 from askeychain.families import ConvolutionRecipe, ConvType, Family
 from askeychain.fermion import (
+    CorrelationMatrix,
     FreeFermionModel,
     _binary_entropy,
     block_entropy,
@@ -289,3 +290,78 @@ class TestGramBranches:
         sys_ = _system(family, conv_type, params, GRAM_SIZE - 1)
         model = FreeFermionModel(sys_, filled_modes=frozenset(range(GRAM_SIZE)))
         assert np.max(entropy_profile(correlation_matrix(model))) <= 1e-8
+
+
+def _clip_and_where_entropy(lams):
+    # reference: clip into [0, 1], then zero the terms at 0 and 1
+    lams = np.clip(lams, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = lams * np.log(lams) + (1.0 - lams) * np.log1p(-lams)
+    return float(0.0 - np.sum(np.where((lams > 0.0) & (lams < 1.0), terms, 0.0)))
+
+
+class TestBinaryEntropy:
+    def test_values_outside_open_unit_interval_add_nothing(self):
+        half = _binary_entropy(np.array([0.5]))
+        assert half == pytest.approx(np.log(2.0), rel=1e-15)
+        spectrum = np.array(
+            [0.0, -1e-13, -2.0, 0.5, 1.0, 1.0 + 2e-13, 7.0, np.nan, -np.inf, np.inf]
+        )
+        assert _binary_entropy(spectrum) == half
+
+    @pytest.mark.parametrize(
+        "lams",
+        [[], [0.0], [-0.0, 1.0], [-1e-300, 1.0 + 1e-15], [np.nan, np.nan], [0.0] * 300],
+        ids=["empty", "zero", "ends", "just-outside", "nan", "many-zeros"],
+    )
+    def test_all_excluded_is_positive_zero(self, lams):
+        s = _binary_entropy(np.array(lams, dtype=float))
+        assert type(s) is float and s == 0.0 and not np.signbit(s)
+
+    def test_matches_clip_and_where_formula(self):
+        # the two sum different-length arrays, so they differ only in rounding
+        rng = np.random.default_rng(13)
+        for _ in range(500):
+            n = int(rng.integers(0, 400))
+            lams = rng.uniform(-0.2, 1.2, n)
+            lams[rng.random(n) < 0.2] = 0.0
+            lams[rng.random(n) < 0.1] = 1.0
+            lams[rng.random(n) < 0.02] = np.nan
+            want = _clip_and_where_entropy(lams)
+            assert abs(_binary_entropy(lams) - want) <= 1e-15 * max(1.0, want)
+
+
+class TestSweep:
+    """entropy_profile shares its products across k (a leading block of C
+    for k <= m, rank-one Gram updates for k > m); each entry must still be
+    the entropy of its own block, computed from the rows of that block."""
+
+    @pytest.mark.parametrize("m", [1, GRAM_SIZE // 4, GRAM_SIZE // 2, GRAM_SIZE])
+    @pytest.mark.parametrize("family,conv_type,params", GRAM_RECIPES)
+    def test_profile_matches_per_block_entropy(self, family, conv_type, params, m):
+        sys_ = _system(family, conv_type, params, GRAM_SIZE - 1)
+        corr = correlation_matrix(_lowest_filling(sys_, m))
+        prof = entropy_profile(corr)
+        assert prof.shape == (GRAM_SIZE + 1,)
+        for k in range(GRAM_SIZE + 1):
+            assert abs(prof[k] - block_entropy(corr, (0, k))) <= 1e-12, k
+
+    def test_profile_matches_per_block_entropy_at_401_sites(self):
+        sys_ = _system(Family.KRAWTCHOUK, ConvType.II, (0.2, 0.6), 400)
+        corr = correlation_matrix(_lowest_filling(sys_, sys_.size // 2))
+        prof = entropy_profile(corr)
+        want = [block_entropy(corr, (0, k)) for k in range(sys_.size + 1)]
+        assert np.max(np.abs(prof - want)) <= 1e-11
+
+    @pytest.mark.parametrize("k", [0, 3, 9, 10, 11, 17, 30])
+    def test_profile_never_reads_the_complement(self, k):
+        # other rows k.. leave S([0,j)), j <= k, bit for bit as they were,
+        # so the complement check of the benchmark compares two different
+        # computations
+        sys_ = _system(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0), GRAM_SIZE - 1)
+        corr = correlation_matrix(_lowest_filling(sys_, 10))
+        spoiled = corr.modes.copy()
+        spoiled[k:] = np.random.default_rng(k).normal(size=spoiled[k:].shape)
+        want = entropy_profile(corr)[: k + 1]
+        got = entropy_profile(CorrelationMatrix(spoiled))[: k + 1]
+        assert got.tobytes() == want.tobytes()

@@ -15,7 +15,9 @@ where no turning point exists.
 
 Block entropies are refereed by a 40-digit eigensolve of the k x k block
 A A^T of the correlation matrix, formed from the same float filled-mode
-columns the library uses, on blocks on both sides of the filling m.
+columns the library uses, on blocks on both sides of the filling m: both
+the single-block path and the left sweep, whose leading-block and rank-one
+Gram products round differently.
 """
 
 import numpy as np
@@ -30,7 +32,12 @@ from askeychain.families import (
     log_measure_grid,
     orthonormal_columns,
 )
-from askeychain.fermion import FreeFermionModel, block_entropy, correlation_matrix
+from askeychain.fermion import (
+    FreeFermionModel,
+    block_entropy,
+    correlation_matrix,
+    entropy_profile,
+)
 from askeychain.spectral import analytic_eigensystem
 
 
@@ -213,14 +220,17 @@ def _mp_block_entropy(rows):
 @pytest.mark.parametrize("fill_div", [4, 2])
 def test_block_entropy_matches_40_digit_reference(fill_div):
     # blocks on both sides of m, so both the k x k and the m x m Gram
-    # eigenproblems are refereed against the same float Q
+    # eigenproblems are refereed against the same float Q, once from the
+    # single-block path and once from the sweep
     recipe = ConvolutionRecipe(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0))
     system = analytic_eigensystem(recipe, N=59)
     m = system.size // fill_div
     order = np.argsort(system.kappas, kind="stable")
     model = FreeFermionModel(system, filled_modes=frozenset(int(n) for n in order[:m]))
     corr = correlation_matrix(model)
+    profile = entropy_profile(corr)
     mp.dps = 40
     for k in (m - 1, m + 7, 45, 60):
         ref = float(_mp_block_entropy(corr.modes[:k]))
         assert abs(block_entropy(corr, (0, k)) - ref) <= 1e-12, k
+        assert abs(profile[k] - ref) <= 1e-12, k
