@@ -28,7 +28,6 @@ from .fermion import (
 from .markov import (
     ConvolutionKernel,
     KernelReport,
-    LatticeKind,
     LatticeSpec,
     build_kernel,
     verify_kernel,
@@ -37,7 +36,6 @@ from .spectral import (
     CheckResult,
     SpectralSystem,
     analytic_eigensystem,
-    numeric_spectrum,
     spectrum_comparison,
     verification_report,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "FamilySpec",
     "FreeFermionModel",
     "KernelReport",
-    "LatticeKind",
     "LatticeSpec",
     "SpectralSystem",
     "UnsupportedCombination",
@@ -65,7 +62,6 @@ __all__ = [
     "entropy_profile",
     "kappa_vector",
     "measure_vector",
-    "numeric_spectrum",
     "orthonormal_columns",
     "parse_recipe",
     "spectral_gap",

@@ -710,7 +710,7 @@ def _hahn_type2_kappa_tail(a: float, b: float, c: float, nmax: int) -> np.ndarra
     return out
 
 
-def spectral_gap(recipe: ConvolutionRecipe, nmax: int) -> float:
-    """1 - max_{n>=1} |kappa(n)|: the mixing rate of the chain."""
-    kap = kappa_vector(recipe, nmax)
-    return 1.0 - float(np.max(np.abs(kap[1:]))) if nmax >= 1 else 1.0
+def spectral_gap(kappas: np.ndarray) -> float:
+    """1 - max_{n>=1} |kappa(n)|, the mixing rate of the chain, from
+    kappa(0..nmax) as ``kappa_vector`` gives it."""
+    return 1.0 - float(np.max(np.abs(kappas[1:]))) if len(kappas) > 1 else 1.0

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -51,21 +50,16 @@ from .families import (
 )
 
 
-class LatticeKind(str, Enum):
-    FINITE = "finite"
-    TRUNCATED = "truncated"
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """Retained lattice window: {0..N} exactly, or a certified truncation.
 
-    For truncated lattices ``tail_bound`` certifies sum_{x>M} pi(x) (ratio
-    bound, not summation), and ``col_deficiency`` records the worst
-    column-sum deficit actually measured when the window was fixed.
+    Finiteness is the recipe's (``ConvolutionRecipe.is_finite``); a truncated
+    window carries its certificate: ``tail_bound`` bounds sum_{x>M} pi(x) for
+    ``tail_eps`` (ratio bound, not summation), and ``col_deficiency`` records
+    the worst column-sum deficit actually measured when the window was fixed.
     """
 
-    kind: LatticeKind
     npoints: int
     tail_eps: float | None = None
     tail_bound: float | None = None
@@ -76,14 +70,10 @@ class LatticeSpec:
         return self.npoints - 1
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind.value, "npoints": self.npoints}
-        if self.kind is LatticeKind.TRUNCATED:
-            d.update(
-                tail_eps=self.tail_eps,
-                tail_bound=self.tail_bound,
-                col_deficiency=self.col_deficiency,
-            )
-        return d
+        if self.tail_eps is None:
+            return {"kind": "finite", "npoints": self.npoints}
+        return {"kind": "truncated", "npoints": self.npoints, "tail_eps": self.tail_eps,
+                "tail_bound": self.tail_bound, "col_deficiency": self.col_deficiency}
 
 
 @dataclass(frozen=True)
@@ -107,11 +97,12 @@ class ConvolutionKernel:
 COL_TARGET_FACTOR = 10.0
 MAX_WINDOW_POINTS = 2000
 DEFAULT_TAIL_EPS = 1e-12
-#: default tolerances for verify_kernel, by lattice kind
-DEFAULT_KERNEL_TOL = {LatticeKind.FINITE: 1e-12, LatticeKind.TRUNCATED: 1e-10}
+#: default tolerances for verify_kernel on finite and on truncated lattices
+FINITE_KERNEL_TOL = 1e-12
+TRUNCATED_KERNEL_TOL = 1e-10
 #: the largest tail_eps whose window growth target (COL_TARGET_FACTOR *
 #: tail_eps) still meets the truncated kernel tolerance
-MAX_TAIL_EPS = DEFAULT_KERNEL_TOL[LatticeKind.TRUNCATED] / COL_TARGET_FACTOR
+MAX_TAIL_EPS = TRUNCATED_KERNEL_TOL / COL_TARGET_FACTOR
 
 
 def stationary_tail_bounds(spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -239,8 +230,7 @@ def build_kernel(
         raise DomainError(f"{lattice} exceeds the {MAX_WINDOW_POINTS}-point cap")
     if recipe.is_finite:
         matrix = _build_matrix(recipe, N + 1)
-        lattice = LatticeSpec(LatticeKind.FINITE, N + 1)
-        return ConvolutionKernel(matrix, measure_vector(spec), recipe, lattice)
+        return ConvolutionKernel(matrix, measure_vector(spec), recipe, LatticeSpec(N + 1))
     while True:
         matrix = _build_matrix(recipe, M + 1)
         deficiency = float(np.max(np.abs(matrix.sum(axis=0) - 1.0)))
@@ -256,7 +246,6 @@ def build_kernel(
             break
         M = nxt
     lattice = LatticeSpec(
-        LatticeKind.TRUNCATED,
         M + 1,
         tail_eps=tail_eps,
         tail_bound=float(bounds[M]),
@@ -292,16 +281,14 @@ def verify_kernel(kernel: ConvolutionKernel, tol: float | None = None) -> Kernel
     on truncated windows the far off-diagonal entries legitimately
     underflow, so only nonnegativity is required there.
     """
+    finite = kernel.recipe.is_finite
     if tol is None:
-        tol = DEFAULT_KERNEL_TOL[kernel.lattice.kind]
+        tol = FINITE_KERNEL_TOL if finite else TRUNCATED_KERNEL_TOL
     k = kernel.matrix
     stoch = float(np.max(np.abs(k.sum(axis=0) - 1.0)))
     flux = k * kernel.pi[None, :]
     rev = float(np.max(np.abs(flux - flux.T)) / np.max(flux))
-    if kernel.lattice.kind is LatticeKind.FINITE:
-        positivity = bool(np.all(k > 0.0))
-    else:
-        positivity = bool(np.all(k >= 0.0))
+    positivity = bool(np.all(k > 0.0)) if finite else bool(np.all(k >= 0.0))
     passed = stoch <= tol and rev <= tol
     return KernelReport(stoch, rev, positivity, tol, passed)
 

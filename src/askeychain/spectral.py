@@ -9,10 +9,10 @@ the unsymmetrized transform and the kernel it came from, as
 ``verification_report`` takes the system alone; there is no separate
 Hamiltonian entry point.  For the convolution kernels the full eigensystem
 is known in closed form: the eigenvalues kappa(n) and the orthonormal
-eigenvectors phi_n(x) = d_n sqrt(pi(x)) P_n(x).  ``numeric_spectrum`` (a dense
-backward-stable symmetric eigensolve) is the independent cross-check and
-the only eigensolver the library runs (H and K share their spectrum); the
-kernel-side statements (P_n left and pi P_n right eigenvectors of K) are
+eigenvectors phi_n(x) = d_n sqrt(pi(x)) P_n(x).  ``spectrum_comparison``
+checks kappa(n) against ``np.linalg.eigvalsh(H)``, a dense backward-stable
+eigensolve and the only one the library runs (H and K share their spectrum);
+the kernel-side statements (P_n left and pi P_n right eigenvectors of K) are
 checked by the residual referees in ``tests/oracles.py``.
 
 Note on truncated lattices: a finite window of a semi-infinite chain
@@ -32,7 +32,6 @@ from .errors import ContractViolation, DomainError
 from .families import ConvolutionRecipe, kappa_vector, orthonormal_columns, spectral_gap
 from .markov import (
     ConvolutionKernel,
-    LatticeKind,
     build_kernel,
     eigenvalue_moduli_excess,
     perron_frobenius_residual,
@@ -41,8 +40,6 @@ from .markov import (
 
 #: window spill past which a truncated mode is left out of the eigenvector checks
 _RELIABLE_MODE_DEFECT = 1e-10
-#: largest |H - H^T| entry ``numeric_spectrum`` accepts as symmetric
-_SYM_TOL = 1e-10
 
 
 def _hamiltonian(kernel: ConvolutionKernel) -> tuple[np.ndarray, float]:
@@ -92,14 +89,17 @@ def analytic_eigensystem(
     recipe: ConvolutionRecipe, N: int | None = None, kernel: ConvolutionKernel | None = None
 ) -> SpectralSystem:
     """Build H, kappa(n) and the orthonormal eigenvector matrix for a recipe,
-    from ``kernel`` when given (it must have been built from ``recipe``),
-    else from ``build_kernel(recipe, N)``."""
+    from ``kernel`` when given (it must have been built from ``recipe``, and
+    its lattice fixes the size, so ``N`` is refused with it), else from
+    ``build_kernel(recipe, N)``."""
     if kernel is None:
         kernel = build_kernel(recipe, N=N)
     elif kernel.recipe != recipe:
         raise ContractViolation(
             f"kernel of {kernel.recipe.to_string()!r} given for {recipe.to_string()!r}"
         )
+    elif N is not None:
+        raise ContractViolation(f"N={N} given with a {kernel.size}-point kernel")
     h, asym = _hamiltonian(kernel)
     size = kernel.size
     phi = orthonormal_columns(recipe.stationary_spec(kernel.lattice.N), npoints=size)
@@ -113,28 +113,15 @@ def analytic_eigensystem(
     )
 
 
-def numeric_spectrum(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted descending.
-
-    Backed by a dense backward-stable symmetric eigensolver (LAPACK via
-    numpy); the analytic kappa formulas never feed this path, so the two
-    spectra are independent.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ContractViolation(f"expected a square matrix, got shape {h.shape}")
-    if h.size and float(np.max(np.abs(h - h.T))) > _SYM_TOL:
-        raise ContractViolation("matrix is not symmetric within tolerance")
-    return np.linalg.eigvalsh(h)[::-1]
-
-
 def spectrum_comparison(system: SpectralSystem) -> float:
-    """Max |sorted analytic kappa - sorted numeric spectrum|.
+    """Max |sorted analytic kappa - numeric spectrum of H|.
 
-    Sorting both lists realizes the multiset matching, so degenerate
-    eigenvalues pair up regardless of index order.
+    The symmetric eigensolver returns the spectrum in ascending order, so
+    sorting kappa realizes the multiset matching and degenerate eigenvalues
+    pair up regardless of index order.  H is exactly symmetric by
+    construction; its asymmetry before symmetrization is its own check.
     """
-    numeric = np.sort(numeric_spectrum(system.hamiltonian))
+    numeric = np.linalg.eigvalsh(system.hamiltonian)
     analytic = np.sort(system.kappas)
     return float(np.max(np.abs(numeric - analytic)))
 
@@ -177,7 +164,7 @@ def _check(name: str, measured: float, tol: float) -> CheckResult:
 
 
 def _reliable_modes(system: SpectralSystem) -> np.ndarray:
-    if system.kernel.lattice.kind is LatticeKind.FINITE:
+    if system.kernel.recipe.is_finite:
         return np.arange(system.size)
     return np.flatnonzero(system.mode_norm_defects() <= _RELIABLE_MODE_DEFECT)
 
@@ -209,8 +196,7 @@ def verification_report(
     res = float(np.max(eigen_residuals(system)[modes])) if modes.size else 0.0
     checks.append(_check("eigenvector-residual", res, 1e-9 * (1.0 + kernel.lattice.N / 50.0)))
     checks.append(_check("orthonormality", orthonormality_defect(system.phi[:, modes]), 1e-9))
-    if kernel.lattice.kind is LatticeKind.FINITE:
+    if kernel.recipe.is_finite:
         checks.append(_check("completeness", completeness_defect(system.phi), 1e-9))
-    gap = spectral_gap(kernel.recipe, kernel.size - 1)
-    checks.append(CheckResult("spectral-gap", gap, 0.0, True))
+    checks.append(CheckResult("spectral-gap", spectral_gap(system.kappas), 0.0, True))
     return checks

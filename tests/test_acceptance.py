@@ -31,7 +31,6 @@ from askeychain.spectral import (
     analytic_eigensystem,
     completeness_defect,
     eigen_residuals,
-    numeric_spectrum,
     orthonormality_defect,
     spectrum_comparison,
 )
@@ -214,7 +213,7 @@ def test_criterion_06_many_body_oracle():
             else:
                 # a window of the semi-infinite chain is its own quadratic
                 # model; its single-particle levels come from the window
-                levels = numeric_spectrum(sys_.hamiltonian)
+                levels = np.linalg.eigvalsh(sys_.hamiltonian)
             mb = many_body_energies(levels)
             jw = jordan_wigner_spectrum(sys_.hamiltonian)
             worst = max(worst, float(np.max(np.abs(mb - jw))))
@@ -274,7 +273,7 @@ def test_criterion_09_negative_spectrum(kernel_cache):
     sys_ = analytic_eigensystem(recipe, kernel=kernel_cache(recipe, N))
     odd = sys_.kappas[1::2]
     all_odd_negative = bool(np.all(odd < 0.0))
-    vals = numeric_spectrum(sys_.hamiltonian)
+    vals = np.linalg.eigvalsh(sys_.hamiltonian)
     n_negative = int(np.sum(vals < -1e-10))
     n_positive = int(np.sum(vals > 1e-10))
     want = (N + 1) // 2

@@ -421,7 +421,8 @@ class TestKappa:
     def test_spectral_gap(self):
         r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.3, 0.5))
         # kappa(1) = a(1-b) = 0.15 dominates
-        assert F.spectral_gap(r, 30) == pytest.approx(1 - 0.15, rel=1e-13)
+        assert F.spectral_gap(F.kappa_vector(r, 30)) == pytest.approx(1 - 0.15, rel=1e-13)
+        assert F.spectral_gap(F.kappa_vector(r, 0)) == 1.0
 
 
 class TestLimits:

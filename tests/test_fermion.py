@@ -113,15 +113,13 @@ class TestJordanWignerOracle:
     def test_equivalence_every_combination_sizes_4_and_6(self):
         # finite combos check the closed-form levels; truncated windows are
         # their own quadratic models, so their levels come from the window
-        from askeychain.spectral import numeric_spectrum
-
         for (fam, t), plist in {**FINITE_GRID, **TRUNCATED_GRID}.items():
             recipe = ConvolutionRecipe(fam, t, plist[0])
             for size in (4, 6):
                 sys_ = analytic_eigensystem(recipe, N=size - 1)
                 levels = (
                     sys_.kappas if recipe.is_finite
-                    else numeric_spectrum(sys_.hamiltonian)
+                    else np.linalg.eigvalsh(sys_.hamiltonian)
                 )
                 mb = many_body_energies(levels)
                 jw = jordan_wigner_spectrum(sys_.hamiltonian)

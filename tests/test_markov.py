@@ -17,7 +17,6 @@ from askeychain.families import (
 )
 from askeychain.markov import (
     ConvolutionKernel,
-    LatticeKind,
     LatticeSpec,
     build_kernel,
     eigenvalue_moduli_excess,
@@ -234,7 +233,7 @@ class TestTruncation:
                 build_kernel(r, tail_eps=eps)
 
     def test_eps_bound_is_the_growth_target_of_the_tolerance(self):
-        tol = markov.DEFAULT_KERNEL_TOL[LatticeKind.TRUNCATED]
+        tol = markov.TRUNCATED_KERNEL_TOL
         assert markov.MAX_TAIL_EPS * markov.COL_TARGET_FACTOR == pytest.approx(tol, rel=1e-15)
 
     def test_finite_family_rejected(self):
@@ -245,12 +244,26 @@ class TestTruncation:
         r = ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.4, 0.8))
         kern = build_kernel(r, tail_eps=1e-12)
         lat = kern.lattice
-        assert lat.kind is LatticeKind.TRUNCATED
+        assert lat.tail_eps == 1e-12
         assert lat.tail_bound <= 1e-12
         assert lat.col_deficiency <= 1e-11
         assert np.max(np.abs(kern.matrix.sum(axis=0) - 1.0)) == pytest.approx(
             lat.col_deficiency
         )
+
+    def test_lattice_envelope_keeps_its_keys_and_values(self, kernel_cache):
+        # the kind is read off the certificate; keys, order and values are
+        # those the envelopes have always carried
+        finite = kernel_cache(ConvolutionRecipe(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0)), 20)
+        assert list(finite.lattice.to_dict().items()) == [("kind", "finite"), ("npoints", 21)]
+        r = ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.4, 0.8))
+        kern = kernel_cache(r, None)
+        bounds = stationary_tail_bounds(r.stationary_spec(None))[1]
+        deficiency = float(np.max(np.abs(kern.matrix.sum(axis=0) - 1.0)))
+        assert list(kern.lattice.to_dict().items()) == [
+            ("kind", "truncated"), ("npoints", 41), ("tail_eps", 1e-12),
+            ("tail_bound", float(bounds[40])), ("col_deficiency", deficiency),
+        ]
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-6, 1e-11],
                              ids=["0-1e-12", "1-1e-08", "2-1e-06", "3-1e-11"])
@@ -309,7 +322,7 @@ class TestVerifyKernel:
 
     def test_identity_with_uniform_pi_passes(self):
         r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.5, 0.5))
-        lattice = LatticeSpec(LatticeKind.FINITE, 4)
+        lattice = LatticeSpec(4)
         kern = ConvolutionKernel(np.eye(4), np.full(4, 0.25), r, lattice)
         rep = verify_kernel(kern)
         assert rep.passed
@@ -432,7 +445,7 @@ class TestCertificates:
     def test_identity_kernel_fails_perron_frobenius_without_raising(self):
         # eigenvalue 1 of multiplicity 4: K - I + 1 1^T is singular
         r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.5, 0.5))
-        kern = ConvolutionKernel(np.eye(4), np.full(4, 0.25), r, LatticeSpec(LatticeKind.FINITE, 4))
+        kern = ConvolutionKernel(np.eye(4), np.full(4, 0.25), r, LatticeSpec(4))
         checks = {c.name: c for c in verification_report(analytic_eigensystem(r, kernel=kern))}
         assert not checks["perron-frobenius-match"].passed
         assert checks["perron-frobenius-match"].measured == math.inf

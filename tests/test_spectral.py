@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from askeychain import cli, families, spectral
 from askeychain.errors import ContractViolation
 from askeychain.families import (
     ConvolutionRecipe,
@@ -8,15 +9,17 @@ from askeychain.families import (
     Family,
     FamilySpec,
     kappa_vector,
+    parse_recipe,
+    spectral_gap,
 )
-from askeychain.markov import ConvolutionKernel, LatticeKind, LatticeSpec, build_kernel
+from askeychain.markov import ConvolutionKernel, LatticeSpec, build_kernel
 from askeychain.spectral import (
     analytic_eigensystem,
     completeness_defect,
     eigen_residuals,
-    numeric_spectrum,
     orthonormality_defect,
     spectrum_comparison,
+    verification_report,
 )
 
 from conftest import FINITE_GRID, TRUNCATED_GRID, basis_polynomials, grid_recipes
@@ -29,7 +32,7 @@ def _system(kern):
 
 def _dummy_kernel(matrix, pi):
     r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.5, 0.5))
-    return ConvolutionKernel(matrix, pi, r, LatticeSpec(LatticeKind.FINITE, len(pi)))
+    return ConvolutionKernel(matrix, pi, r, LatticeSpec(len(pi)))
 
 
 class TestClassicalHamiltonian:
@@ -55,7 +58,7 @@ class TestClassicalHamiltonian:
             h = _system(kern).hamiltonian
             s = np.sqrt(kern.pi)
             resid = np.max(np.abs(h @ s - s))
-            tol = 1e-12 if kern.lattice.kind is LatticeKind.FINITE else 1e-9
+            tol = 1e-12 if recipe.is_finite else 1e-9
             assert resid <= tol, recipe.to_string(N)
 
     def test_asymmetry_is_rounding_level(self, kernel_cache):
@@ -76,6 +79,13 @@ class TestAnalyticEigensystem:
         hahn_iii = ConvolutionRecipe(Family.HAHN, ConvType.III, (1.0, 2.0, 1.0))
         with pytest.raises(ContractViolation):
             analytic_eigensystem(hahn_i, kernel=build_kernel(hahn_iii, N=10))
+
+    @pytest.mark.parametrize("N", [6, 20])
+    def test_size_given_with_a_kernel_is_refused(self, N):
+        # the kernel's lattice fixes the size; an N beside it was ignored
+        r = ConvolutionRecipe(Family.HAHN, ConvType.III, (1.0, 2.0, 1.0))
+        with pytest.raises(ContractViolation, match=f"N={N} given with a 7-point kernel"):
+            analytic_eigensystem(r, N=N, kernel=build_kernel(r, N=6))
 
     def test_system_carries_its_kernel(self):
         r = ConvolutionRecipe(Family.HAHN, ConvType.III, (1.0, 2.0, 1.0))
@@ -98,18 +108,6 @@ class TestAnalyticEigensystem:
 
 
 class TestNumericSpectrum:
-    def test_one_by_one(self):
-        np.testing.assert_array_equal(numeric_spectrum(np.array([[0.37]])), [0.37])
-
-    def test_sorted_descending(self):
-        vals = numeric_spectrum(np.diag([0.1, 0.9, -0.5]))
-        np.testing.assert_allclose(vals, [0.9, 0.1, -0.5], rtol=1e-15)
-
-    def test_asymmetric_rejected(self):
-        m = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(ContractViolation):
-            numeric_spectrum(m)
-
     def test_krawtchouk_spectrum_match(self):
         sys_ = analytic_eigensystem(
             ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.3, 0.5)), N=5
@@ -119,17 +117,17 @@ class TestNumericSpectrum:
     def test_spectrum_inside_unit_interval(self, kernel_cache):
         for recipe, N in grid_recipes():
             kern = kernel_cache(recipe, N)
-            vals = numeric_spectrum(_system(kern).hamiltonian)
-            assert vals[0] <= 1.0 + 1e-12, recipe.to_string(N)
-            assert vals[-1] >= -1.0 - 1e-12, recipe.to_string(N)
+            vals = np.linalg.eigvalsh(_system(kern).hamiltonian)
+            assert vals[-1] <= 1.0 + 1e-12, recipe.to_string(N)
+            assert vals[0] >= -1.0 - 1e-12, recipe.to_string(N)
 
     def test_unit_eigenvalue_attained_exactly_once(self, kernel_cache):
         for recipe, N in grid_recipes():
             kern = kernel_cache(recipe, N)
-            vals = numeric_spectrum(_system(kern).hamiltonian)
-            assert abs(vals[0] - 1.0) <= 1e-10, recipe.to_string(N)
-            gap = 1.0 - float(np.max(np.abs(kappa_vector(recipe, kern.size - 1)[1:])))
-            assert vals[1] <= 1.0 - 0.5 * gap, recipe.to_string(N)
+            sys_ = _system(kern)
+            vals = np.linalg.eigvalsh(sys_.hamiltonian)
+            assert abs(vals[-1] - 1.0) <= 1e-10, recipe.to_string(N)
+            assert vals[-2] <= 1.0 - 0.5 * spectral_gap(sys_.kappas), recipe.to_string(N)
 
     def test_degenerate_eigenvalues_compare_as_multiset(self):
         # a = b collapses every kappa(n >= 1) to zero for type ii
@@ -138,6 +136,58 @@ class TestNumericSpectrum:
         )
         assert np.max(np.abs(sys_.kappas[1:])) == 0.0
         assert spectrum_comparison(sys_) <= 1e-12
+
+    def test_same_numbers_as_the_sorted_reverse_and_the_recomputed_gap(self, kernel_cache):
+        # the spectrum is compared as eigvalsh returns it and the gap read off
+        # the system's kappas, bit for bit what re-sorting the reversed
+        # spectrum and evaluating kappa(n) a second time gave
+        for recipe, N in grid_recipes():
+            sys_ = _system(kernel_cache(recipe, N))
+            numeric = np.sort(np.linalg.eigvalsh(sys_.hamiltonian)[::-1])
+            want = float(np.max(np.abs(numeric - np.sort(sys_.kappas))))
+            assert spectrum_comparison(sys_) == want, recipe.to_string(N)
+            gap = {c.name: c.measured for c in verification_report(sys_)}["spectral-gap"]
+            kap = kappa_vector(recipe, sys_.size - 1)
+            assert gap == 1.0 - float(np.max(np.abs(kap[1:]))), recipe.to_string(N)
+
+
+class TestOneEvaluationPerFact:
+    """One symmetric eigensolve per report, and kappa(n) evaluated once per
+    system: the report reads the gap off ``system.kappas``."""
+
+    RECIPES = ["hahn type=ii a=0.7 b=1.0 c=0.4 N=20", "charlier type=iii a=1.0 b=0.4"]
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"eigvalsh": 0, "kappa_vector": 0}
+        eigvalsh, kappas = np.linalg.eigvalsh, families.kappa_vector
+
+        def counted_eigvalsh(*args, **kwargs):
+            calls["eigvalsh"] += 1
+            return eigvalsh(*args, **kwargs)
+
+        def counted_kappas(*args, **kwargs):
+            calls["kappa_vector"] += 1
+            return kappas(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(families, "kappa_vector", counted_kappas)
+        monkeypatch.setattr(spectral, "kappa_vector", counted_kappas)
+        return calls
+
+    @pytest.mark.parametrize("text", RECIPES)
+    def test_report(self, monkeypatch, text):
+        recipe, N = parse_recipe(text)
+        sys_ = analytic_eigensystem(recipe, N=N)
+        calls = self._count(monkeypatch)
+        verification_report(sys_)
+        assert calls == {"eigvalsh": 1, "kappa_vector": 0}
+
+    @pytest.mark.parametrize("text", RECIPES)
+    def test_cli_verify(self, monkeypatch, tmp_path, text):
+        calls = self._count(monkeypatch)
+        assert cli.main(["verify", "--recipe", text, "--out", str(tmp_path / "v.txt")]) == 0
+        assert calls == {"eigvalsh": 1, "kappa_vector": 1}
 
 
 class TestTheoremEigenvectors:
