@@ -95,7 +95,8 @@ class FamilySpec:
     """A polynomial family together with its parameters and lattice size.
 
     ``N`` is the finite lattice size (points 0..N) and must be None for the
-    semi-infinite families (Charlier, Meixner).
+    semi-infinite families (Charlier, Meixner): the library's one lattice-size
+    rule, which recipes, the parser and the kernel builder all defer to.
     """
 
     family: Family
@@ -106,9 +107,9 @@ class FamilySpec:
         _check_params(self.family, self.params)
         if self.family in FINITE_FAMILIES:
             if self.N is None or self.N < 0:
-                raise DomainError(f"{self.family.value} needs a lattice size N >= 0")
+                raise DomainError(f"{self.family.value} needs a lattice size N >= 0, got {self.N}")
         elif self.N is not None:
-            raise DomainError(f"{self.family.value} lives on Z>=0; N must be None")
+            raise DomainError(f"{self.family.value} lives on Z>=0 and takes --eps, not N")
 
     @property
     def is_finite(self) -> bool:
@@ -576,8 +577,9 @@ class ConvolutionRecipe:
         return self.family in FINITE_FAMILIES
 
     def stationary_spec(self, N: int | None) -> FamilySpec:
-        """The stationary measure on {0..N}; semi-infinite families ignore N."""
-        return FamilySpec(self.lambda3.family, self.lambda3.params, N if self.is_finite else None)
+        """The stationary measure on {0..N}, or on Z>=0 for N=None; the
+        family's lattice rule (``FamilySpec``) refuses any other N."""
+        return FamilySpec(self.lambda3.family, self.lambda3.params, N)
 
     def to_string(self, N: int | None = None) -> str:
         names = RECIPE_PARAM_NAMES[self.family]
@@ -629,13 +631,8 @@ def parse_recipe(text: str) -> tuple[ConvolutionRecipe, int | None]:
         N = int(kv["N"]) if "N" in kv else None
     except ValueError as exc:
         raise DomainError(f"bad numeric value in recipe: {exc}") from None
-    if N is not None and N < 0:
-        raise DomainError(f"lattice size must be N >= 0, got N={N}")
     recipe = ConvolutionRecipe(family, conv_type, params)
-    if recipe.is_finite and N is None:
-        raise DomainError(f"{family.value} recipes need N=<lattice size>")
-    if not recipe.is_finite and N is not None:
-        raise DomainError(f"{family.value} recipes take --eps, not N")
+    recipe.stationary_spec(N)  # FamilySpec refuses a missing or a stray N
     return recipe, N
 
 

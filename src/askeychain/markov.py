@@ -16,15 +16,16 @@ are mathematically independent, so construction parallelizes trivially and
 the finished kernel is immutable.  The direct per-entry sums these builders
 are tested against live with the tests (``tests/oracles.py``).
 
-Charlier and Meixner measures live on all of Z>=0 and are served on a
-certified finite window.  One row ln pi(0..MAX_WINDOW_POINTS) per measure
-gives the geometric tail bound for every window end at once
-(``stationary_tail_bounds``); the window, the cap refusal, the growth guard,
-the stationary vector and the recorded bound are all read off that row.
-The window grows until its column sums meet COL_TARGET_FACTOR * tail_eps,
-so ``tail_eps`` is refused above MAX_TAIL_EPS (1e-11), where that target
-would miss the truncated kernel tolerance; finite recipes take no
-``tail_eps`` at all.
+Charlier and Meixner measures live on all of Z>=0 and are served only on a
+certified finite window: ``FamilySpec``, the one lattice-size rule, refuses
+an N on these recipes, so no uncertified window is ever built.  One row
+ln pi(0..MAX_WINDOW_POINTS) per measure gives the geometric tail bound for
+every window end at once (``stationary_tail_bounds``); the window, the cap
+refusal, the growth guard, the stationary vector and the recorded bound are
+all read off that row.  The window grows until its column sums meet
+COL_TARGET_FACTOR * tail_eps, so ``tail_eps`` is refused above MAX_TAIL_EPS
+(1e-11), where that target would miss the truncated kernel tolerance;
+finite recipes take no ``tail_eps`` at all.
 
 Verification reads K itself and runs no eigensolver: the spectral radius is
 bounded by the induced 1-norm and the Perron-Frobenius vector is one linear
@@ -203,39 +204,32 @@ def build_kernel(
     COL_TARGET_FACTOR * tail_eps or the window holds MAX_WINDOW_POINTS
     points; the achieved deficit is recorded on the lattice spec.
     ``tail_eps`` must lie in (0, MAX_TAIL_EPS] = (0, 1e-11], where that
-    growth target still meets the truncated kernel tolerance.  An explicit
-    N fixes a truncated window at 0..N without adaptation (small oracle
-    runs).  A lattice, finite or truncated, whose first window would hold
-    more than MAX_WINDOW_POINTS points is refused.  The stationary vector
-    is always recomputed from the lambda3 parameter map, never from a
-    numeric eigenvector.
+    growth target still meets the truncated kernel tolerance.  The lattice
+    size rule is ``FamilySpec``'s: an N on a semi-infinite recipe, or none on
+    a finite one, is refused before any matrix is built, so every truncated
+    window carries a certificate it meets.  A lattice, finite or truncated,
+    whose first window would hold more than MAX_WINDOW_POINTS points is
+    refused.  The stationary vector is always recomputed from the lambda3
+    parameter map, never from a numeric eigenvector.
     """
+    spec = recipe.stationary_spec(N)
     if recipe.is_finite:
         if tail_eps is not None:
             raise DomainError(f"{recipe.family.value} recipes take N, not --eps")
-        if N is None:
-            raise DomainError(f"{recipe.family.value} kernels need a lattice size N")
-    else:
-        tail_eps = DEFAULT_TAIL_EPS if tail_eps is None else tail_eps
-        if not 0.0 < tail_eps <= MAX_TAIL_EPS:
-            raise DomainError(f"tail_eps must lie in (0, {MAX_TAIL_EPS:g}], got {tail_eps}")
-    spec = recipe.stationary_spec(N)
-    M = N
-    if not recipe.is_finite:
-        log_pi, bounds = stationary_tail_bounds(spec)
-        if N is None:
-            M = _first_certified(bounds, tail_eps, f"the certified {spec.to_string()} window")
-    if M + 1 > MAX_WINDOW_POINTS:
-        lattice = f"{recipe.family.value} lattice of {M + 1} points"
-        raise DomainError(f"{lattice} exceeds the {MAX_WINDOW_POINTS}-point cap")
-    if recipe.is_finite:
+        if N + 1 > MAX_WINDOW_POINTS:
+            lattice = f"{recipe.family.value} lattice of {N + 1} points"
+            raise DomainError(f"{lattice} exceeds the {MAX_WINDOW_POINTS}-point cap")
         matrix = _build_matrix(recipe, N + 1)
         return ConvolutionKernel(matrix, measure_vector(spec), recipe, LatticeSpec(N + 1))
+    tail_eps = DEFAULT_TAIL_EPS if tail_eps is None else tail_eps
+    if not 0.0 < tail_eps <= MAX_TAIL_EPS:
+        raise DomainError(f"tail_eps must lie in (0, {MAX_TAIL_EPS:g}], got {tail_eps}")
+    log_pi, bounds = stationary_tail_bounds(spec)
+    M = _first_certified(bounds, tail_eps, f"the certified {spec.to_string()} window")
     while True:
         matrix = _build_matrix(recipe, M + 1)
         deficiency = float(np.max(np.abs(matrix.sum(axis=0) - 1.0)))
-        done = deficiency <= COL_TARGET_FACTOR * tail_eps or M + 1 >= MAX_WINDOW_POINTS
-        if N is not None or done:
+        if deficiency <= COL_TARGET_FACTOR * tail_eps or M + 1 >= MAX_WINDOW_POINTS:
             break
         nxt = min(max(M + 8, int(M * 1.25)), MAX_WINDOW_POINTS - 1)
         # never grow past the representable range of the stationary vector

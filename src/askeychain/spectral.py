@@ -102,7 +102,8 @@ def analytic_eigensystem(
         raise ContractViolation(f"N={N} given with a {kernel.size}-point kernel")
     h, asym = _hamiltonian(kernel)
     size = kernel.size
-    phi = orthonormal_columns(recipe.stationary_spec(kernel.lattice.N), npoints=size)
+    spec = recipe.stationary_spec(kernel.lattice.N if recipe.is_finite else None)
+    phi = orthonormal_columns(spec, npoints=size)
     kap = kappa_vector(recipe, size - 1)
     return SpectralSystem(
         hamiltonian=h,
@@ -179,7 +180,8 @@ def verification_report(
     On truncated lattices the eigenvector checks are restricted to the
     modes that fit in the window (norm defect <= 1e-10): the spilling top
     modes of a finite window cannot satisfy the closed-form eigensystem of
-    the infinite chain.  The spectral gap is reported, not checked.
+    the infinite chain.  With no such mode both lines read inf and fail.
+    The spectral gap is reported, not checked.
     """
     kernel = system.kernel
     rep = verify_kernel(kernel, kernel_tol)
@@ -193,9 +195,12 @@ def verification_report(
         _check("spectrum-match", spectrum_comparison(system), 1e-8),
     ]
     modes = _reliable_modes(system)
-    res = float(np.max(eigen_residuals(system)[modes])) if modes.size else 0.0
+    res = ortho = np.inf  # no reliable mode: nothing checked, so both lines fail
+    if modes.size:
+        res = float(np.max(eigen_residuals(system)[modes]))
+        ortho = orthonormality_defect(system.phi[:, modes])
     checks.append(_check("eigenvector-residual", res, 1e-9 * (1.0 + kernel.lattice.N / 50.0)))
-    checks.append(_check("orthonormality", orthonormality_defect(system.phi[:, modes]), 1e-9))
+    checks.append(_check("orthonormality", ortho, 1e-9))
     if kernel.recipe.is_finite:
         checks.append(_check("completeness", completeness_defect(system.phi), 1e-9))
     checks.append(CheckResult("spectral-gap", spectral_gap(system.kappas), 0.0, True))

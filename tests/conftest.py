@@ -23,10 +23,13 @@ from askeychain import (
     ConvType,
     Family,
     FamilySpec,
+    analytic_eigensystem,
     build_kernel,
+    markov,
     measure_vector,
     orthonormal_columns,
 )
+from askeychain.markov import ConvolutionKernel, LatticeSpec
 
 # (family, conv_type) -> list of parameter tuples; 13 exposed combinations
 # (meixner type ii is the alias of type i and is exercised through it)
@@ -82,6 +85,19 @@ def grid_recipes():
         for params in plist:
             out.append((ConvolutionRecipe(fam, t, params), None))
     return out
+
+
+def window_system(recipe, size):
+    """The spectral system of the raw ``size``-point window 0..size-1 of a
+    semi-infinite chain.  The library serves these chains only on certified
+    windows; the Gram, sweep and Jordan-Wigner cases need small ones, which
+    carry no certificate and are built here from the library's own matrix
+    builder and stationary row."""
+    spec = recipe.stationary_spec(None)
+    kernel = ConvolutionKernel(
+        markov._build_matrix(recipe, size), measure_vector(spec, size), recipe, LatticeSpec(size)
+    )
+    return analytic_eigensystem(recipe, kernel=kernel)
 
 
 def basis_polynomials(spec, npoints=None):

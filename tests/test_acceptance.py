@@ -49,6 +49,7 @@ from conftest import (
     HAHN2_DUAL_GRID,
     TRUNCATED_GRID,
     limit_distances,
+    window_system,
 )
 
 
@@ -206,13 +207,14 @@ def test_criterion_06_many_body_oracle():
     for fam, t, params in _MANY_BODY_RECIPES:
         recipe = ConvolutionRecipe(fam, t, params)
         for size in (4, 6):
-            sys_ = analytic_eigensystem(recipe, N=size - 1)
             if recipe.is_finite:
+                sys_ = analytic_eigensystem(recipe, N=size - 1)
                 # closed-form kappa(n) are the exact levels
                 levels = sys_.kappas
             else:
-                # a window of the semi-infinite chain is its own quadratic
+                # a raw window of the semi-infinite chain is its own quadratic
                 # model; its single-particle levels come from the window
+                sys_ = window_system(recipe, size)
                 levels = np.linalg.eigvalsh(sys_.hamiltonian)
             mb = many_body_energies(levels)
             jw = jordan_wigner_spectrum(sys_.hamiltonian)

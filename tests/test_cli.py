@@ -84,9 +84,11 @@ class TestRecipeParsing:
             parse_recipe("wat type=i a=0.3 b=0.5")
 
     def test_finite_needs_n_semi_infinite_rejects_it(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="krawtchouk needs a lattice size N"):
             parse_recipe("krawtchouk type=i a=0.3 b=0.5")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="krawtchouk needs a lattice size N >= 0, got -1"):
+            parse_recipe("krawtchouk type=i a=0.3 b=0.5 N=-1")
+        with pytest.raises(DomainError, match="charlier .*takes --eps, not N"):
             parse_recipe("charlier type=i a=0.4 b=0.8 N=7")
 
 

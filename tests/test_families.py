@@ -332,6 +332,8 @@ class TestLambda3Maps:
         spec = recipe.stationary_spec(N)
         assert spec == FamilySpec(Family.HAHN, (3.0, 3.0), N=20)
         assert F.measure_vector(spec).sum() == pytest.approx(1.0, rel=1e-13)
+        with pytest.raises(DomainError, match="hahn needs a lattice size N >= 0, got None"):
+            recipe.stationary_spec(None)
 
 
 # values on both sides of every boundary (0 and 1) of the recipe ranges; the

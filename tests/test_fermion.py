@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import FINITE_GRID, TRUNCATED_GRID
+from conftest import FINITE_GRID, TRUNCATED_GRID, window_system
 from oracles import (
     jordan_wigner_ground_state,
     jordan_wigner_hamiltonian,
@@ -26,7 +26,11 @@ from askeychain.spectral import analytic_eigensystem
 
 
 def _system(family, conv_type, params, N):
-    return analytic_eigensystem(ConvolutionRecipe(family, conv_type, params), N=N)
+    """The system on {0..N}: the finite lattice, or the raw N+1-point window."""
+    recipe = ConvolutionRecipe(family, conv_type, params)
+    if recipe.is_finite:
+        return analytic_eigensystem(recipe, N=N)
+    return window_system(recipe, N + 1)
 
 
 def _lowest_filling(sys_, m):
@@ -34,7 +38,7 @@ def _lowest_filling(sys_, m):
     return FreeFermionModel(sys_, filled_modes=frozenset(int(n) for n in order[:m]))
 
 
-# every pinned recipe on a 30-site lattice (an explicit window when truncated)
+# every pinned recipe on a 30-site lattice (a raw window when truncated)
 GRAM_SIZE = 30
 GRAM_RECIPES = [
     pytest.param(fam, t, params, id=f"{fam.value}-{t.value}-{params}")
@@ -116,7 +120,7 @@ class TestJordanWignerOracle:
         for (fam, t), plist in {**FINITE_GRID, **TRUNCATED_GRID}.items():
             recipe = ConvolutionRecipe(fam, t, plist[0])
             for size in (4, 6):
-                sys_ = analytic_eigensystem(recipe, N=size - 1)
+                sys_ = _system(fam, t, plist[0], size - 1)
                 levels = (
                     sys_.kappas if recipe.is_finite
                     else np.linalg.eigvalsh(sys_.hamiltonian)

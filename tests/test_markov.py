@@ -135,7 +135,7 @@ class TestVectorizedAgainstReference:
         fam, t = combo
         params = TRUNCATED_GRID[combo][0]
         r = ConvolutionRecipe(fam, t, params)
-        k = build_kernel(r, N=12).matrix  # explicit small window
+        k = markov._build_matrix(r, 13)  # raw small window
         for x in range(0, 13, 3):
             for y in range(0, 13, 3):
                 want = kernel_entry(r, x, y, N=12 if t is not ConvType.III else None)
@@ -231,6 +231,23 @@ class TestTruncation:
         for eps in (2e-11, 1e-10, 1e-6, 1e-3, 0.0, -1e-12, math.nan):
             with pytest.raises(DomainError, match=r"tail_eps must lie in \(0, 1e-11\]"):
                 build_kernel(r, tail_eps=eps)
+
+    @pytest.mark.parametrize("combo", list(TRUNCATED_GRID))
+    def test_explicit_n_refused_before_any_build(self, monkeypatch, combo):
+        # a semi-infinite chain is served only on its certified window, so
+        # an explicit N is refused up front instead of building a window
+        # whose certificate it does not meet
+        def refuse(*args):
+            raise AssertionError("matrix built for a refused N")
+
+        monkeypatch.setattr(markov, "_build_matrix", refuse)
+        r = ConvolutionRecipe(*combo, TRUNCATED_GRID[combo][0])
+        with pytest.raises(DomainError, match="takes --eps, not N"):
+            build_kernel(r, N=10)
+        with pytest.raises(DomainError, match="takes --eps, not N"):
+            analytic_eigensystem(r, N=10)
+        with pytest.raises(DomainError, match="takes --eps, not N"):
+            r.stationary_spec(10)
 
     def test_eps_bound_is_the_growth_target_of_the_tolerance(self):
         tol = markov.TRUNCATED_KERNEL_TOL

@@ -22,7 +22,7 @@ from askeychain.spectral import (
     verification_report,
 )
 
-from conftest import FINITE_GRID, TRUNCATED_GRID, basis_polynomials, grid_recipes
+from conftest import FINITE_GRID, TRUNCATED_GRID, basis_polynomials, grid_recipes, window_system
 from oracles import left_eigen_residual, right_eigen_residual
 
 
@@ -248,3 +248,14 @@ class TestTruncatedSystems:
         r = ConvolutionRecipe(fam, t, TRUNCATED_GRID[combo][0])
         sys_ = analytic_eigensystem(r, kernel=kernel_cache(r, None))
         assert spectrum_comparison(sys_) <= 1e-8
+
+    def test_no_reliable_mode_fails_both_eigenvector_lines(self):
+        # the raw 11-point Charlier window resolves no mode (mode 0 spills
+        # 1.8e-7); the report must fail both lines, not raise or pass empty
+        r = ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.4, 0.8))
+        sys_ = window_system(r, 11)
+        assert np.min(sys_.mode_norm_defects()) > 1e-10
+        checks = {c.name: c for c in verification_report(sys_)}
+        for name in ("eigenvector-residual", "orthonormality"):
+            assert checks[name].measured == np.inf
+            assert not checks[name].passed
