@@ -2,11 +2,7 @@
 orthogonal polynomial measures, the positive Hamiltonians they induce, and
 free lattice fermions built on top."""
 
-from .errors import (
-    ContractViolation,
-    DomainError,
-    UnsupportedCombination,
-)
+from .errors import DomainError
 from .families import (
     ConvolutionRecipe,
     ConvType,
@@ -28,7 +24,6 @@ from .fermion import (
 from .markov import (
     ConvolutionKernel,
     KernelReport,
-    LatticeSpec,
     build_kernel,
     verify_kernel,
 )
@@ -42,7 +37,6 @@ from .spectral import (
 
 __all__ = [
     "CheckResult",
-    "ContractViolation",
     "ConvType",
     "ConvolutionKernel",
     "ConvolutionRecipe",
@@ -52,9 +46,7 @@ __all__ = [
     "FamilySpec",
     "FreeFermionModel",
     "KernelReport",
-    "LatticeSpec",
     "SpectralSystem",
-    "UnsupportedCombination",
     "analytic_eigensystem",
     "block_entropy",
     "build_kernel",

@@ -33,8 +33,8 @@ import math
 import sys
 from typing import Callable
 
-from . import export
-from .errors import DomainError, UnsupportedCombination
+from . import export, markov
+from .errors import DomainError
 from .families import ConvolutionRecipe, parse_recipe
 from .fermion import FreeFermionModel, block_entropy, correlation_matrix, entropy_profile
 from .markov import build_kernel, verify_kernel
@@ -129,10 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--eps", type=float, default=None,
-                       help="tail mass bound in (0, 1e-11] for truncated semi-infinite "
-                            "lattices (default 1e-12)")
+                       help=f"tail mass bound in (0, {markov.MAX_TAIL_EPS:g}] for truncated "
+                            f"semi-infinite lattices (default {markov.DEFAULT_TAIL_EPS:g})")
         p.add_argument("--tol", type=float, default=None,
-                       help="kernel tolerance override (default 1e-12 finite, 1e-10 truncated)")
+                       help=f"kernel tolerance override (default {markov.FINITE_KERNEL_TOL:g} "
+                            f"finite, {markov.TRUNCATED_KERNEL_TOL:g} truncated)")
         if name in ("correlation", "entropy"):
             p.add_argument("--mu", type=float, default=0.0,
                            help="chemical potential; fills modes with kappa(n) < mu")
@@ -168,7 +169,7 @@ def _run(args, recipe: ConvolutionRecipe, N: int | None) -> tuple[str, bool]:
     if args.format == "csv":
         return text_of(fields), passed
     payload = {"recipe": recipe.to_string(N), "stationary": recipe.stationary_spec(N).to_string(),
-               "lattice": kernel.lattice.to_dict(), **fields}
+               "lattice": kernel.lattice_dict(), **fields}
     return export.envelope_json(payload), passed
 
 
@@ -181,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         recipe, N = parse_recipe(args.recipe)
         text, passed = _run(args, recipe, N)
         _emit(args.out, text)
-    except (DomainError, UnsupportedCombination) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     return 0 if passed else _TOLERANCE_ERROR

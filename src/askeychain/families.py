@@ -44,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedCombination
+from .errors import DomainError
 
 
 class Family(str, Enum):
@@ -486,15 +486,14 @@ def _convolution(
 
     A recipe is valid exactly when its two factor measures are, so the
     factors are built first: that is the range check, and no lambda3
-    arithmetic runs on an invalid recipe.  Raises UnsupportedCombination
-    for pairs that do not exist and DomainError, naming the recipe, for
-    out-of-range inputs.
+    arithmetic runs on an invalid recipe.  Raises DomainError for pairs that
+    do not exist and, naming the recipe, for out-of-range inputs.
     """
     f, t = family, conv_type
     if f is Family.CHARLIER and t is ConvType.II:
-        raise UnsupportedCombination("charlier kernels are constructed only for types i and iii")
+        raise DomainError("charlier kernels are constructed only for types i and iii")
     if f is Family.Q_HAHN and t is ConvType.II:
-        raise UnsupportedCombination("the type ii convolution does not exist for q-hahn")
+        raise DomainError("the type ii convolution does not exist for q-hahn")
 
     def factor(fam: Family, p: tuple[float, ...]) -> MeasureFactor:
         try:

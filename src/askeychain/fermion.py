@@ -73,10 +73,6 @@ class FreeFermionModel:
         if bad:
             raise DomainError(f"filled modes {bad} outside 0..{self.spectral.size - 1}")
 
-    @property
-    def size(self) -> int:
-        return self.spectral.size
-
 
 @dataclass(frozen=True)
 class CorrelationMatrix:

@@ -52,43 +52,34 @@ from .families import (
 
 
 @dataclass(frozen=True)
-class LatticeSpec:
-    """Retained lattice window: {0..N} exactly, or a certified truncation.
+class ConvolutionKernel:
+    """Dense column-stochastic kernel with its stationary distribution on the
+    lattice points 0..size-1: all of {0..N}, or a certified truncation.
 
     Finiteness is the recipe's (``ConvolutionRecipe.is_finite``); a truncated
     window carries its certificate: ``tail_bound`` bounds sum_{x>M} pi(x) for
     ``tail_eps`` (ratio bound, not summation), and ``col_deficiency`` records
     the worst column-sum deficit actually measured when the window was fixed.
+    All three are None on finite lattices.
     """
 
-    npoints: int
+    matrix: np.ndarray
+    pi: np.ndarray
+    recipe: ConvolutionRecipe
     tail_eps: float | None = None
     tail_bound: float | None = None
     col_deficiency: float | None = None
 
     @property
-    def N(self) -> int:
-        return self.npoints - 1
-
-    def to_dict(self) -> dict:
-        if self.tail_eps is None:
-            return {"kind": "finite", "npoints": self.npoints}
-        return {"kind": "truncated", "npoints": self.npoints, "tail_eps": self.tail_eps,
-                "tail_bound": self.tail_bound, "col_deficiency": self.col_deficiency}
-
-
-@dataclass(frozen=True)
-class ConvolutionKernel:
-    """Dense column-stochastic kernel with its stationary distribution."""
-
-    matrix: np.ndarray
-    pi: np.ndarray
-    recipe: ConvolutionRecipe
-    lattice: LatticeSpec
-
-    @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+    def lattice_dict(self) -> dict:
+        """The envelope's ``lattice`` field; the kind is read off ``tail_eps``."""
+        if self.tail_eps is None:
+            return {"kind": "finite", "npoints": self.size}
+        return {"kind": "truncated", "npoints": self.size, "tail_eps": self.tail_eps,
+                "tail_bound": self.tail_bound, "col_deficiency": self.col_deficiency}
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +193,7 @@ def build_kernel(
     certified stationary-tail cutoff for ``tail_eps`` (default 1e-12) and is
     enlarged until the worst column-sum deficit is at most
     COL_TARGET_FACTOR * tail_eps or the window holds MAX_WINDOW_POINTS
-    points; the achieved deficit is recorded on the lattice spec.
+    points; the achieved deficit is recorded on the kernel.
     ``tail_eps`` must lie in (0, MAX_TAIL_EPS] = (0, 1e-11], where that
     growth target still meets the truncated kernel tolerance.  The lattice
     size rule is ``FamilySpec``'s: an N on a semi-infinite recipe, or none on
@@ -220,7 +211,7 @@ def build_kernel(
             lattice = f"{recipe.family.value} lattice of {N + 1} points"
             raise DomainError(f"{lattice} exceeds the {MAX_WINDOW_POINTS}-point cap")
         matrix = _build_matrix(recipe, N + 1)
-        return ConvolutionKernel(matrix, measure_vector(spec), recipe, LatticeSpec(N + 1))
+        return ConvolutionKernel(matrix, measure_vector(spec), recipe)
     tail_eps = DEFAULT_TAIL_EPS if tail_eps is None else tail_eps
     if not 0.0 < tail_eps <= MAX_TAIL_EPS:
         raise DomainError(f"tail_eps must lie in (0, {MAX_TAIL_EPS:g}], got {tail_eps}")
@@ -239,13 +230,14 @@ def build_kernel(
         if nxt == M:
             break
         M = nxt
-    lattice = LatticeSpec(
-        M + 1,
+    return ConvolutionKernel(
+        matrix,
+        np.exp(log_pi[: M + 1]),
+        recipe,
         tail_eps=tail_eps,
         tail_bound=float(bounds[M]),
         col_deficiency=deficiency,
     )
-    return ConvolutionKernel(matrix, np.exp(log_pi[: M + 1]), recipe, lattice)
 
 
 # ---------------------------------------------------------------------------

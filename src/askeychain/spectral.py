@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError
+from .errors import DomainError
 from .families import ConvolutionRecipe, kappa_vector, orthonormal_columns, spectral_gap
 from .markov import (
     ConvolutionKernel,
@@ -90,19 +90,19 @@ def analytic_eigensystem(
 ) -> SpectralSystem:
     """Build H, kappa(n) and the orthonormal eigenvector matrix for a recipe,
     from ``kernel`` when given (it must have been built from ``recipe``, and
-    its lattice fixes the size, so ``N`` is refused with it), else from
+    its size fixes the lattice, so ``N`` is refused with it), else from
     ``build_kernel(recipe, N)``."""
     if kernel is None:
         kernel = build_kernel(recipe, N=N)
     elif kernel.recipe != recipe:
-        raise ContractViolation(
+        raise ValueError(
             f"kernel of {kernel.recipe.to_string()!r} given for {recipe.to_string()!r}"
         )
     elif N is not None:
-        raise ContractViolation(f"N={N} given with a {kernel.size}-point kernel")
+        raise ValueError(f"N={N} given with a {kernel.size}-point kernel")
     h, asym = _hamiltonian(kernel)
     size = kernel.size
-    spec = recipe.stationary_spec(kernel.lattice.N if recipe.is_finite else None)
+    spec = recipe.stationary_spec(size - 1 if recipe.is_finite else None)
     phi = orthonormal_columns(spec, npoints=size)
     kap = kappa_vector(recipe, size - 1)
     return SpectralSystem(
@@ -199,7 +199,7 @@ def verification_report(
     if modes.size:
         res = float(np.max(eigen_residuals(system)[modes]))
         ortho = orthonormality_defect(system.phi[:, modes])
-    checks.append(_check("eigenvector-residual", res, 1e-9 * (1.0 + kernel.lattice.N / 50.0)))
+    checks.append(_check("eigenvector-residual", res, 1e-9 * (1.0 + (kernel.size - 1) / 50.0)))
     checks.append(_check("orthonormality", ortho, 1e-9))
     if kernel.recipe.is_finite:
         checks.append(_check("completeness", completeness_defect(system.phi), 1e-9))

@@ -29,7 +29,7 @@ from askeychain import (
     measure_vector,
     orthonormal_columns,
 )
-from askeychain.markov import ConvolutionKernel, LatticeSpec
+from askeychain.markov import ConvolutionKernel
 
 # (family, conv_type) -> list of parameter tuples; 13 exposed combinations
 # (meixner type ii is the alias of type i and is exercised through it)
@@ -94,9 +94,8 @@ def window_system(recipe, size):
     carry no certificate and are built here from the library's own matrix
     builder and stationary row."""
     spec = recipe.stationary_spec(None)
-    kernel = ConvolutionKernel(
-        markov._build_matrix(recipe, size), measure_vector(spec, size), recipe, LatticeSpec(size)
-    )
+    matrix = markov._build_matrix(recipe, size)
+    kernel = ConvolutionKernel(matrix, measure_vector(spec, size), recipe)
     return analytic_eigensystem(recipe, kernel=kernel)
 
 

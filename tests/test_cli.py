@@ -103,11 +103,25 @@ class TestKernelCommand:
         np.testing.assert_allclose(mat.sum(axis=0), 1.0, atol=1e-12)
 
     def test_unsupported_combination_exits_2(self, tmp_path, capsys):
-        code, _ = run(
-            tmp_path, "kernel", "--recipe", "qhahn type=ii a=0.3 b=0.5 c=0.4 q=0.5 N=5"
-        )
-        assert code == 2
-        assert "type ii convolution does not exist" in capsys.readouterr().err
+        for recipe, message in [
+            ("qhahn type=ii a=0.3 b=0.5 c=0.4 q=0.5 N=5", "type ii convolution does not exist"),
+            ("charlier type=ii a=0.5 b=1.0", "charlier kernels are constructed only for types i "),
+        ]:
+            code, _ = run(tmp_path, "kernel", "--recipe", recipe)
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "out.dat").exists()
+
+    def test_library_misuse_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        # only a DomainError is a refusal (exit 2); any other ValueError is a
+        # fault in the program and must stay a traceback
+        def misuse(recipe, kernel):
+            raise ValueError("a library precondition does not hold")
+
+        monkeypatch.setattr("askeychain.cli.analytic_eigensystem", misuse)
+        with pytest.raises(ValueError, match="a library precondition does not hold"):
+            run(tmp_path, "spectrum", "--recipe", "krawtchouk type=ii a=0.2 b=0.6 N=6")
+        assert not (tmp_path / "out.dat").exists()
 
     def test_truncated_kernel_with_certified_tail(self, tmp_path):
         code, text = run(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from askeychain import families as F
-from askeychain.errors import DomainError, UnsupportedCombination
+from askeychain.errors import DomainError
 from askeychain.families import ConvolutionRecipe, ConvType, Family, FamilySpec, MeasureFactor
 
 import oracles
@@ -306,11 +306,11 @@ class TestLambda3Maps:
             assert ConvolutionRecipe(Family.HAHN, t, (1.0, 2.0, 3.0)).lambda3.params == want
 
     def test_qhahn_type_ii_does_not_exist(self):
-        with pytest.raises(UnsupportedCombination):
+        with pytest.raises(DomainError, match="the type ii convolution does not exist for q-hahn"):
             ConvolutionRecipe(Family.Q_HAHN, ConvType.II, (0.3, 0.5, 0.4, 0.5))
 
     def test_charlier_type_ii_not_constructed(self):
-        with pytest.raises(UnsupportedCombination):
+        with pytest.raises(DomainError, match="charlier kernels are constructed only for types i "):
             ConvolutionRecipe(Family.CHARLIER, ConvType.II, (0.4, 0.8))
 
     def test_charlier_type_i_range(self):

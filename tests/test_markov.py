@@ -17,7 +17,6 @@ from askeychain.families import (
 )
 from askeychain.markov import (
     ConvolutionKernel,
-    LatticeSpec,
     build_kernel,
     eigenvalue_moduli_excess,
     perron_frobenius_residual,
@@ -260,24 +259,23 @@ class TestTruncation:
     def test_truncated_lattice_is_certified(self):
         r = ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.4, 0.8))
         kern = build_kernel(r, tail_eps=1e-12)
-        lat = kern.lattice
-        assert lat.tail_eps == 1e-12
-        assert lat.tail_bound <= 1e-12
-        assert lat.col_deficiency <= 1e-11
+        assert kern.tail_eps == 1e-12
+        assert kern.tail_bound <= 1e-12
+        assert kern.col_deficiency <= 1e-11
         assert np.max(np.abs(kern.matrix.sum(axis=0) - 1.0)) == pytest.approx(
-            lat.col_deficiency
+            kern.col_deficiency
         )
 
     def test_lattice_envelope_keeps_its_keys_and_values(self, kernel_cache):
         # the kind is read off the certificate; keys, order and values are
         # those the envelopes have always carried
         finite = kernel_cache(ConvolutionRecipe(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0)), 20)
-        assert list(finite.lattice.to_dict().items()) == [("kind", "finite"), ("npoints", 21)]
+        assert list(finite.lattice_dict().items()) == [("kind", "finite"), ("npoints", 21)]
         r = ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.4, 0.8))
         kern = kernel_cache(r, None)
         bounds = stationary_tail_bounds(r.stationary_spec(None))[1]
         deficiency = float(np.max(np.abs(kern.matrix.sum(axis=0) - 1.0)))
-        assert list(kern.lattice.to_dict().items()) == [
+        assert list(kern.lattice_dict().items()) == [
             ("kind", "truncated"), ("npoints", 41), ("tail_eps", 1e-12),
             ("tail_bound", float(bounds[40])), ("col_deficiency", deficiency),
         ]
@@ -292,11 +290,11 @@ class TestTruncation:
                 build_kernel(ConvolutionRecipe(*key), tail_eps=eps)
             return
         kern = kernel_cache(ConvolutionRecipe(*key), None, tail_eps=eps)
-        assert kern.lattice.npoints == WINDOW_POINTS[key][WINDOW_EPS.index(eps)]
-        assert kern.lattice.tail_bound <= eps
+        assert kern.size == WINDOW_POINTS[key][WINDOW_EPS.index(eps)]
+        assert kern.tail_bound <= eps
         # the window never starts below the first certified cutoff
         M0 = certified_cutoff(kern.recipe.stationary_spec(None), eps)
-        assert M0 + 1 <= kern.lattice.npoints
+        assert M0 + 1 <= kern.size
 
     @pytest.mark.parametrize("recipe", [r for r, N in grid_recipes() if N is None],
                              ids=ConvolutionRecipe.to_string)
@@ -339,8 +337,7 @@ class TestVerifyKernel:
 
     def test_identity_with_uniform_pi_passes(self):
         r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.5, 0.5))
-        lattice = LatticeSpec(4)
-        kern = ConvolutionKernel(np.eye(4), np.full(4, 0.25), r, lattice)
+        kern = ConvolutionKernel(np.eye(4), np.full(4, 0.25), r)
         rep = verify_kernel(kern)
         assert rep.passed
         assert rep.max_stochastic_violation == 0.0
@@ -353,7 +350,7 @@ class TestVerifyKernel:
         kern = build_kernel(r, N=5)
         bad = kern.matrix.copy()
         bad[2, 3] += 1e-6
-        rep = verify_kernel(ConvolutionKernel(bad, kern.pi, r, kern.lattice))
+        rep = verify_kernel(ConvolutionKernel(bad, kern.pi, r))
         assert not rep.passed
         assert rep.max_stochastic_violation == pytest.approx(1e-6, rel=1e-6)
 
@@ -462,7 +459,7 @@ class TestCertificates:
     def test_identity_kernel_fails_perron_frobenius_without_raising(self):
         # eigenvalue 1 of multiplicity 4: K - I + 1 1^T is singular
         r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.5, 0.5))
-        kern = ConvolutionKernel(np.eye(4), np.full(4, 0.25), r, LatticeSpec(4))
+        kern = ConvolutionKernel(np.eye(4), np.full(4, 0.25), r)
         checks = {c.name: c for c in verification_report(analytic_eigensystem(r, kernel=kern))}
         assert not checks["perron-frobenius-match"].passed
         assert checks["perron-frobenius-match"].measured == math.inf
