@@ -298,6 +298,7 @@ def recurrence_coefficients(spec: FamilySpec, nmax: int) -> tuple[np.ndarray, np
     else:
         a, b, q = p
         N = spec.N
+        q = np.float64(q)  # q^(-N) past the double range is inf, not an OverflowError
         qn = q**n
         with np.errstate(divide="ignore", invalid="ignore"):
             A = (
@@ -327,30 +328,27 @@ def site_values(spec: FamilySpec, npoints: int) -> np.ndarray:
     return -x
 
 
-_CLIP = 1e150  # keeps runaway recurrence branches finite (they are discarded)
-_VALID_BOUND = 1.0 + 1e-6  # orthonormal entries cannot exceed 1
-
-
-def _weighted_setup(spec: FamilySpec, npoints: int):
-    theta = site_values(spec, npoints)
-    half_log_pi = 0.5 * _log_pi(spec, npoints)
-    A, C = recurrence_coefficients(spec, npoints - 1)
-    b = np.sign(A[:-1]) * np.sqrt(A[:-1] * C[1:])
-    return theta, np.exp(half_log_pi), A, C, b
-
-
-def _upward_pass(theta, phi0, A, C, b, npoints):
-    u = np.empty((npoints, npoints))
-    u[:, 0] = phi0
-    if npoints == 1:
-        return u
-    with np.errstate(over="ignore", invalid="ignore"):
-        u[:, 1] = (theta + A[0] + C[0]) * u[:, 0] / b[0]
-        np.clip(u[:, 1], -_CLIP, _CLIP, out=u[:, 1])
-        for k in range(1, npoints - 1):
-            u[:, k + 1] = ((theta + A[k] + C[k]) * u[:, k] - b[k - 1] * u[:, k - 1]) / b[k]
-            np.clip(u[:, k + 1], -_CLIP, _CLIP, out=u[:, k + 1])
-    return u
+def _recurrence(theta, A, C, b, seed):
+    """Columns v_0..v_{S-1} of theta v_k = b_k v_{k+1} - (A_k + C_k) v_k +
+    b_{k-1} v_{k-1}, from v_0 = seed and v_{-1} = 0, as (values, log_scale):
+    v_k = values[:, k] exp(log_scale[:, k]).  A row is rescaled to 1 where
+    it passes 1e100, so no row leaves the double range on the way up."""
+    S = len(theta)
+    values, log_scale = np.empty((S, S)), np.zeros((S, S))
+    values[:, 0] = seed
+    cur, prev, lrow = values[:, 0].copy(), np.zeros(S), np.zeros(S)
+    for k in range(S - 1):
+        nxt = ((theta + A[k] + C[k]) * cur - (b[k - 1] if k else 0.0) * prev) / b[k]
+        prev, cur = cur, nxt
+        big = np.flatnonzero(np.abs(cur) > 1e100)
+        if big.size:
+            f = np.abs(cur[big])
+            cur[big] /= f
+            prev[big] /= f
+            lrow[big] += np.log(f)
+        values[:, k + 1] = cur
+        log_scale[:, k + 1] = lrow
+    return values, log_scale
 
 
 def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndarray:
@@ -367,73 +365,66 @@ def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndar
 
     * finite families terminate exactly at the top (A_N = 0), so each row
       is built from an upward pass anchored at phi_0 = sqrt(pi) and a
-      downward pass anchored at the top, spliced where the log-ratio of
-      the two passes is flattest (their mutual trust zone);
+      downward pass anchored at the top (``_recurrence`` on the reversed
+      coefficients), spliced by ``_splice``;
     * Charlier and Meixner are self-dual with d_n^2 pi(x) symmetric in
       (n, x), so the matrix itself is symmetric: the upward pass fills the
       stable wedge n <= x and the rest is its mirror image.
+
+    A basis with an entry outside the double range (the q-Hahn
+    coefficients overflow once q^(-N) does) is refused with a DomainError.
     """
     if npoints is None:
         npoints = spec.size
     if spec.is_finite and npoints != spec.size:
         raise DomainError("finite-family basis must use the full lattice")
-    theta, phi0, A, C, b = _weighted_setup(spec, npoints)
-    u = _upward_pass(theta, phi0, A, C, b, npoints)
-    if npoints == 1:
-        return u
-    if not spec.is_finite:
-        # symmetric matrix: keep the wedge n <= x, mirror the rest
-        return np.where(
-            np.arange(npoints)[:, None] >= np.arange(npoints)[None, :], u, u.T
-        )
-    if npoints <= 3:
-        return u
-    # downward pass, exactly seeded by the vanishing top coefficient A_N;
-    # the true values can span far more than the double range (q-Hahn
-    # corners decay like q^(n x)), so each row carries a running log scale
-    S = npoints
-    wst = np.empty((S, S))
-    lg = np.empty((S, S))
-    cur = np.ones(S)
-    prev = np.zeros(S)
-    lrow = np.zeros(S)
-    wst[:, S - 1] = cur
-    lg[:, S - 1] = lrow
-    for k in range(S - 1, 0, -1):
-        nxt = ((theta + A[k] + C[k]) * cur - (b[k] if k < S - 1 else 0.0) * prev) / b[k - 1]
-        prev, cur = cur, nxt
-        mag = np.abs(cur)
-        f = np.where(mag > 1e100, mag, 1.0)
-        cur = cur / f
-        prev = prev / f
-        lrow = lrow + np.log(f)
-        wst[:, k - 1] = cur
-        lg[:, k - 1] = lrow
-    # match each row where the two passes agree best: the log of |u/w| is
-    # flat exactly on the overlap of their trust zones (the upward
-    # parasite drifts it past the envelope peak, the downward one before
-    # it).  Magnitudes are pooled over adjacent index pairs because a
-    # tridiagonal eigenvector may vanish at isolated indices (it cannot at
-    # two consecutive ones), e.g. by parity on symmetric measures.
-    rows = np.arange(S)
-    cols = np.arange(S)[None, :]
+    with np.errstate(all="ignore"):
+        theta = site_values(spec, npoints)
+        A, C = recurrence_coefficients(spec, npoints - 1)
+        b = np.sign(A[:-1]) * np.sqrt(A[:-1] * C[1:])
+        u, lgu = _recurrence(theta, A, C, b, np.exp(0.5 * _log_pi(spec, npoints)))
+        # true magnitudes for the splice's validity test; lgu is 0 before it fails
+        u *= np.exp(lgu, out=lgu)
+        del lgu
+        if not spec.is_finite:
+            # symmetric matrix: keep the wedge n <= x, mirror the rest
+            phi = np.where(np.tri(npoints, dtype=bool), u, u.T)
+        elif npoints <= 3:
+            phi = u
+        else:
+            # downward pass, exactly seeded by the vanishing top coefficient A_N
+            w, lgw = _recurrence(theta, A[::-1], C[::-1], b[::-1], 1.0)
+            phi = _splice(u, w[:, ::-1], lgw[:, ::-1])
+    if not np.isfinite(phi).all():
+        raise DomainError(f"the {spec.to_string()} basis leaves the double range")
+    return phi
+
+
+def _splice(u: np.ndarray, wst: np.ndarray, lg: np.ndarray) -> np.ndarray:
+    """Each row of the upward pass ``u`` up to the column m where it agrees
+    best with the downward pass ``wst * exp(lg)``, and that pass past m.
+
+    The log of |u/w| is flat exactly on the overlap of the two trust zones
+    (the upward parasite drifts it past the envelope peak, the downward one
+    before it).  Magnitudes are pooled over adjacent index pairs because a
+    tridiagonal eigenvector may vanish at isolated indices (it cannot at
+    two consecutive ones), e.g. by parity on symmetric measures.
+    """
+    S = len(u)
+    rows, cols = np.arange(S), np.arange(S)[None, :]
     absu = np.abs(u)
-    invalid = absu > _VALID_BOUND
+    invalid = absu > 1.0 + 1e-6  # orthonormal entries cannot exceed 1
     first_bad = np.where(invalid.any(axis=1), invalid.argmax(axis=1), S)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lu = np.log(absu)
-        lw = np.log(np.abs(wst)) + lg
-        lratio = np.maximum(lu[:, :-1], lu[:, 1:]) - np.maximum(lw[:, :-1], lw[:, 1:])
+    lu = np.log(absu)
+    lw = np.log(np.abs(wst)) + lg
+    lratio = np.maximum(lu[:, :-1], lu[:, 1:]) - np.maximum(lw[:, :-1], lw[:, 1:])
     dl = np.abs(np.diff(lratio, axis=1))
     step_cost = np.where(np.isfinite(dl), dl, np.inf)
     cost = step_cost[:, :-1] + step_cost[:, 1:]  # column j scores pair (j+1, j+2)
     cost = np.where(cols[:, 1 : S - 2] + 2 < first_bad[:, None], cost, np.inf)
-    pair = np.where(
-        np.isfinite(cost).any(axis=1),
-        cost.argmin(axis=1) + 1,
-        # degenerate fallback (tiny matrices): peak of the valid prefix
-        np.where(cols < first_bad[:, None], absu, -1.0).argmax(axis=1),
-    )
+    # degenerate fallback (tiny matrices): the peak of the valid prefix
+    fallback = np.where(cols < first_bad[:, None], absu, -1.0).argmax(axis=1)
+    pair = np.where(np.isfinite(cost).any(axis=1), cost.argmin(axis=1) + 1, fallback)
     # splice at whichever pair member carries the larger entry
     pair1 = np.clip(pair + 1, 0, S - 1)
     m = np.where(absu[rows, pair] >= absu[rows, pair1], pair, pair1)

@@ -75,8 +75,8 @@ class ConvolutionKernel:
         return self.matrix.shape[0]
 
     def lattice_dict(self) -> dict:
-        """The envelope's ``lattice`` field; the kind is read off ``tail_eps``."""
-        if self.tail_eps is None:
+        """The envelope's ``lattice`` field; the kind is the recipe's."""
+        if self.recipe.is_finite:
             return {"kind": "finite", "npoints": self.size}
         return {"kind": "truncated", "npoints": self.size, "tail_eps": self.tail_eps,
                 "tail_bound": self.tail_bound, "col_deficiency": self.col_deficiency}

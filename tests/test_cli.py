@@ -189,6 +189,19 @@ class TestKernelCommand:
         assert text == ""
         assert "exceeds the 2000-point cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eigvecs", "verify"])
+    @pytest.mark.parametrize("recipe", [
+        "qhahn type=iii a=0.5 b=0.5 c=0.95 q=0.1 N=400",  # q^(-N) overflows
+        "qhahn type=iii a=0.5 b=0.5 c=0.95 q=0.1 N=300",  # A_n C_{n+1} overflows
+        "qhahn type=iii a=0.3 b=0.5 c=0.4 q=0.5 N=600",
+    ])
+    def test_basis_outside_double_range_exits_2(self, tmp_path, capsys, command, recipe):
+        code, text = run(tmp_path, command, "--recipe", recipe)
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("basis leaves the double range\n")
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "k.csv"
         code = main(["kernel", "--recipe", "krawtchouk type=i a=0.3 b=0.5 N=5", "--out", str(out)])

@@ -259,26 +259,62 @@ class TestNormConstants:
             assert d2[n + 1] / d2[n] == pytest.approx(A[n] / C[n + 1], rel=1e-11)
 
 
+#: the finite sample specs, then the smallest lattices, on which the
+#: recurrence takes zero to three steps
+BASIS_SPECS = [s for s in SAMPLE_SPECS if s.is_finite] + [
+    FamilySpec(family, params, N=N)
+    for family, params in [
+        (Family.KRAWTCHOUK, (0.3,)), (Family.HAHN, (0.4, 0.4)), (Family.Q_HAHN, (0.5, -0.4, 0.7)),
+    ]
+    for N in range(4)
+]
+
+
+def assert_direct_assembly(spec, npoints=None):
+    # phi_n = d_n sqrt(pi) P_n with d_n and pi from the closed forms
+    phi = F.orthonormal_columns(spec, npoints)
+    size = phi.shape[0]
+    P, _ = basis_polynomials(spec, npoints)
+    fam = spec.family.value
+    pi = np.array([oracles.measure_direct(fam, spec.params, x, N=spec.N) for x in range(size)])
+    for n in range(size):
+        d_n = math.sqrt(oracles.norm_sq_direct(fam, spec.params, n, N=spec.N))
+        direct = d_n * np.sqrt(pi) * P[:, n]
+        np.testing.assert_allclose(phi[:, n], direct, rtol=5e-9, atol=1e-13)
+
+
 class TestOrthonormalColumns:
-    @pytest.mark.parametrize("spec", [s for s in SAMPLE_SPECS if s.is_finite])
+    @pytest.mark.parametrize("spec", BASIS_SPECS)
     def test_orthonormal_and_complete(self, spec):
         phi = F.orthonormal_columns(spec)
         eye = np.eye(spec.size)
         assert np.max(np.abs(phi.T @ phi - eye)) <= 1e-12
         assert np.max(np.abs(phi @ phi.T - eye)) <= 1e-12
 
-    @pytest.mark.parametrize("spec", [s for s in SAMPLE_SPECS if s.is_finite])
+    @pytest.mark.parametrize("spec", BASIS_SPECS)
     def test_matches_direct_assembly(self, spec):
-        # phi_n = d_n sqrt(pi) P_n with d_n and pi from the closed forms
-        phi = F.orthonormal_columns(spec)
-        P, _ = basis_polynomials(spec)
-        fam = spec.family.value
-        pi = np.array([oracles.measure_direct(fam, spec.params, x, N=spec.N)
-                       for x in range(spec.size)])
-        for n in range(spec.size):
-            d_n = math.sqrt(oracles.norm_sq_direct(fam, spec.params, n, N=spec.N))
-            direct = d_n * np.sqrt(pi) * P[:, n]
-            np.testing.assert_allclose(phi[:, n], direct, rtol=5e-9, atol=1e-13)
+        assert_direct_assembly(spec)
+
+    @pytest.mark.parametrize("npoints", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "spec", [FamilySpec(Family.CHARLIER, (1.3,)), FamilySpec(Family.MEIXNER, (1.5, 0.4))]
+    )
+    def test_short_windows(self, spec, npoints):
+        # a window spills, so it is no orthonormal basis; it is the leading
+        # block of a longer window's, and assembles directly as that one does
+        phi = F.orthonormal_columns(spec, npoints)
+        np.testing.assert_allclose(
+            phi, F.orthonormal_columns(spec, 40)[:npoints, :npoints], rtol=1e-15, atol=0.0
+        )
+        assert_direct_assembly(spec, npoints)
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec(Family.Q_HAHN, (0.12, 0.3, 0.4), N=800),  # q^(-N) overflows
+        FamilySpec(Family.Q_HAHN, (0.3, 0.5, 0.5), N=800),  # A_n C_{n+1} overflows
+    ])
+    def test_basis_outside_double_range_is_refused(self, spec):
+        with pytest.raises(DomainError, match="basis leaves the double range"):
+            F.orthonormal_columns(spec)
 
     def test_first_column_is_sqrt_pi(self):
         spec = FamilySpec(Family.HAHN, (1.0, 2.0), N=9)

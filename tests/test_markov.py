@@ -267,8 +267,7 @@ class TestTruncation:
         )
 
     def test_lattice_envelope_keeps_its_keys_and_values(self, kernel_cache):
-        # the kind is read off the certificate; keys, order and values are
-        # those the envelopes have always carried
+        # keys, order and values are those the envelopes have always carried
         finite = kernel_cache(ConvolutionRecipe(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0)), 20)
         assert list(finite.lattice_dict().items()) == [("kind", "finite"), ("npoints", 21)]
         r = ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.4, 0.8))
@@ -279,6 +278,12 @@ class TestTruncation:
             ("kind", "truncated"), ("npoints", 41), ("tail_eps", 1e-12),
             ("tail_bound", float(bounds[40])), ("col_deficiency", deficiency),
         ]
+
+    def test_lattice_kind_is_the_recipes(self, kernel_cache):
+        # a semi-infinite window built without its certificate is still truncated
+        kern = kernel_cache(ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.4, 0.8)), None)
+        bare = ConvolutionKernel(kern.matrix, kern.pi, kern.recipe)
+        assert bare.lattice_dict()["kind"] == "truncated"
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-6, 1e-11],
                              ids=["0-1e-12", "1-1e-08", "2-1e-06", "3-1e-11"])
