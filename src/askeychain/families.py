@@ -4,11 +4,12 @@ Five families are implemented: Krawtchouk (K), Charlier (C), Hahn (H),
 Meixner (M) and q-Hahn (qH).  For each one this module provides the
 normalized orthogonality measure pi, the orthonormal functions
 phi_n(x) = d_n sqrt(pi(x)) P_n(x) (P_n the polynomials normalized to
-P_n(0) = 1, d_n^2 their squared norm constants), and the parameter maps
-lambda3 / eigenvalue formulas kappa(n) for the three convolution types
-that turn a pair of measures into a reversible Markov kernel.  The
-pipeline needs only phi, so P_n and d_n^2 are not offered on their own;
-the tests read them off the columns of phi.
+P_n(0) = 1, d_n^2 their squared norm constants), and one row of
+``_RECIPES`` per (family, convolution type): the pair of factor measures
+whose convolution is a reversible Markov kernel, its stationary measure
+lambda3 and its eigenvalues kappa(n).  The pipeline needs only phi, so
+P_n and d_n^2 are not offered on their own; the tests read them off the
+columns of phi.
 
 The basis is produced by the three-term recurrence in the degree, run on
 the weighted functions, not by summing the defining hypergeometric series:
@@ -41,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -470,66 +472,63 @@ class MeasureFactor:
         _check_params(self.family, self.params)
 
 
-def _convolution(
-    family: Family, conv_type: ConvType, params: tuple[float, ...]
-) -> tuple[MeasureFactor, MeasureFactor, MeasureFactor]:
-    """(lambda3, factor2, factor1) of a convolution recipe.
+_K, _C, _H, _M, _QH = (
+    Family.KRAWTCHOUK, Family.CHARLIER, Family.HAHN, Family.MEIXNER, Family.Q_HAHN)
 
-    A recipe is valid exactly when its two factor measures are, so the
-    factors are built first: that is the range check, and no lambda3
-    arithmetic runs on an invalid recipe.  Raises DomainError for pairs that
-    do not exist and, naming the recipe, for out-of-range inputs.
-    """
-    f, t = family, conv_type
-    if f is Family.CHARLIER and t is ConvType.II:
-        raise DomainError("charlier kernels are constructed only for types i and iii")
-    if f is Family.Q_HAHN and t is ConvType.II:
-        raise DomainError("the type ii convolution does not exist for q-hahn")
+#: (family, type) -> functions of the recipe parameters giving the
+#: ((family, params) of factor2, of factor1), the lambda3 parameters (lambda3
+#: is of the recipe's own family), and kappa(1..nmax) from n = 1..nmax and
+#: j = n - 1.  Meixner type ii is type i's row; the pairs with no row
+#: (``_NO_RECIPE``) do not exist.
+_RECIPES: dict[tuple[Family, ConvType], tuple[Callable, Callable, Callable]] = {
+    (_K, ConvType.I): (lambda a, b: ((_K, (b,)), (_K, (a,))),
+                       lambda a, b: (b / (1 - a + a * b),),
+                       lambda n, j, a, b: (a * (1 - b)) ** n),
+    (_K, ConvType.II): (lambda a, b: ((_K, (b,)), (_K, (a,))),
+                        lambda a, b: (b / (1 - a + b),),
+                        lambda n, j, a, b: (a - b) ** n),
+    (_K, ConvType.III): (lambda a, b: ((_K, (b,)), (_K, (a,))),
+                         lambda a, b: (a * b / (1 - b + a * b),),
+                         lambda n, j, a, b: ((1 - a) * b) ** n),
+    (_C, ConvType.I): (lambda a, b: ((_C, (b,)), (_K, (a,))),
+                       lambda a, b: (b / (1 - a),),
+                       lambda n, j, a, b: a ** n),
+    (_C, ConvType.III): (lambda a, b: ((_K, (b,)), (_C, (a,))),
+                         lambda a, b: (a * b / (1 - b),),
+                         lambda n, j, a, b: b ** n),
+    (_H, ConvType.I): (lambda a, b, c: ((_H, (b, c)), (_H, (a, b))),
+                       lambda a, b, c: (a + b, c),
+                       lambda n, j, a, b, c: np.cumprod(
+                           (a + j) * (c + j) / ((a + b + j) * (b + c + j)))),
+    (_H, ConvType.II): (lambda a, b, c: ((_H, (b, c)), (_H, (a, b))),
+                        lambda a, b, c: (a + b, b + c),
+                        lambda n, j, a, b, c: _hahn_type2_kappa_tail(a, b, c, len(n))),
+    (_H, ConvType.III): (lambda a, b, c: ((_H, (c, a)), (_H, (a, b))),
+                         lambda a, b, c: (c, a + b),
+                         lambda n, j, a, b, c: np.cumprod(
+                             (b + j) * (c + j) / ((a + b + j) * (a + c + j)))),
+    (_M, ConvType.I): (lambda a, b, c: ((_M, (b, c)), (_H, (a, b))),
+                       lambda a, b, c: (a + b, c),
+                       lambda n, j, a, b, c: np.cumprod((a + j) / ((a + b) + j))),
+    (_M, ConvType.III): (lambda a, b, c: ((_H, (c, a)), (_M, (a, b))),
+                         lambda a, b, c: (c, b),
+                         lambda n, j, a, b, c: np.cumprod((c + j) / ((a + c) + j))),
+    (_QH, ConvType.I): (lambda a, b, c, q: ((_QH, (b, c, q)), (_QH, (a, b, q))),
+                        lambda a, b, c, q: (a * b, c, q),
+                        lambda n, j, a, b, c, q: np.cumprod(
+                            b * (1 - a * q**j) * (1 - c * q**j)
+                            / ((1 - a * b * q**j) * (1 - b * c * q**j)))),
+    (_QH, ConvType.III): (lambda a, b, c, q: ((_QH, (c, a, q)), (_QH, (a, b, q))),
+                          lambda a, b, c, q: (c, a * b, q),
+                          lambda n, j, a, b, c, q: np.cumprod(
+                              a * (1 - b * q**j) * (1 - c * q**j)
+                              / ((1 - a * b * q**j) * (1 - a * c * q**j)))),
+}
 
-    def factor(fam: Family, p: tuple[float, ...]) -> MeasureFactor:
-        try:
-            return MeasureFactor(fam, p)
-        except DomainError as exc:
-            msg = f"{f.value} type {t.value} recipe {params} is out of range: {exc}"
-            raise DomainError(msg) from None
-
-    if f is Family.KRAWTCHOUK:
-        a, b = params
-        f2, f1 = factor(f, (b,)), factor(f, (a,))
-        if t is ConvType.I:
-            p = b / (1 - a + a * b)
-        elif t is ConvType.II:
-            p = b / (1 - a + b)
-        else:
-            p = a * b / (1 - b + a * b)
-        return factor(f, (p,)), f2, f1
-    if f is Family.CHARLIER:
-        a, b = params
-        if t is ConvType.I:
-            f2, f1 = factor(f, (b,)), factor(Family.KRAWTCHOUK, (a,))
-            return factor(f, (b / (1 - a),)), f2, f1
-        f2, f1 = factor(Family.KRAWTCHOUK, (b,)), factor(f, (a,))
-        return factor(f, (a * b / (1 - b),)), f2, f1
-    if f is Family.HAHN:
-        a, b, c = params
-        if t is ConvType.III:
-            f2, f1 = factor(f, (c, a)), factor(f, (a, b))
-            return factor(f, (c, a + b)), f2, f1
-        f2, f1 = factor(f, (b, c)), factor(f, (a, b))
-        return factor(f, (a + b, c) if t is ConvType.I else (a + b, b + c)), f2, f1
-    if f is Family.MEIXNER:
-        a, b, c = params
-        if t is ConvType.III:
-            f2, f1 = factor(Family.HAHN, (c, a)), factor(f, (a, b))
-            return factor(f, (c, b)), f2, f1
-        f2, f1 = factor(f, (b, c)), factor(Family.HAHN, (a, b))
-        return factor(f, (a + b, c)), f2, f1
-    a, b, c, q = params
-    if t is ConvType.III:
-        f2, f1 = factor(f, (c, a, q)), factor(f, (a, b, q))
-        return factor(f, (c, a * b, q)), f2, f1
-    f2, f1 = factor(f, (b, c, q)), factor(f, (a, b, q))
-    return factor(f, (a * b, c, q)), f2, f1
+_NO_RECIPE = {
+    _C: "charlier kernels are constructed only for types i and iii",
+    _QH: "the type ii convolution does not exist for q-hahn",
+}
 
 
 @dataclass(frozen=True)
@@ -551,16 +550,28 @@ class ConvolutionRecipe:
     factors: tuple[MeasureFactor, MeasureFactor] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = RECIPE_PARAM_NAMES[self.family]
-        if len(self.params) != len(names):
-            raise DomainError(
-                f"{self.family.value} recipes take parameters {names}, got {self.params}"
-            )
-        if self.family is Family.MEIXNER and self.conv_type is ConvType.II:
+        f, p = self.family, self.params
+        names = RECIPE_PARAM_NAMES[f]
+        if len(p) != len(names):
+            raise DomainError(f"{f.value} recipes take parameters {names}, got {p}")
+        if f is Family.MEIXNER and self.conv_type is ConvType.II:
             object.__setattr__(self, "conv_type", ConvType.I)
-        lam3, f2, f1 = _convolution(self.family, self.conv_type, self.params)
-        object.__setattr__(self, "lambda3", lam3)
-        object.__setattr__(self, "factors", (f2, f1))
+        t = self.conv_type
+        if (f, t) not in _RECIPES:
+            raise DomainError(_NO_RECIPE[f])
+        factors, lambda3, _ = _RECIPES[f, t]
+
+        def factor(fam: Family, fp: tuple[float, ...]) -> MeasureFactor:
+            try:
+                return MeasureFactor(fam, fp)
+            except DomainError as exc:
+                msg = f"{f.value} type {t.value} recipe {p} is out of range: {exc}"
+                raise DomainError(msg) from None
+
+        # the factors are the range check: no lambda3 arithmetic runs on an
+        # invalid recipe
+        object.__setattr__(self, "factors", tuple(factor(*fp) for fp in factors(*p)))
+        object.__setattr__(self, "lambda3", factor(f, lambda3(*p)))
 
     @property
     def is_finite(self) -> bool:
@@ -630,46 +641,12 @@ def kappa_vector(recipe: ConvolutionRecipe, nmax: int) -> np.ndarray:
     """Eigenvalues kappa(n), n = 0..nmax, of the convolution kernel.
 
     kappa(0) = 1 exactly; for every valid recipe all other moduli are < 1.
-    All closed forms are products of per-step factors and are accumulated
-    with cumprod; Hahn type ii has no product form and is summed as a
-    terminating 3F2 at unit argument.
+    The tail is the recipe's ``_RECIPES`` row: products of per-step factors
+    accumulated with cumprod, or for Hahn type ii, which has no product
+    form, a terminating 3F2 at unit argument.
     """
-    f, t, p = recipe.family, recipe.conv_type, recipe.params
     n = np.arange(1, nmax + 1, dtype=float)
-    if f is Family.KRAWTCHOUK:
-        a, b = p
-        base = {ConvType.I: a * (1 - b), ConvType.II: a - b, ConvType.III: (1 - a) * b}[t]
-        tail = base ** n
-    elif f is Family.CHARLIER:
-        a, b = p
-        tail = (a if t is ConvType.I else b) ** n
-    elif f is Family.HAHN:
-        a, b, c = p
-        j = n - 1.0
-        if t is ConvType.I:
-            tail = np.cumprod((a + j) * (c + j) / ((a + b + j) * (b + c + j)))
-        elif t is ConvType.III:
-            tail = np.cumprod((b + j) * (c + j) / ((a + b + j) * (a + c + j)))
-        else:
-            tail = _hahn_type2_kappa_tail(a, b, c, nmax)
-    elif f is Family.MEIXNER:
-        a, b, c = p
-        j = n - 1.0
-        if t is ConvType.III:
-            tail = np.cumprod((c + j) / ((a + c) + j))
-        else:
-            tail = np.cumprod((a + j) / ((a + b) + j))
-    else:
-        a, b, c, q = p
-        qj = q ** (n - 1.0)
-        if t is ConvType.I:
-            tail = np.cumprod(
-                b * (1 - a * qj) * (1 - c * qj) / ((1 - a * b * qj) * (1 - b * c * qj))
-            )
-        else:
-            tail = np.cumprod(
-                a * (1 - b * qj) * (1 - c * qj) / ((1 - a * b * qj) * (1 - a * c * qj))
-            )
+    tail = _RECIPES[recipe.family, recipe.conv_type][2](n, n - 1.0, *recipe.params)
     return np.concatenate(([1.0], tail))
 
 
@@ -684,13 +661,19 @@ def _hahn_type2_kappa_tail(a: float, b: float, c: float, nmax: int) -> np.ndarra
     which iterates with O(1) coefficients and stays at machine precision:
 
         b kappa(n) = A_n kappa(n+1) - (A_n + C_n) kappa(n) + C_n kappa(n-1).
+
+    At n = 0, with s = a + 2b + c, C_0 = 0 and the (s - 1) factors of A_0
+    cancel; they are cancelled by hand only where s = 1 makes them 0/0.
     """
     out = np.empty(nmax)
     km1, k0 = 0.0, 1.0
     for n in range(nmax):
         s = 2 * n + a + 2 * b + c
-        an = -(n + a + 2 * b + c - 1) * (n + a + b) * (n + b + c) / ((s - 1) * s)
-        cn = n * (n + a + b - 1) * (n + b + c - 1) / ((s - 2) * (s - 1))
+        if s == 1:
+            an = -(a + b) * (b + c) / s
+        else:
+            an = -(n + a + 2 * b + c - 1) * (n + a + b) * (n + b + c) / ((s - 1) * s)
+        cn = n * (n + a + b - 1) * (n + b + c - 1) / ((s - 2) * (s - 1)) if n else 0.0
         k1 = ((b + an + cn) * k0 - cn * km1) / an
         out[n] = k1
         km1, k0 = k0, k1

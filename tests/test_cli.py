@@ -21,6 +21,15 @@ from askeychain.errors import DomainError
 from askeychain.families import ConvType
 
 
+def bench_module(name):
+    """A module of bench/, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", Path(__file__).resolve().parents[1] / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out.dat"
     code = main(list(argv) + ["--out", str(out)])
@@ -284,6 +293,12 @@ class TestVerifyCommand:
 
     def test_verify_truncated_recipe(self, tmp_path):
         code, text = run(tmp_path, "verify", "--recipe", "charlier type=iii a=1.0 b=0.4")
+        assert code == 0, text
+        assert "ALL PASS" in text
+
+    def test_hahn_type_ii_with_cancelling_first_step(self, tmp_path):
+        # a + 2b + c = 2 makes the n = 0 step of the kappa recurrence 0/0
+        code, text = run(tmp_path, "verify", "--recipe", "hahn type=ii a=0.5 b=0.5 c=0.5 N=20")
         assert code == 0, text
         assert "ALL PASS" in text
 
@@ -617,10 +632,7 @@ class TestLibraryBoundary:
     def test_names_the_benchmark_binds_resolve(self):
         # bench/ wraps these (module, attribute) pairs and reads these fields;
         # without this test only the benchmark's own self-test sees a rename
-        spec = importlib.util.spec_from_file_location(
-            "bench_spans", Path(__file__).resolve().parents[1] / "bench" / "spans.py")
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = bench_module("spans")
         missing = [f"{module}.{attr}" for module, attr, _ in spans.SPAN_TARGETS
                    if not hasattr(importlib.import_module(module), attr)]
         assert not missing
@@ -634,6 +646,26 @@ class TestLibraryBoundary:
         report = ak.verify_kernel(system.kernel)
         for name in ("max_stochastic_violation", "max_reversibility_violation", "tol"):
             assert hasattr(report, name), name
+
+    def test_the_benchmarks_library_calls_run(self):
+        # the entropy workload's op and the export workload's references,
+        # run once: a library change that would fail a benchmark run fails here
+        ops, checks = bench_module("ops"), bench_module("checks")
+        for spec, fill_div in ((["hahn", "i", [1.0, 2.0, 3.0], 12], 2),
+                               (["charlier", "iii", [1.0, 0.4], None], 4)):
+            op = {"spec": spec, "fill_div": fill_div}
+            _, out, error = ops.run_entropy_op(op)
+            assert checks.check_entropy(op, out, error) == (None, None)
+        recipe, N = ak.parse_recipe("hahn type=ii a=0.7 b=1.0 c=0.4 N=8")
+        spec = ["hahn", "ii", [0.7, 1.0, 0.4], 8]
+        refs = checks.References()
+        got = refs.expected({"spec": spec, "command": "spectrum"})
+        kappas = ak.kappa_vector(recipe, N).tobytes()
+        assert got["kappa"].tobytes() == got["kappas"].tobytes() == kappas
+        got = refs.expected({"spec": spec, "command": "hamiltonian"})
+        system = ak.analytic_eigensystem(recipe, N=N)
+        assert got["matrix"].tobytes() == system.hamiltonian.tobytes()
+        np.testing.assert_allclose(got["pi"], ak.build_kernel(recipe, N=N).pi, rtol=1e-15)
 
     def test_no_nonsymmetric_eigensolver_in_the_library(self):
         # K is similar to the symmetric H: the one eigensolver is eigvalsh;

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from askeychain import families as F
@@ -391,6 +391,22 @@ class TestRecipeRanges:
             with pytest.raises(DomainError):
                 ConvolutionRecipe(fam, t, params)
 
+    @settings(max_examples=400, deadline=None)
+    @given(combo=st.sampled_from(all_combos()),
+           values=st.lists(_EDGE_VALUES, min_size=4, max_size=4))
+    @example(combo=(Family.HAHN, ConvType.II), values=[0.3, 0.7, 0.3, 0.3])
+    def test_every_accepted_recipe_has_a_usable_spectrum(self, combo, values):
+        fam, t = combo
+        params = tuple(values[: len(F.RECIPE_PARAM_NAMES[fam])])
+        try:
+            r = ConvolutionRecipe(fam, t, params)
+        except DomainError:
+            return
+        kap = F.kappa_vector(r, 60)
+        assert np.isfinite(kap).all()
+        assert kap[0] == 1.0
+        assert np.max(np.abs(kap[1:])) < 1.0
+
     def test_pinned_grid_in_range(self):
         for (fam, t), plist in {**FINITE_GRID, **TRUNCATED_GRID}.items():
             for params in plist:
@@ -441,6 +457,20 @@ class TestKappa:
                 ))
                 assert alt == pytest.approx(ser, rel=1e-12)
                 assert kap[n] == pytest.approx(ser, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("params", [
+        (0.25, 0.25, 0.25), (0.5, 0.5, 0.5), (0.3, 0.7, 0.3), (1.0, 0.25, 0.5),
+    ])
+    def test_hahn_type_ii_where_the_first_step_cancels(self, params):
+        # a + 2b + c = 1 or 2: the n = 0 recurrence coefficients are 0/0 as
+        # written; the production recurrence against the exact 3F2
+        kap = F.kappa_vector(ConvolutionRecipe(Family.HAHN, ConvType.II, params), 30)
+        fa, fb, fc = map(Fraction, params)
+        for n in range(31):
+            ser = oracles.hyper_frac(
+                [Fraction(-n), n + fa + 2 * fb + fc - 1, fb], [fa + fb, fb + fc], Fraction(1), n,
+            )
+            assert kap[n] == pytest.approx(float(ser), rel=1e-9, abs=1e-12)
 
     def test_qhahn_product_and_series_forms_agree(self):
         # product form (production) against the exact terminating 3phi2
