@@ -38,7 +38,7 @@ from .errors import DomainError
 from .families import ConvolutionRecipe, parse_recipe
 from .fermion import FreeFermionModel, block_entropy, correlation_matrix, entropy_profile
 from .markov import build_kernel, verify_kernel
-from .spectral import CheckResult, analytic_eigensystem, verification_report
+from .spectral import CheckResult, SpectralSystem, verification_report
 
 _USAGE_ERROR = 2
 _TOLERANCE_ERROR = 1
@@ -59,17 +59,25 @@ def _parse_block(text: str) -> tuple[int, int]:
         raise DomainError(f"bad block spec {text!r}, expected start:stop") from None
 
 
+def _of_system(fields_of: Callable) -> Callable:
+    # only rows that read the system build it: ``kernel`` emits K and pi, which
+    # need no positive pi, so it meets none of the system's refusals
+    return lambda args, kernel: fields_of(args, SpectralSystem(kernel))
+
+
 def _model(args, system) -> FreeFermionModel:
     filled = None if args.filled is None else _parse_filled(args.filled)
     return FreeFermionModel(system, mu=args.mu, filled_modes=filled)
 
 
+@_of_system
 def _correlation_fields(args, system) -> dict:
     model = _model(args, system)
     return {"mu": args.mu, "filled_modes": sorted(model.filled_modes),
             "matrix": correlation_matrix(model).matrix}
 
 
+@_of_system
 def _entropy_fields(args, system) -> dict:
     corr = correlation_matrix(_model(args, system))
     if args.block is not None:
@@ -84,6 +92,7 @@ def _spectrum_csv(fields: dict) -> str:
     return export.rows_csv(("n", "kappa"), [(n, float(k)) for n, k in enumerate(fields["kappas"])])
 
 
+@_of_system
 def _verify_fields(args, system) -> dict:
     checks = verification_report(system, kernel_tol=args.tol)
     return {"checks": [c.__dict__ for c in checks], "passed": all(c.passed for c in checks)}
@@ -99,17 +108,17 @@ def _matrix_csv(fields: dict) -> str:
     return export.matrix_csv(fields["matrix"])
 
 
-#: command -> (help, JSON fields taken from the built kernel (``kernel``) or
-#: spectral system (the rest), text form of those fields for --format csv)
+#: command -> (help, JSON fields taken from the built kernel, text form of
+#: those fields for --format csv).  Each row computes only the facts it emits.
 _COMMANDS: dict[str, tuple[str, Callable, Callable]] = {
     "kernel": ("emit the stochastic kernel and stationary distribution",
                lambda args, k: {"matrix": k.matrix, "pi": k.pi}, _matrix_csv),
-    "hamiltonian": ("emit the symmetric Hamiltonian",
-                    lambda args, s: {"matrix": s.hamiltonian, "pi": s.sqrt_pi**2}, _matrix_csv),
+    "hamiltonian": ("emit the symmetric Hamiltonian", _of_system(
+        lambda args, s: {"matrix": s.hamiltonian, "pi": s.sqrt_pi**2}), _matrix_csv),
     "spectrum": ("emit the closed-form eigenvalues kappa(n)",
-                 lambda args, s: {"kappas": s.kappas}, _spectrum_csv),
+                 _of_system(lambda args, s: {"kappas": s.kappas}), _spectrum_csv),
     "eigvecs": ("emit the orthonormal eigenvector matrix",
-                lambda args, s: {"phi": s.phi}, lambda f: export.matrix_csv(f["phi"])),
+                _of_system(lambda args, s: {"phi": s.phi}), lambda f: export.matrix_csv(f["phi"])),
     "correlation": ("emit the ground-state correlation matrix", _correlation_fields, _matrix_csv),
     "entropy": ("emit block entanglement entropies", _entropy_fields,
                 lambda f: export.rows_csv(("block_size", "entropy"), f["rows"])),
@@ -160,11 +169,10 @@ def _run(args, recipe: ConvolutionRecipe, N: int | None) -> tuple[str, bool]:
     (it holds the kernel checks), the kernel checks at --tol for the rest."""
     _, fields_of, text_of = _COMMANDS[args.command]
     kernel = build_kernel(recipe, N=N, tail_eps=args.eps)
-    # check the kernel before building the system, and drop the system once its
-    # fields are taken: held, it raised a 401-point hamiltonian JSON's RSS 13 MB
+    # check the kernel before the row builds any fact; the row's system goes once
+    # its fields are taken: held, it raised a 401-point hamiltonian JSON's RSS 13 MB
     passed = args.command == "verify" or verify_kernel(kernel, args.tol).passed
-    fields = fields_of(args, kernel if args.command == "kernel"
-                       else analytic_eigensystem(recipe, kernel=kernel))
+    fields = fields_of(args, kernel)
     passed = passed and fields.get("passed", True)
     if args.format == "csv":
         return text_of(fields), passed

@@ -2,14 +2,13 @@
 
 Conjugating a reversible kernel by diag(sqrt(pi)) gives a real symmetric
 matrix H(x,y) = K(x,y) sqrt(pi(y)/pi(x)) with the same spectrum, the
-Perron-Frobenius vector sqrt(pi), and eigenvalues in (-1, 1].
-``analytic_eigensystem`` builds it once and keeps it, with the asymmetry of
-the unsymmetrized transform and the kernel it came from, as
-``SpectralSystem.hamiltonian``, ``.presym_asymmetry`` and ``.kernel``, so
-``verification_report`` takes the system alone; there is no separate
-Hamiltonian entry point.  For the convolution kernels the full eigensystem
-is known in closed form: the eigenvalues kappa(n) and the orthonormal
-eigenvectors phi_n(x) = d_n sqrt(pi(x)) P_n(x).  ``spectrum_comparison``
+Perron-Frobenius vector sqrt(pi), and eigenvalues in (-1, 1].  For the
+convolution kernels the full eigensystem is known in closed form: the
+eigenvalues kappa(n) and the orthonormal eigenvectors phi_n(x) = d_n
+sqrt(pi(x)) P_n(x).  ``SpectralSystem(kernel)`` computes each fact - H with
+the asymmetry of the unsymmetrized transform, kappa(n), phi - on its first
+read and keeps it, so a caller pays only for what it reads, and
+``verification_report`` takes the system alone.  ``spectrum_comparison``
 checks kappa(n) against ``np.linalg.eigvalsh(H)``, a dense backward-stable
 eigensolve and the only one the library runs (H and K share their spectrum);
 the kernel-side statements (P_n left and pi P_n right eigenvectors of K) are
@@ -25,6 +24,7 @@ mode; ``verification_report`` checks eigenvectors only on the modes that fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,31 +49,46 @@ def _hamiltonian(kernel: ConvolutionKernel) -> tuple[np.ndarray, float]:
     The kernel must satisfy detailed balance (within tolerance), otherwise
     the result is not meaningfully symmetric.
     """
-    pi = kernel.pi
-    if np.any(pi <= 0.0):
-        raise DomainError("stationary distribution must be strictly positive")
-    s = np.sqrt(pi)
+    s = np.sqrt(kernel.pi)
     h = kernel.matrix * (s[None, :] / s[:, None])
     return 0.5 * (h + h.T), float(np.max(np.abs(h - h.T)))
 
 
 @dataclass(frozen=True)
 class SpectralSystem:
-    """Symmetric Hamiltonian with its closed-form eigensystem.
+    """Symmetric Hamiltonian with its closed-form eigensystem, each fact
+    computed from ``kernel`` on its first read and kept.
 
     ``phi[:, n]`` is the orthonormal eigenvector for ``kappas[n]``; column 0
     is sqrt(pi) with eigenvalue 1.
     """
 
-    hamiltonian: np.ndarray
-    kappas: np.ndarray
-    phi: np.ndarray
     kernel: ConvolutionKernel
-    presym_asymmetry: float
+
+    def __post_init__(self) -> None:
+        if np.any(self.kernel.pi <= 0.0):
+            raise DomainError("stationary distribution must be strictly positive")
+
+    @cached_property
+    def _symmetrized(self) -> tuple[np.ndarray, float]:
+        return _hamiltonian(self.kernel)
+
+    hamiltonian = property(lambda self: self._symmetrized[0])
+    presym_asymmetry = property(lambda self: self._symmetrized[1])
+
+    @cached_property
+    def kappas(self) -> np.ndarray:
+        return kappa_vector(self.kernel.recipe, self.size - 1)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        recipe = self.kernel.recipe
+        spec = recipe.stationary_spec(self.size - 1 if recipe.is_finite else None)
+        return orthonormal_columns(spec, npoints=self.size)
 
     @property
     def size(self) -> int:
-        return self.hamiltonian.shape[0]
+        return self.kernel.size
 
     @property
     def sqrt_pi(self) -> np.ndarray:
@@ -85,33 +100,9 @@ class SpectralSystem:
         return np.abs(1.0 - np.sum(self.phi**2, axis=0))
 
 
-def analytic_eigensystem(
-    recipe: ConvolutionRecipe, N: int | None = None, kernel: ConvolutionKernel | None = None
-) -> SpectralSystem:
-    """Build H, kappa(n) and the orthonormal eigenvector matrix for a recipe,
-    from ``kernel`` when given (it must have been built from ``recipe``, and
-    its size fixes the lattice, so ``N`` is refused with it), else from
-    ``build_kernel(recipe, N)``."""
-    if kernel is None:
-        kernel = build_kernel(recipe, N=N)
-    elif kernel.recipe != recipe:
-        raise ValueError(
-            f"kernel of {kernel.recipe.to_string()!r} given for {recipe.to_string()!r}"
-        )
-    elif N is not None:
-        raise ValueError(f"N={N} given with a {kernel.size}-point kernel")
-    h, asym = _hamiltonian(kernel)
-    size = kernel.size
-    spec = recipe.stationary_spec(size - 1 if recipe.is_finite else None)
-    phi = orthonormal_columns(spec, npoints=size)
-    kap = kappa_vector(recipe, size - 1)
-    return SpectralSystem(
-        hamiltonian=h,
-        kappas=kap,
-        phi=phi,
-        kernel=kernel,
-        presym_asymmetry=asym,
-    )
+def analytic_eigensystem(recipe: ConvolutionRecipe, N: int | None = None) -> SpectralSystem:
+    """The spectral system of ``build_kernel(recipe, N)``."""
+    return SpectralSystem(build_kernel(recipe, N=N))
 
 
 def spectrum_comparison(system: SpectralSystem) -> float:

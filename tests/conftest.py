@@ -23,7 +23,7 @@ from askeychain import (
     ConvType,
     Family,
     FamilySpec,
-    analytic_eigensystem,
+    SpectralSystem,
     build_kernel,
     markov,
     measure_vector,
@@ -96,7 +96,7 @@ def window_system(recipe, size):
     spec = recipe.stationary_spec(None)
     matrix = markov._build_matrix(recipe, size)
     kernel = ConvolutionKernel(matrix, measure_vector(spec, size), recipe)
-    return analytic_eigensystem(recipe, kernel=kernel)
+    return SpectralSystem(kernel)
 
 
 def basis_polynomials(spec, npoints=None):

@@ -28,6 +28,7 @@ from askeychain.fermion import (
     correlation_matrix,
 )
 from askeychain.spectral import (
+    SpectralSystem,
     analytic_eigensystem,
     completeness_defect,
     eigen_residuals,
@@ -128,7 +129,7 @@ def test_criterion_03_spectrum_match(kernel_cache):
     for recipe, N, kern in list(_finite_cases(kernel_cache)) + list(
         _truncated_cases(kernel_cache)
     ):
-        sys_ = analytic_eigensystem(recipe, kernel=kern)
+        sys_ = SpectralSystem(kern)
         worst = max(worst, spectrum_comparison(sys_))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 60.0
@@ -144,13 +145,13 @@ def test_criterion_03_spectrum_match(kernel_cache):
 def test_criterion_04_eigenvector_residuals(kernel_cache):
     worst = 0.0
     for recipe, N, kern in _finite_cases(kernel_cache):
-        sys_ = analytic_eigensystem(recipe, kernel=kern)
+        sys_ = SpectralSystem(kern)
         bound = 1e-9 * (1 + N / 50.0)
         rel = float(np.max(eigen_residuals(sys_))) / bound
         worst = max(worst, rel)
     worst_tr = 0.0
     for recipe, _, kern in _truncated_cases(kernel_cache):
-        sys_ = analytic_eigensystem(recipe, kernel=kern)
+        sys_ = SpectralSystem(kern)
         modes = np.flatnonzero(sys_.mode_norm_defects() <= 1e-10)
         bound = 1e-9 * (1 + (kern.size - 1) / 50.0)
         worst_tr = max(worst_tr, float(np.max(eigen_residuals(sys_)[modes])) / bound)
@@ -167,17 +168,17 @@ def test_criterion_04_eigenvector_residuals(kernel_cache):
 def test_criterion_05_orthonormality_completeness(kernel_cache):
     worst = 0.0
     for recipe, N, kern in _finite_cases(kernel_cache):
-        sys_ = analytic_eigensystem(recipe, kernel=kern)
+        sys_ = SpectralSystem(kern)
         worst = max(worst, orthonormality_defect(sys_.phi), completeness_defect(sys_.phi))
     worst_tr = 0.0
     for recipe, _, kern in _truncated_cases(kernel_cache):
-        sys_ = analytic_eigensystem(recipe, kernel=kern)
+        sys_ = SpectralSystem(kern)
         modes = np.flatnonzero(sys_.mode_norm_defects() <= 1e-10)
         worst_tr = max(worst_tr, orthonormality_defect(sys_.phi[:, modes]))
     # adjudication of the sqrt(pi) weighting: columns built with pi itself
     # are nowhere near orthonormal
     recipe = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.3, 0.5))
-    sys_ = analytic_eigensystem(recipe, kernel=kernel_cache(recipe, 20))
+    sys_ = SpectralSystem(kernel_cache(recipe, 20))
     wrong = sys_.phi * sys_.sqrt_pi[:, None]
     wrong_defect = orthonormality_defect(wrong)
     ok = worst <= 1e-9 and worst_tr <= 1e-9 and wrong_defect > 1e-2
@@ -272,7 +273,7 @@ def test_criterion_08_limit_checks():
 def test_criterion_09_negative_spectrum(kernel_cache):
     a, b, N = 0.2, 0.6, 20
     recipe = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.II, (a, b))
-    sys_ = analytic_eigensystem(recipe, kernel=kernel_cache(recipe, N))
+    sys_ = SpectralSystem(kernel_cache(recipe, N))
     odd = sys_.kappas[1::2]
     all_odd_negative = bool(np.all(odd < 0.0))
     vals = np.linalg.eigvalsh(sys_.hamiltonian)

@@ -124,10 +124,10 @@ class TestKernelCommand:
     def test_library_misuse_is_not_a_usage_error(self, tmp_path, monkeypatch):
         # only a DomainError is a refusal (exit 2); any other ValueError is a
         # fault in the program and must stay a traceback
-        def misuse(recipe, kernel):
+        def misuse(recipe, N, tail_eps):
             raise ValueError("a library precondition does not hold")
 
-        monkeypatch.setattr("askeychain.cli.analytic_eigensystem", misuse)
+        monkeypatch.setattr("askeychain.cli.build_kernel", misuse)
         with pytest.raises(ValueError, match="a library precondition does not hold"):
             run(tmp_path, "spectrum", "--recipe", "krawtchouk type=ii a=0.2 b=0.6 N=6")
         assert not (tmp_path / "out.dat").exists()
@@ -210,6 +210,37 @@ class TestKernelCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith("basis leaves the double range\n")
+
+    @pytest.mark.parametrize("command", ["spectrum", "hamiltonian"])
+    def test_unread_basis_is_not_built(self, tmp_path, capsys, command):
+        # neither command reads phi, so the basis refusal above cannot reach them
+        text = "qhahn type=iii a=0.3 b=0.5 c=0.4 q=0.5 N=600"
+        code, out = run(tmp_path, command, "--recipe", text, "--format", "json")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out)
+        values = np.array(payload["kappas" if command == "spectrum" else "matrix"])
+        assert values.shape == ((601,) if command == "spectrum" else (601, 601))
+        assert np.all(np.isfinite(values))
+        if command == "spectrum":
+            recipe, N = parse_recipe(text)
+            assert values.tobytes() == ak.kappa_vector(recipe, N).tobytes()
+
+    @pytest.mark.parametrize("command", ["hamiltonian", "spectrum", "eigvecs", "correlation",
+                                         "entropy", "verify"])
+    def test_underflowed_pi_exits_2(self, tmp_path, capsys, command):
+        # defect pinned as it stands: pi underflows to 0 at N=400, and every
+        # command that reads the spectral system refuses it up front
+        text = "qhahn type=i a=0.3 b=0.5 c=0.4 q=0.5 N=400"
+        code, out = run(tmp_path, command, "--recipe", text)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: stationary distribution must be strictly positive\n"
+
+    def test_underflowed_pi_still_writes_the_kernel(self, tmp_path):
+        # ``kernel`` reads no fact of the system, so the refusal above misses it
+        code, out = run(tmp_path, "kernel", "--recipe", "qhahn type=i a=0.3 b=0.5 c=0.4 q=0.5 N=400")
+        assert code == 0
+        assert len(out.splitlines()) == 401
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "k.csv"
@@ -329,7 +360,7 @@ class TestVerifyCommand:
         if perturb is not None:
             kernel = faulty(kernel)
             inject_fault(monkeypatch)
-        checks = ak.verification_report(ak.analytic_eigensystem(rec, kernel=kernel))
+        checks = ak.verification_report(ak.SpectralSystem(kernel))
         code, text = run(tmp_path, "verify", "--recipe", recipe, "--format", "json")
         payload = json.loads(text)
         assert [(c.name, c.measured, c.passed) for c in checks] == [
@@ -666,6 +697,14 @@ class TestLibraryBoundary:
         system = ak.analytic_eigensystem(recipe, N=N)
         assert got["matrix"].tobytes() == system.hamiltonian.tobytes()
         np.testing.assert_allclose(got["pi"], ak.build_kernel(recipe, N=N).pi, rtol=1e-15)
+        # the references read phi lazily, off the same system
+        phi = ak.orthonormal_columns(recipe.stationary_spec(N), npoints=N + 1)
+        got = refs.expected({"spec": spec, "command": "eigvecs"})
+        assert got["matrix"].tobytes() == got["phi"].tobytes() == phi.tobytes()
+        filled = phi[:, np.flatnonzero(ak.kappa_vector(recipe, N) < 0.0)]
+        assert filled.shape[1] > 0
+        got = refs.expected({"spec": spec, "command": "correlation"})
+        assert got["matrix"].tobytes() == (filled @ filled.T).tobytes()
 
     def test_no_nonsymmetric_eigensolver_in_the_library(self):
         # K is similar to the symmetric H: the one eigensolver is eigvalsh;
@@ -689,5 +728,5 @@ class TestLibraryBoundary:
         for text in ("hahn type=ii a=0.7 b=1.0 c=0.4 N=20", "charlier type=iii a=1.0 b=0.4"):
             recipe, N = ak.parse_recipe(text)
             kernel = ak.build_kernel(recipe, N=N)
-            checks = ak.verification_report(ak.analytic_eigensystem(recipe, kernel=kernel))
+            checks = ak.verification_report(ak.SpectralSystem(kernel))
             assert all(c.passed for c in checks), text

@@ -23,7 +23,7 @@ from askeychain.markov import (
     stationary_tail_bounds,
     verify_kernel,
 )
-from askeychain.spectral import analytic_eigensystem, verification_report
+from askeychain.spectral import SpectralSystem, analytic_eigensystem, verification_report
 
 from conftest import FINITE_GRID, TRUNCATED_GRID, grid_recipes
 from oracles import eigvals_moduli_excess, kernel_entry, measure_direct, perron_frobenius_vector
@@ -306,7 +306,7 @@ class TestTruncation:
     def test_grid_passes_verify_at_largest_eps(self, kernel_cache, recipe):
         # the growth target at the largest accepted tail_eps meets the tolerance
         kern = kernel_cache(recipe, None, tail_eps=markov.MAX_TAIL_EPS)
-        failed = [c.name for c in verification_report(analytic_eigensystem(recipe, kernel=kern))
+        failed = [c.name for c in verification_report(SpectralSystem(kern))
                   if not c.passed]
         assert not failed
 
@@ -456,7 +456,7 @@ class TestCertificates:
         bad[y, y] += d
         bad_kern = replace(kern, matrix=bad)
         checks = {c.name: c for c in verification_report(
-            analytic_eigensystem(recipe, kernel=bad_kern))}
+            SpectralSystem(bad_kern))}
         assert checks["column-stochasticity"].passed
         assert not checks["positivity"].passed
         assert not checks["eigenvalue-moduli-excess"].passed
@@ -465,7 +465,7 @@ class TestCertificates:
         # eigenvalue 1 of multiplicity 4: K - I + 1 1^T is singular
         r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.5, 0.5))
         kern = ConvolutionKernel(np.eye(4), np.full(4, 0.25), r)
-        checks = {c.name: c for c in verification_report(analytic_eigensystem(r, kernel=kern))}
+        checks = {c.name: c for c in verification_report(SpectralSystem(kern))}
         assert not checks["perron-frobenius-match"].passed
         assert checks["perron-frobenius-match"].measured == math.inf
 

@@ -13,6 +13,7 @@ from askeychain.families import (
 )
 from askeychain.markov import ConvolutionKernel, build_kernel
 from askeychain.spectral import (
+    SpectralSystem,
     analytic_eigensystem,
     completeness_defect,
     eigen_residuals,
@@ -25,10 +26,6 @@ from conftest import FINITE_GRID, TRUNCATED_GRID, basis_polynomials, grid_recipe
 from oracles import left_eigen_residual, right_eigen_residual
 
 
-def _system(kern):
-    return analytic_eigensystem(kern.recipe, kernel=kern)
-
-
 def _dummy_kernel(matrix, pi):
     r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.5, 0.5))
     return ConvolutionKernel(matrix, pi, r)
@@ -37,13 +34,13 @@ def _dummy_kernel(matrix, pi):
 class TestClassicalHamiltonian:
     def test_uniform_pi_leaves_symmetric_kernel_alone(self):
         k = np.array([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]])
-        h = _system(_dummy_kernel(k, np.full(3, 1 / 3))).hamiltonian
+        h = SpectralSystem(_dummy_kernel(k, np.full(3, 1 / 3))).hamiltonian
         np.testing.assert_allclose(h, k, rtol=1e-15)
 
     def test_entrywise_formula(self):
         r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.3, 0.5))
         kern = build_kernel(r, N=2)
-        h = _system(kern).hamiltonian
+        h = SpectralSystem(kern).hamiltonian
         s = np.sqrt(kern.pi)
         for x in range(3):
             for y in range(3):
@@ -54,7 +51,7 @@ class TestClassicalHamiltonian:
     def test_sqrt_pi_is_unit_eigenvector(self, kernel_cache):
         for recipe, N in grid_recipes():
             kern = kernel_cache(recipe, N)
-            h = _system(kern).hamiltonian
+            h = SpectralSystem(kern).hamiltonian
             s = np.sqrt(kern.pi)
             resid = np.max(np.abs(h @ s - s))
             tol = 1e-12 if recipe.is_finite else 1e-9
@@ -62,7 +59,7 @@ class TestClassicalHamiltonian:
 
     def test_asymmetry_is_rounding_level(self, kernel_cache):
         for recipe, N in grid_recipes():
-            assert _system(kernel_cache(recipe, N)).presym_asymmetry <= 1e-13
+            assert SpectralSystem(kernel_cache(recipe, N)).presym_asymmetry <= 1e-13
 
 
 class TestAnalyticEigensystem:
@@ -72,24 +69,10 @@ class TestAnalyticEigensystem:
         assert sys_.kappas[0] == 1.0
         np.testing.assert_allclose(sys_.phi[:, 0], sys_.sqrt_pi, rtol=1e-13)
 
-    def test_kernel_of_another_recipe_is_refused(self):
-        # accepted, it would pair Hahn iii's H with Hahn i's kappa(n) and phi
-        hahn_i = ConvolutionRecipe(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0))
-        hahn_iii = ConvolutionRecipe(Family.HAHN, ConvType.III, (1.0, 2.0, 1.0))
-        with pytest.raises(ValueError, match="kernel of 'hahn type=iii .* given for 'hahn type=i "):
-            analytic_eigensystem(hahn_i, kernel=build_kernel(hahn_iii, N=10))
-
-    @pytest.mark.parametrize("N", [6, 20])
-    def test_size_given_with_a_kernel_is_refused(self, N):
-        # the kernel's lattice fixes the size; an N beside it was ignored
-        r = ConvolutionRecipe(Family.HAHN, ConvType.III, (1.0, 2.0, 1.0))
-        with pytest.raises(ValueError, match=f"N={N} given with a 7-point kernel"):
-            analytic_eigensystem(r, N=N, kernel=build_kernel(r, N=6))
-
     def test_system_carries_its_kernel(self):
         r = ConvolutionRecipe(Family.HAHN, ConvType.III, (1.0, 2.0, 1.0))
         kern = build_kernel(r, N=4)
-        sys_ = analytic_eigensystem(r, kernel=kern)
+        sys_ = SpectralSystem(kern)
         assert sys_.kernel is kern
         assert sys_.sqrt_pi.tobytes() == np.sqrt(kern.pi).tobytes()
 
@@ -116,14 +99,14 @@ class TestNumericSpectrum:
     def test_spectrum_inside_unit_interval(self, kernel_cache):
         for recipe, N in grid_recipes():
             kern = kernel_cache(recipe, N)
-            vals = np.linalg.eigvalsh(_system(kern).hamiltonian)
+            vals = np.linalg.eigvalsh(SpectralSystem(kern).hamiltonian)
             assert vals[-1] <= 1.0 + 1e-12, recipe.to_string(N)
             assert vals[0] >= -1.0 - 1e-12, recipe.to_string(N)
 
     def test_unit_eigenvalue_attained_exactly_once(self, kernel_cache):
         for recipe, N in grid_recipes():
             kern = kernel_cache(recipe, N)
-            sys_ = _system(kern)
+            sys_ = SpectralSystem(kern)
             vals = np.linalg.eigvalsh(sys_.hamiltonian)
             assert abs(vals[-1] - 1.0) <= 1e-10, recipe.to_string(N)
             assert vals[-2] <= 1.0 - 0.5 * spectral_gap(sys_.kappas), recipe.to_string(N)
@@ -141,7 +124,7 @@ class TestNumericSpectrum:
         # the system's kappas, bit for bit what re-sorting the reversed
         # spectrum and evaluating kappa(n) a second time gave
         for recipe, N in grid_recipes():
-            sys_ = _system(kernel_cache(recipe, N))
+            sys_ = SpectralSystem(kernel_cache(recipe, N))
             numeric = np.sort(np.linalg.eigvalsh(sys_.hamiltonian)[::-1])
             want = float(np.max(np.abs(numeric - np.sort(sys_.kappas))))
             assert spectrum_comparison(sys_) == want, recipe.to_string(N)
@@ -151,42 +134,64 @@ class TestNumericSpectrum:
 
 
 class TestOneEvaluationPerFact:
-    """One symmetric eigensolve per report, and kappa(n) evaluated once per
-    system: the report reads the gap off ``system.kappas``."""
+    """One symmetric eigensolve per report, and each fact of a system (H,
+    kappa(n), phi) evaluated once, on its first read: the report reads the
+    gap off ``system.kappas``, and a command builds only what it emits."""
 
     RECIPES = ["hahn type=ii a=0.7 b=1.0 c=0.4 N=20", "charlier type=iii a=1.0 b=0.4"]
+    FACTS = ("_hamiltonian", "kappa_vector", "orthonormal_columns")
+    #: command -> the facts it reads
+    BUILT = {
+        "kernel": (),
+        "hamiltonian": ("_hamiltonian",),
+        "spectrum": ("kappa_vector",),
+        "eigvecs": ("orthonormal_columns",),
+        "correlation": ("kappa_vector", "orthonormal_columns"),
+        "entropy": ("kappa_vector", "orthonormal_columns"),
+        "verify": FACTS,
+    }
 
     @staticmethod
     def _count(monkeypatch):
-        calls = {"eigvalsh": 0, "kappa_vector": 0}
-        eigvalsh, kappas = np.linalg.eigvalsh, families.kappa_vector
+        calls = {}
 
-        def counted_eigvalsh(*args, **kwargs):
-            calls["eigvalsh"] += 1
-            return eigvalsh(*args, **kwargs)
+        def count(name, *owners):
+            original = getattr(owners[0], name)
+            calls[name] = 0
 
-        def counted_kappas(*args, **kwargs):
-            calls["kappa_vector"] += 1
-            return kappas(*args, **kwargs)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        monkeypatch.setattr(families, "kappa_vector", counted_kappas)
-        monkeypatch.setattr(spectral, "kappa_vector", counted_kappas)
+            for owner in owners:
+                monkeypatch.setattr(owner, name, counted)
+
+        count("eigvalsh", np.linalg)
+        count("kappa_vector", families, spectral)
+        count("_hamiltonian", spectral)
+        count("orthonormal_columns", families, spectral)
         return calls
 
     @pytest.mark.parametrize("text", RECIPES)
     def test_report(self, monkeypatch, text):
         recipe, N = parse_recipe(text)
-        sys_ = analytic_eigensystem(recipe, N=N)
         calls = self._count(monkeypatch)
-        verification_report(sys_)
-        assert calls == {"eigvalsh": 1, "kappa_vector": 0}
+        verification_report(analytic_eigensystem(recipe, N=N))
+        assert calls == dict.fromkeys(("eigvalsh",) + self.FACTS, 1)
 
     @pytest.mark.parametrize("text", RECIPES)
     def test_cli_verify(self, monkeypatch, tmp_path, text):
         calls = self._count(monkeypatch)
         assert cli.main(["verify", "--recipe", text, "--out", str(tmp_path / "v.txt")]) == 0
-        assert calls == {"eigvalsh": 1, "kappa_vector": 1}
+        assert calls == dict.fromkeys(("eigvalsh",) + self.FACTS, 1)
+
+    @pytest.mark.parametrize("text", RECIPES)
+    @pytest.mark.parametrize("command", list(BUILT))
+    def test_each_command_builds_only_what_it_emits(self, monkeypatch, tmp_path, command, text):
+        calls = self._count(monkeypatch)
+        assert cli.main([command, "--recipe", text, "--out", str(tmp_path / "out")]) == 0
+        built = {name: calls[name] for name in self.FACTS}
+        assert built == {name: int(name in self.BUILT[command]) for name in self.FACTS}
 
 
 class TestTheoremEigenvectors:
@@ -210,7 +215,7 @@ class TestTheoremEigenvectors:
             for params in plist:
                 r = ConvolutionRecipe(fam, t, params)
                 for N in (5, 20, 50):
-                    sys_ = analytic_eigensystem(r, kernel=kernel_cache(r, N))
+                    sys_ = SpectralSystem(kernel_cache(r, N))
                     bound = 1e-9 * (1 + N / 50.0)
                     assert np.max(eigen_residuals(sys_)) <= bound, (fam, t, params, N)
 
@@ -218,7 +223,7 @@ class TestTheoremEigenvectors:
         for (fam, t), plist in FINITE_GRID.items():
             for params in plist:
                 r = ConvolutionRecipe(fam, t, params)
-                sys_ = analytic_eigensystem(r, kernel=kernel_cache(r, 50))
+                sys_ = SpectralSystem(kernel_cache(r, 50))
                 assert orthonormality_defect(sys_.phi) <= 1e-9
                 assert completeness_defect(sys_.phi) <= 1e-9
 
@@ -233,7 +238,7 @@ class TestTruncatedSystems:
     def test_reliable_modes_pass_eigen_checks(self, combo, kernel_cache):
         fam, t = combo
         r = ConvolutionRecipe(fam, t, TRUNCATED_GRID[combo][0])
-        sys_ = analytic_eigensystem(r, kernel=kernel_cache(r, None))
+        sys_ = SpectralSystem(kernel_cache(r, None))
         modes = np.flatnonzero(sys_.mode_norm_defects() <= 1e-10)
         assert modes.size >= 10
         assert np.max(eigen_residuals(sys_)[modes]) <= 1e-9
@@ -245,7 +250,7 @@ class TestTruncatedSystems:
         # sorted comparison survives the window distortion
         fam, t = combo
         r = ConvolutionRecipe(fam, t, TRUNCATED_GRID[combo][0])
-        sys_ = analytic_eigensystem(r, kernel=kernel_cache(r, None))
+        sys_ = SpectralSystem(kernel_cache(r, None))
         assert spectrum_comparison(sys_) <= 1e-8
 
     def test_no_reliable_mode_fails_both_eigenvector_lines(self):
