@@ -1,7 +1,10 @@
 """Discrete orthogonal polynomial families and their convolution recipes.
 
 Five families are implemented: Krawtchouk (K), Charlier (C), Hahn (H),
-Meixner (M) and q-Hahn (qH).  For each one this module provides the
+Meixner (M) and q-Hahn (qH).  Each is one row of ``_FAMILIES``: its
+parameter names and ranges, its term ratio, its three-term recurrence and,
+on Z>=0, ln pi(0) and a tail-ratio bound; no other code tells the
+families apart.  From those rows this module provides the
 normalized orthogonality measure pi, the orthonormal functions
 phi_n(x) = d_n sqrt(pi(x)) P_n(x) (P_n the polynomials normalized to
 P_n(0) = 1, d_n^2 their squared norm constants), and one row of
@@ -22,17 +25,19 @@ cross-check.
 Measures are built in log space and exponentiated once at the end:
 products like binom(N,x) p^x (1-p)^(N-x) leave the double range long
 before N ~ 1e3.  Each row ln pi(.; n) is a running sum of the log term
-ratios r(x) = pi(x+1)/pi(x), one line per family, normalized by its own
-log-sum-exp (finite lattices) or started from the closed-form pi(0)
-(Charlier, Meixner); q-Hahn sums log q-Pochhammer factors the same way.
+ratios r(x) = pi(x+1)/pi(x), the row's ``ratio``, normalized by its own
+log-sum-exp (finite lattices) or started from the row's closed-form
+ln pi(0) (Charlier, Meixner); q-Hahn's row gives a closed form that sums
+log q-Pochhammer factors the same way.
 Log-gamma differences would cancel instead: ln Gamma(801) ~ 4551 leaves
 ~5e-13 of error in every entry at N = 800, while the running sums stay within
 ~4e-13 of 40-digit references out to ln pi = -708.  ``log_measure_grid``
 is the one implementation of the five measures; ``measure_vector`` is its
 call for one lattice row.
 
-A recipe is valid exactly when its two factor measures are, so
-``_check_params`` holds the only parameter ranges, finiteness included.
+A recipe is valid exactly when its two factor measures are, so the
+``_FAMILIES`` ranges, checked by ``_check_params``, are the only parameter
+ranges, finiteness included.
 ``lambda3`` is the unsized stationary measure;
 ``ConvolutionRecipe.stationary_spec(N)`` gives the lattice.
 """
@@ -57,39 +62,135 @@ class Family(str, Enum):
     Q_HAHN = "qhahn"
 
 
-#: Families living on the finite lattice {0..N}; the other two live on the
-#: nonnegative integers and are truncated numerically.
-FINITE_FAMILIES = frozenset({Family.KRAWTCHOUK, Family.HAHN, Family.Q_HAHN})
+@dataclass(frozen=True)
+class _FamilyRow:
+    """The facts fixing one family, as functions of its measure parameters
+    p: the range of p, the term ratio ``ratio(m, x, *p)`` = pi(x+1)/pi(x)
+    with m = max(n - x, 0) on the lattice {0..n} (None on Z>=0), or instead
+    a closed-form ``log_grid(n, x, *p)`` = ln pi(x; n), the recurrence
+    (A_n, C_n) and sites theta(x), and on Z>=0 ln pi(0) and a bound
+    ``tail_ratio(M, *p)`` on sup_{x>M} of the term ratio."""
 
-_PARAM_NAMES = {
-    Family.KRAWTCHOUK: ("p",),
-    Family.CHARLIER: ("a",),
-    Family.HAHN: ("a", "b"),
-    Family.MEIXNER: ("a", "b"),
-    Family.Q_HAHN: ("a", "b", "q"),
+    names: tuple[str, ...]
+    recipe_names: tuple[str, ...]
+    in_range: Callable[..., bool]
+    range_text: str
+    recurrence: Callable
+    ratio: Callable | None = None
+    theta: Callable = lambda x, *p: -x
+    log_pi0: Callable | None = None
+    tail_ratio: Callable | None = None
+    log_grid: Callable | None = None
+
+    @property
+    def finite(self) -> bool:
+        return self.log_pi0 is None
+
+
+def _hahn_recurrence(n, N, a, b):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = (n + a + b - 1) * (n + a) * (N - n) / ((2 * n + a + b - 1) * (2 * n + a + b))
+    # the (a+b-1) factors cancel at n = 0; the closed form avoids 0/0 at a+b = 1
+    A[0] = a * N / (a + b)
+    C = np.zeros(len(n))
+    m = n[1:]
+    C[1:] = m * (m + a + b + N - 1) * (m + b - 1) / ((2 * m + a + b - 2) * (2 * m + a + b - 1))
+    return A, C
+
+
+def _qhahn_recurrence(n, N, a, b, q):
+    q = np.float64(q)  # q^(-N) past the double range is inf, not an OverflowError
+    qn = q**n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = (
+            (1 - a * qn) * (1 - a * b * qn / q) * (1 - qn * q ** (-N))
+            / ((1 - a * b * qn * qn / q) * (1 - a * b * qn * qn))
+        )
+    # (1 - ab/q) cancels between numerator and denominator at n = 0
+    A[0] = (1 - a) * (1 - q ** (-N)) / (1 - a * b)
+    C = np.zeros(len(n))
+    if len(n) > 1:
+        qm = qn[1:]
+        C[1:] = (
+            -a * qm * q ** (-N - 1)
+            * (1 - qm) * (1 - a * b * qm * q ** (N - 1)) * (1 - b * qm / q)
+            / ((1 - a * b * qm * qm / (q * q)) * (1 - a * b * qm * qm / q))
+        )
+    return A, C
+
+
+def _log_qpoch_prefix(w: float, q: float, kmax: int) -> np.ndarray:
+    """Array L[k] = ln (w;q)_k for k = 0..kmax; requires all factors > 0."""
+    k = np.arange(kmax)
+    factors = 1.0 - w * q**k
+    if np.any(factors <= 0.0):
+        raise DomainError(f"nonpositive q-pochhammer factor for w={w}, q={q}")
+    out = np.zeros(kmax + 1)
+    np.cumsum(np.log(factors), out=out[1:])
+    return out
+
+
+def _qhahn_log_grid(n, x, a, b, q):
+    nmax = int(n.max())
+    lqf = _log_qpoch_prefix(q, q, nmax)  # ln (q;q)_k, k = 0..nmax
+    la = _log_qpoch_prefix(a, q, nmax)
+    lb = _log_qpoch_prefix(b, q, nmax)
+    lab = _log_qpoch_prefix(a * b, q, nmax)
+    return lqf[n] - lqf[x] - lqf[n - x] + la[x] + lb[n - x] + (n - x) * math.log(a) - lab[n]
+
+
+#: One row per family: the only place that tells the families apart.
+_FAMILIES: dict[Family, _FamilyRow] = {
+    Family.KRAWTCHOUK: _FamilyRow(
+        ("p",), ("a", "b"), lambda p: 0.0 < p < 1.0, "0 < p < 1",
+        recurrence=lambda n, N, p: (p * (N - n), n * (1.0 - p)),
+        ratio=lambda m, x, p: m * (p / ((x + 1) * (1 - p))),
+    ),
+    Family.CHARLIER: _FamilyRow(
+        ("a",), ("a", "b"), lambda a: a > 0.0, "a > 0",
+        recurrence=lambda n, N, a: (np.full(n.shape, a), n.copy()),
+        ratio=lambda m, x, a: a / (x + 1),
+        log_pi0=lambda a: -a,
+        tail_ratio=lambda M, a: a / (M + 2),
+    ),
+    Family.HAHN: _FamilyRow(
+        ("a", "b"), ("a", "b", "c"), lambda a, b: a > 0.0 and b > 0.0, "a, b > 0",
+        recurrence=_hahn_recurrence,
+        ratio=lambda m, x, a, b: m * ((a + x) / (x + 1)) / (np.maximum(m - 1.0, 0.0) + b),
+    ),
+    Family.MEIXNER: _FamilyRow(
+        ("a", "b"), ("a", "b", "c"), lambda a, b: a > 0.0 and 0.0 < b < 1.0, "a > 0 and 0 < b < 1",
+        recurrence=lambda n, N, a, b: (b * (n + a) / (1.0 - b), n / (1.0 - b)),
+        ratio=lambda m, x, a, b: b * (a + x) / (x + 1),
+        log_pi0=lambda a, b: a * math.log1p(-b),
+        # the ratio is decreasing in x for a > 1, else below b
+        tail_ratio=lambda M, a, b: b * np.maximum(1.0, (a + M + 1) / (M + 2)),
+    ),
+    Family.Q_HAHN: _FamilyRow(
+        ("a", "b", "q"), ("a", "b", "c", "q"),
+        lambda a, b, q: 0.0 < a < 1.0 and b < 1.0 and 0.0 < q < 1.0, "0 < a < 1, b < 1, 0 < q < 1",
+        recurrence=_qhahn_recurrence,
+        theta=lambda x, a, b, q: np.expm1(-x * math.log(q)),
+        log_grid=_qhahn_log_grid,
+    ),
 }
 
 
-def _check_params(family: Family, params: tuple[float, ...]) -> None:
+def _check_params(family: Family, params: tuple[float, ...]) -> tuple[float, ...]:
     """Arity, finiteness and range of a family's measure parameters: the one
     copy of the validity rules, shared by lattice specs and convolution
-    factors (a recipe's raw parameters and its lambda3 included)."""
-    names = _PARAM_NAMES[family]
+    factors (a recipe's raw parameters and its lambda3 included).  Returns
+    the checked parameters as Python floats."""
+    row = _FAMILIES[family]
+    names = row.names
     if len(params) != len(names):
         raise DomainError(f"{family.value} takes parameters {names}, got {params}")
     if not all(math.isfinite(v) for v in params):
         raise DomainError(f"{family.value} parameters must be finite, got {params}")
-    p = params
-    if family is Family.KRAWTCHOUK and not 0.0 < p[0] < 1.0:
-        raise DomainError(f"krawtchouk needs 0 < p < 1, got p={p[0]}")
-    if family is Family.CHARLIER and not p[0] > 0.0:
-        raise DomainError(f"charlier needs a > 0, got a={p[0]}")
-    if family is Family.HAHN and not (p[0] > 0.0 and p[1] > 0.0):
-        raise DomainError(f"hahn needs a, b > 0, got {p}")
-    if family is Family.MEIXNER and not (p[0] > 0.0 and 0.0 < p[1] < 1.0):
-        raise DomainError(f"meixner needs a > 0 and 0 < b < 1, got {p}")
-    if family is Family.Q_HAHN and not (0.0 < p[0] < 1.0 and p[1] < 1.0 and 0.0 < p[2] < 1.0):
-        raise DomainError(f"qhahn needs 0 < a < 1, b < 1, 0 < q < 1, got {p}")
+    if not row.in_range(*params):
+        got = f"{names[0]}={params[0]}" if len(names) == 1 else f"{params}"
+        raise DomainError(f"{family.value} needs {row.range_text}, got {got}")
+    return tuple(float(v) for v in params)
 
 
 @dataclass(frozen=True)
@@ -106,8 +207,8 @@ class FamilySpec:
     N: int | None = None
 
     def __post_init__(self) -> None:
-        _check_params(self.family, self.params)
-        if self.family in FINITE_FAMILIES:
+        object.__setattr__(self, "params", _check_params(self.family, self.params))
+        if self.is_finite:
             if self.N is None or self.N < 0:
                 raise DomainError(f"{self.family.value} needs a lattice size N >= 0, got {self.N}")
         elif self.N is not None:
@@ -115,18 +216,18 @@ class FamilySpec:
 
     @property
     def is_finite(self) -> bool:
-        return self.family in FINITE_FAMILIES
+        return _FAMILIES[self.family].finite
 
     @property
     def size(self) -> int:
         if self.N is None:
-            raise DomainError("semi-infinite family has no intrinsic size")
+            raise ValueError("semi-infinite family has no intrinsic size")
         return self.N + 1
 
     def to_string(self) -> str:
         parts = [
             f"{name}={value!r}"
-            for name, value in zip(_PARAM_NAMES[self.family], self.params)
+            for name, value in zip(_FAMILIES[self.family].names, self.params)
         ]
         if self.N is not None:
             parts.append(f"N={self.N}")
@@ -138,66 +239,26 @@ class FamilySpec:
 # ---------------------------------------------------------------------------
 
 
-def _log_qpoch_prefix(w: float, q: float, kmax: int) -> np.ndarray:
-    """Array L[k] = ln (w;q)_k for k = 0..kmax; requires all factors > 0."""
-    k = np.arange(kmax)
-    factors = 1.0 - w * q**k
-    if np.any(factors <= 0.0):
-        raise DomainError(f"nonpositive q-pochhammer factor for w={w}, q={q}")
-    out = np.zeros(kmax + 1)
-    np.cumsum(np.log(factors), out=out[1:])
-    return out
-
-
-def _log_ratio_rows(
-    family: Family, params: tuple[float, ...], rows: np.ndarray | None, x: np.ndarray
-) -> np.ndarray:
-    """ln r(x; n), r = pi(x+1; n) / pi(x; n), for n in ``rows`` (None for a
-    semi-infinite family) and ratio positions ``x``.  A finite row's ratios
-    are 0 from its end on, so its running sums are -inf past the end."""
-    if family is Family.CHARLIER:
-        (a,) = params
-        return np.log(a / (x + 1))
-    if family is Family.MEIXNER:
-        a, b = params
-        return np.log(b * (a + x) / (x + 1))
-    m = rows.astype(float)[:, None] - x  # n - x
-    np.maximum(m, 0.0, out=m)
-    if family is Family.KRAWTCHOUK:
-        (p,) = params
-        r = m * (p / ((x + 1) * (1 - p)))
-    else:
-        a, b = params
-        r = m * ((a + x) / (x + 1))
-        m -= 1.0
-        np.maximum(m, 0.0, out=m)
-        m += b  # b + n - x - 1
-        r /= m
-    with np.errstate(divide="ignore"):
-        return np.log(r, out=r)
-
-
 def _log_measure_rows(
-    family: Family, params: tuple[float, ...], rows: np.ndarray | None, xmax: int
+    row: _FamilyRow, params: tuple[float, ...], rows: np.ndarray | None, xmax: int
 ) -> np.ndarray:
     """Table T[i, x] = ln pi(x; rows[i]), x = 0..xmax, as running sums of
-    log term ratios.
+    the log term ratios.
 
-    A finite row (``xmax`` its largest size) is -inf past its end and is
-    normalized by its own log-sum-exp.  A semi-infinite row (``rows`` is
-    None; one row) starts from its closed-form ln pi(0): -a for Charlier,
-    a ln(1-b) for Meixner.
+    A finite row (``xmax`` its largest size) has ratio 0 from its end on,
+    so it is -inf past its end, and is normalized by its own log-sum-exp.
+    A semi-infinite row (``rows`` is None; one row) starts from its
+    closed-form ln pi(0).
     """
-    t = _log_ratio_rows(family, params, rows, np.arange(xmax, dtype=float))
+    x = np.arange(xmax, dtype=float)
+    m = None if rows is None else np.maximum(rows.astype(float)[:, None] - x, 0.0)
+    with np.errstate(divide="ignore"):
+        t = np.log(row.ratio(m, x, *params))
     table = np.zeros(t.shape[:-1] + (xmax + 1,))
     np.cumsum(t, axis=-1, out=table[..., 1:])
-    if family is Family.CHARLIER:
-        return table - params[0]
-    if family is Family.MEIXNER:
-        a, b = params
-        return table + a * math.log1p(-b)
-    peak = table.max(axis=1, keepdims=True)
-    table -= peak
+    if not row.finite:
+        return table + row.log_pi0(*params)
+    table -= table.max(axis=1, keepdims=True)
     table -= np.log(np.exp(table).sum(axis=1, keepdims=True))
     return table
 
@@ -216,31 +277,23 @@ def log_measure_grid(
     index grids at once, and by ``measure_vector`` and the truncation
     certificate for one lattice row.
     """
+    row = _FAMILIES[family]
     pts = np.asarray(pts)
     sizes = np.asarray(sizes)
-    finite = family in FINITE_FAMILIES
-    valid = (pts >= 0) & (pts <= sizes) if finite else pts >= 0
+    valid = (pts >= 0) & (pts <= sizes) if row.finite else pts >= 0
     if not np.any(valid):
         return np.full(valid.shape, -np.inf)
-    if not finite:
+    if not row.finite:
         x = np.maximum(pts, 0)
-        table = _log_measure_rows(family, params, None, int(x.max()))
+        table = _log_measure_rows(row, params, None, int(x.max()))
         return np.where(valid, table.take(x), -np.inf)
     n = np.maximum(sizes, 0)
     x = np.minimum(np.maximum(pts, 0), n)
-    nmin, nmax = int(n.min()), int(n.max())
-    if family is Family.Q_HAHN:
-        a, b, q = params
-        lqf = _log_qpoch_prefix(q, q, nmax)  # ln (q;q)_k, k = 0..nmax
-        la = _log_qpoch_prefix(a, q, nmax)
-        lb = _log_qpoch_prefix(b, q, nmax)
-        lab = _log_qpoch_prefix(a * b, q, nmax)
-        out = (
-            lqf[n] - lqf[x] - lqf[n - x]
-            + la[x] + lb[n - x] + (n - x) * math.log(a) - lab[n]
-        )
+    if row.log_grid is not None:
+        out = row.log_grid(n, x, *params)
     else:
-        table = _log_measure_rows(family, params, np.arange(nmin, nmax + 1), nmax)
+        nmin, nmax = int(n.min()), int(n.max())
+        table = _log_measure_rows(row, params, np.arange(nmin, nmax + 1), nmax)
         out = table.take((n - nmin) * (nmax + 1) + x)
     return np.where(valid, out, -np.inf)
 
@@ -250,7 +303,7 @@ def _log_pi(spec: FamilySpec, npoints: int | None = None) -> np.ndarray:
     if npoints is None:
         npoints = spec.size
     if spec.is_finite and npoints > spec.size:
-        raise DomainError(f"window {npoints} exceeds lattice size {spec.size}")
+        raise ValueError(f"window {npoints} exceeds lattice size {spec.size}")
     x = np.arange(npoints)
     return log_measure_grid(spec.family, spec.params, x, np.full(x.shape, spec.N or 0))
 
@@ -273,61 +326,12 @@ def recurrence_coefficients(spec: FamilySpec, nmax: int) -> tuple[np.ndarray, np
     Returned for n = 0..nmax; C_0 = 0 always.
     """
     n = np.arange(nmax + 1, dtype=float)
-    f, p = spec.family, spec.params
-    if f is Family.KRAWTCHOUK:
-        (pp,) = p
-        A = pp * (spec.N - n)
-        C = n * (1.0 - pp)
-    elif f is Family.CHARLIER:
-        (a,) = p
-        A = np.full(nmax + 1, a)
-        C = n.copy()
-    elif f is Family.MEIXNER:
-        a, b = p
-        A = b * (n + a) / (1.0 - b)
-        C = n / (1.0 - b)
-    elif f is Family.HAHN:
-        a, b = p
-        N = spec.N
-        with np.errstate(divide="ignore", invalid="ignore"):
-            A = (n + a + b - 1) * (n + a) * (N - n) / ((2 * n + a + b - 1) * (2 * n + a + b))
-        # the (a+b-1) factors cancel at n = 0; the closed form avoids 0/0 at a+b = 1
-        A[0] = a * N / (a + b)
-        C = np.zeros(nmax + 1)
-        if nmax >= 1:
-            m = n[1:]
-            C[1:] = m * (m + a + b + N - 1) * (m + b - 1) / ((2 * m + a + b - 2) * (2 * m + a + b - 1))
-    else:
-        a, b, q = p
-        N = spec.N
-        q = np.float64(q)  # q^(-N) past the double range is inf, not an OverflowError
-        qn = q**n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            A = (
-                (1 - a * qn) * (1 - a * b * qn / q) * (1 - qn * q ** (-N))
-                / ((1 - a * b * qn * qn / q) * (1 - a * b * qn * qn))
-            )
-        # (1 - ab/q) cancels between numerator and denominator at n = 0
-        A[0] = (1 - a) * (1 - q ** (-N)) / (1 - a * b)
-        C = np.zeros(nmax + 1)
-        if nmax >= 1:
-            m = n[1:]
-            qm = qn[1:]
-            C[1:] = (
-                -a * qm * q ** (-N - 1)
-                * (1 - qm) * (1 - a * b * qm * q ** (N - 1)) * (1 - b * qm / q)
-                / ((1 - a * b * qm * qm / (q * q)) * (1 - a * b * qm * qm / q))
-            )
-    return A, C
+    return _FAMILIES[spec.family].recurrence(n, spec.N, *spec.params)
 
 
 def site_values(spec: FamilySpec, npoints: int) -> np.ndarray:
     """theta(x) over the lattice window: -x, or q^(-x) - 1 for q-Hahn."""
-    x = np.arange(npoints, dtype=float)
-    if spec.family is Family.Q_HAHN:
-        q = spec.params[2]
-        return np.expm1(-x * math.log(q))
-    return -x
+    return _FAMILIES[spec.family].theta(np.arange(npoints, dtype=float), *spec.params)
 
 
 def _recurrence(theta, A, C, b, seed):
@@ -379,7 +383,7 @@ def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndar
     if npoints is None:
         npoints = spec.size
     if spec.is_finite and npoints != spec.size:
-        raise DomainError("finite-family basis must use the full lattice")
+        raise ValueError("finite-family basis must use the full lattice")
     with np.errstate(all="ignore"):
         theta = site_values(spec, npoints)
         A, C = recurrence_coefficients(spec, npoints - 1)
@@ -449,15 +453,6 @@ class ConvType(str, Enum):
     III = "iii"
 
 
-RECIPE_PARAM_NAMES = {
-    Family.KRAWTCHOUK: ("a", "b"),
-    Family.CHARLIER: ("a", "b"),
-    Family.HAHN: ("a", "b", "c"),
-    Family.MEIXNER: ("a", "b", "c"),
-    Family.Q_HAHN: ("a", "b", "c", "q"),
-}
-
-
 @dataclass(frozen=True)
 class MeasureFactor:
     """A family measure without a lattice size: a recipe's unsized stationary
@@ -469,7 +464,7 @@ class MeasureFactor:
     params: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_params(self.family, self.params)
+        object.__setattr__(self, "params", _check_params(self.family, self.params))
 
 
 _K, _C, _H, _M, _QH = (
@@ -478,8 +473,8 @@ _K, _C, _H, _M, _QH = (
 #: (family, type) -> functions of the recipe parameters giving the
 #: ((family, params) of factor2, of factor1), the lambda3 parameters (lambda3
 #: is of the recipe's own family), and kappa(1..nmax) from n = 1..nmax and
-#: j = n - 1.  Meixner type ii is type i's row; the pairs with no row
-#: (``_NO_RECIPE``) do not exist.
+#: j = n - 1.  Meixner type ii is type i's row (``_SAME_AS``); the pairs
+#: with no row (``_NO_RECIPE``) do not exist.
 _RECIPES: dict[tuple[Family, ConvType], tuple[Callable, Callable, Callable]] = {
     (_K, ConvType.I): (lambda a, b: ((_K, (b,)), (_K, (a,))),
                        lambda a, b: (b / (1 - a + a * b),),
@@ -525,6 +520,9 @@ _RECIPES: dict[tuple[Family, ConvType], tuple[Callable, Callable, Callable]] = {
                               / ((1 - a * b * q**j) * (1 - a * c * q**j)))),
 }
 
+#: pairs served by another type's row, canonicalized at construction
+_SAME_AS = {(_M, ConvType.II): ConvType.I}
+
 _NO_RECIPE = {
     _C: "charlier kernels are constructed only for types i and iii",
     _QH: "the type ii convolution does not exist for q-hahn",
@@ -551,12 +549,11 @@ class ConvolutionRecipe:
 
     def __post_init__(self) -> None:
         f, p = self.family, self.params
-        names = RECIPE_PARAM_NAMES[f]
+        names = _FAMILIES[f].recipe_names
         if len(p) != len(names):
             raise DomainError(f"{f.value} recipes take parameters {names}, got {p}")
-        if f is Family.MEIXNER and self.conv_type is ConvType.II:
-            object.__setattr__(self, "conv_type", ConvType.I)
-        t = self.conv_type
+        t = _SAME_AS.get((f, self.conv_type), self.conv_type)
+        object.__setattr__(self, "conv_type", t)
         if (f, t) not in _RECIPES:
             raise DomainError(_NO_RECIPE[f])
         factors, lambda3, _ = _RECIPES[f, t]
@@ -569,13 +566,15 @@ class ConvolutionRecipe:
                 raise DomainError(msg) from None
 
         # the factors are the range check: no lambda3 arithmetic runs on an
-        # invalid recipe
+        # invalid recipe, and only checked values are converted to float
         object.__setattr__(self, "factors", tuple(factor(*fp) for fp in factors(*p)))
+        p = tuple(float(v) for v in p)
+        object.__setattr__(self, "params", p)
         object.__setattr__(self, "lambda3", factor(f, lambda3(*p)))
 
     @property
     def is_finite(self) -> bool:
-        return self.family in FINITE_FAMILIES
+        return _FAMILIES[self.family].finite
 
     def stationary_spec(self, N: int | None) -> FamilySpec:
         """The stationary measure on {0..N}, or on Z>=0 for N=None; the
@@ -583,7 +582,7 @@ class ConvolutionRecipe:
         return FamilySpec(self.lambda3.family, self.lambda3.params, N)
 
     def to_string(self, N: int | None = None) -> str:
-        names = RECIPE_PARAM_NAMES[self.family]
+        names = _FAMILIES[self.family].recipe_names
         parts = [f"{self.family.value}", f"type={self.conv_type.value}"]
         parts += [f"{n}={v!r}" for n, v in zip(names, self.params)]
         if N is not None:
@@ -613,7 +612,7 @@ def parse_recipe(text: str) -> tuple[ConvolutionRecipe, int | None]:
         if key in kv:
             raise DomainError(f"duplicate key {key!r}")
         kv[key] = value
-    names = RECIPE_PARAM_NAMES[family]
+    names = _FAMILIES[family].recipe_names
     allowed = set(names) | {"type", "N"}
     unknown = sorted(set(kv) - allowed)
     if unknown:

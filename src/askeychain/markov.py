@@ -19,8 +19,9 @@ are tested against live with the tests (``tests/oracles.py``).
 Charlier and Meixner measures live on all of Z>=0 and are served only on a
 certified finite window: ``FamilySpec``, the one lattice-size rule, refuses
 an N on these recipes, so no uncertified window is ever built.  One row
-ln pi(0..MAX_WINDOW_POINTS) per measure gives the geometric tail bound for
-every window end at once (``stationary_tail_bounds``); the window, the cap
+ln pi(0..MAX_WINDOW_POINTS) and the family's tail-ratio bound give the
+geometric tail bound for every window end at once
+(``stationary_tail_bounds``); the window, the cap
 refusal, the growth guard, the stationary vector and the recorded bound are
 all read off that row.  The window grows until its column sums meet
 COL_TARGET_FACTOR * tail_eps, so ``tail_eps`` is refused above MAX_TAIL_EPS
@@ -41,9 +42,9 @@ import numpy as np
 
 from .errors import DomainError
 from .families import (
+    _FAMILIES,
     ConvolutionRecipe,
     ConvType,
-    Family,
     FamilySpec,
     MeasureFactor,
     log_measure_grid,
@@ -101,22 +102,17 @@ def stationary_tail_bounds(spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
     """ln pi(x) for x = 0..MAX_WINDOW_POINTS, and the certified upper bound on
     sum_{x>M} pi(x) for every window end M = 0..MAX_WINDOW_POINTS-1.
 
-    Both semi-infinite measures have eventually decreasing term ratios
-    r(x) = pi(x+1)/pi(x); past M the tail is dominated by the geometric
-    series pi(M+1) / (1 - r) with r = sup_{x>M} r(x), and the bound is
-    infinite where r >= 1.  Wherever it is finite the bound does not
-    increase with M.  One measure row serves every M.
+    Past M the tail is dominated by the geometric series pi(M+1) / (1 - r),
+    where r bounds sup_{x>M} pi(x+1)/pi(x) (the family row's
+    ``tail_ratio``), and the bound is infinite where r >= 1.  Wherever it
+    is finite the bound does not increase with M.  One measure row serves
+    every M.  A finite lattice has no tail: asking for one is a misuse
+    (ValueError), never a refusal.
     """
-    M = np.arange(MAX_WINDOW_POINTS)
-    if spec.family is Family.CHARLIER:
-        (a,) = spec.params
-        r = a / (M + 2)
-    elif spec.family is Family.MEIXNER:
-        a, b = spec.params
-        # ratio b (a+x)/(x+1): decreasing in x for a > 1, else below b
-        r = b * np.maximum(1.0, (a + M + 1) / (M + 2))
-    else:
-        raise DomainError(f"{spec.family.value} lattice is finite; no truncation")
+    tail_ratio = _FAMILIES[spec.family].tail_ratio
+    if tail_ratio is None:
+        raise ValueError(f"{spec.family.value} lattice is finite; no truncation")
+    r = tail_ratio(np.arange(MAX_WINDOW_POINTS), *spec.params)
     log_pi = log_measure_grid(spec.family, spec.params, np.arange(MAX_WINDOW_POINTS + 1), 0)
     # tiny headroom keeps the certificate valid under float rounding (the
     # bound is an analytic equality for Meixner at a = 1)

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from askeychain import families as F
 from askeychain.errors import DomainError
+from askeychain.markov import MAX_WINDOW_POINTS
 from askeychain.families import ConvolutionRecipe, ConvType, Family, FamilySpec, MeasureFactor
 
 import oracles
@@ -57,6 +59,60 @@ class TestFamilySpec:
         with pytest.raises(DomainError):
             MeasureFactor(Family.Q_HAHN, (0.3, 0.5))
 
+    def test_numpy_scalar_params_round_trip(self):
+        # checked parameters are stored as Python floats, so the canonical
+        # string of a recipe built from numpy scalars parses back to it
+        recipe = ConvolutionRecipe(Family.HAHN, ConvType.I, (np.float64(1.0), 2.0, 3.0))
+        text = recipe.to_string(5)
+        assert text == "hahn type=i a=1.0 b=2.0 c=3.0 N=5"
+        assert F.parse_recipe(text) == (recipe, 5)
+        assert recipe.stationary_spec(5).to_string() == "hahn:a=3.0,b=3.0,N=5"
+        for params in (recipe.params, recipe.lambda3.params, *(m.params for m in recipe.factors)):
+            assert all(type(v) is float for v in params)
+        assert FamilySpec(Family.CHARLIER, (np.float32(0.5),)).to_string() == "charlier:a=0.5"
+        # the range check runs on the raw values: a string is not converted
+        with pytest.raises(TypeError):
+            FamilySpec(Family.CHARLIER, ("0.5",))
+        with pytest.raises(TypeError):
+            ConvolutionRecipe(Family.CHARLIER, ConvType.I, ("0.5", 1.0))
+
+
+class TestFamilyTable:
+    def test_one_row_per_family(self):
+        assert len(F._FAMILIES) == len(Family)
+        assert set(F._FAMILIES) == set(Family)
+
+    @pytest.mark.parametrize("key", list(F._RECIPES))
+    def test_recipe_names_match_recipe_row_arity(self, key):
+        factors, lambda3, kappa = F._RECIPES[key]
+        arity = [len(inspect.signature(fn).parameters) for fn in (factors, lambda3, kappa)]
+        n = len(F._FAMILIES[key[0]].recipe_names)
+        assert arity == [n, n, n + 2]  # kappa also takes n and j
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_tail_ratio_exactly_on_z_nonneg(self, family):
+        row = F._FAMILIES[family]
+        assert (row.tail_ratio is not None) == (row.log_pi0 is not None) == (not row.finite)
+
+    @pytest.mark.parametrize("family, params", [
+        (Family.CHARLIER, (1e-4,)),
+        (Family.CHARLIER, (1.0,)),
+        (Family.CHARLIER, (20.0,)),
+        (Family.CHARLIER, (900.0,)),
+        (Family.MEIXNER, (0.5, 0.9)),
+        (Family.MEIXNER, (1.0, 0.5)),
+        (Family.MEIXNER, (40.0, 0.95)),
+    ])
+    def test_tail_ratio_bounds_term_ratio(self, family, params):
+        # tail_ratio(M) >= r(x) for every window end M and every M < x <= 4000;
+        # the two expressions round differently at x = M + 1
+        row = F._FAMILIES[family]
+        r = row.ratio(None, np.arange(4001, dtype=float), *params)
+        beyond = np.maximum.accumulate(r[::-1])[::-1]  # beyond[x] = max r[x:]
+        M = np.arange(MAX_WINDOW_POINTS)
+        tail = row.tail_ratio(M, *params)
+        assert np.all(tail * (1.0 + 1e-12) >= beyond[M + 1])
+
 
 class TestMeasure:
     def test_krawtchouk_symmetric_binomial(self):
@@ -100,8 +156,10 @@ class TestMeasure:
     def test_positive_and_domain_errors(self):
         spec = FamilySpec(Family.KRAWTCHOUK, (0.3,), N=5)
         assert np.all(F.measure_vector(spec) > 0)
-        with pytest.raises(DomainError):
+        # a window past the lattice is a library misuse, not a refusal
+        with pytest.raises(ValueError) as info:
             F.measure_vector(spec, 7)
+        assert not isinstance(info.value, DomainError)
 
     @pytest.mark.parametrize(
         "spec",
@@ -383,7 +441,7 @@ class TestRecipeRanges:
     @given(data=st.data())
     def test_valid_exactly_in_reference_ranges(self, data):
         fam, t = data.draw(st.sampled_from(all_combos()))
-        n = len(F.RECIPE_PARAM_NAMES[fam])
+        n = len(F._FAMILIES[fam].recipe_names)
         params = tuple(data.draw(st.lists(_EDGE_VALUES, min_size=n, max_size=n)))
         if oracles.recipe_in_range(fam, t, params):
             ConvolutionRecipe(fam, t, params)
@@ -397,7 +455,7 @@ class TestRecipeRanges:
     @example(combo=(Family.HAHN, ConvType.II), values=[0.3, 0.7, 0.3, 0.3])
     def test_every_accepted_recipe_has_a_usable_spectrum(self, combo, values):
         fam, t = combo
-        params = tuple(values[: len(F.RECIPE_PARAM_NAMES[fam])])
+        params = tuple(values[: len(F._FAMILIES[fam].recipe_names)])
         try:
             r = ConvolutionRecipe(fam, t, params)
         except DomainError:

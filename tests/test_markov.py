@@ -252,9 +252,16 @@ class TestTruncation:
         tol = markov.TRUNCATED_KERNEL_TOL
         assert markov.MAX_TAIL_EPS * markov.COL_TARGET_FACTOR == pytest.approx(tol, rel=1e-15)
 
-    def test_finite_family_rejected(self):
-        with pytest.raises(DomainError):
-            stationary_tail_bounds(FamilySpec(Family.KRAWTCHOUK, (0.3,), N=5))
+    @pytest.mark.parametrize("spec", [
+        FamilySpec(Family.KRAWTCHOUK, (0.3,), N=5),
+        FamilySpec(Family.HAHN, (1.0, 2.0), N=5),
+        FamilySpec(Family.Q_HAHN, (0.3, 0.5, 0.5), N=5),
+    ])
+    def test_finite_family_rejected(self, spec):
+        # no recipe reaches this: a library misuse, not a refusal
+        with pytest.raises(ValueError, match="lattice is finite") as info:
+            stationary_tail_bounds(spec)
+        assert not isinstance(info.value, DomainError)
 
     def test_truncated_lattice_is_certified(self):
         r = ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.4, 0.8))
