@@ -156,7 +156,9 @@ _FAMILIES: dict[Family, _FamilyRow] = {
     Family.HAHN: _FamilyRow(
         ("a", "b"), ("a", "b", "c"), lambda a, b: a > 0.0 and b > 0.0, "a, b > 0",
         recurrence=_hahn_recurrence,
-        ratio=lambda m, x, a, b: m * ((a + x) / (x + 1)) / (np.maximum(m - 1.0, 0.0) + b),
+        # m is a whole number: max(m, 1) - 1 is max(m - 1, 0) exactly, with one
+        # temporary fewer
+        ratio=lambda m, x, a, b: m * ((a + x) / (x + 1)) / (np.maximum(m, 1.0) - 1.0 + b),
     ),
     Family.MEIXNER: _FamilyRow(
         ("a", "b"), ("a", "b", "c"), lambda a, b: a > 0.0 and 0.0 < b < 1.0, "a > 0 and 0 < b < 1",
@@ -251,11 +253,17 @@ def _log_measure_rows(
     closed-form ln pi(0).
     """
     x = np.arange(xmax, dtype=float)
-    m = None if rows is None else np.maximum(rows.astype(float)[:, None] - x, 0.0)
+    m = None
+    if rows is not None:
+        m = rows.astype(float)[:, None] - x
+        np.maximum(m, 0.0, out=m)
     with np.errstate(divide="ignore"):
-        t = np.log(row.ratio(m, x, *params))
+        t = row.ratio(m, x, *params)
+        np.log(t, out=t)
+    del m
     table = np.zeros(t.shape[:-1] + (xmax + 1,))
     np.cumsum(t, axis=-1, out=table[..., 1:])
+    del t
     if not row.finite:
         return table + row.log_pi0(*params)
     table -= table.max(axis=1, keepdims=True)
@@ -268,34 +276,42 @@ def log_measure_grid(
 ) -> np.ndarray:
     """Vectorized ln pi(pts) with per-entry lattice size ``sizes``.
 
-    Semi-infinite families ignore ``sizes``.  Entries where pts is outside
-    the lattice are returned as -inf.  The values are gathered from one
-    table of rows ln pi(.; n), for every n from the smallest to the
-    largest size (a single row for the semi-infinite families), so the
-    cost is that of the table, not of the number of points.  Used by the
-    kernel builders, where the two measure factors are evaluated on whole
-    index grids at once, and by ``measure_vector`` and the truncation
-    certificate for one lattice row.
+    ``pts`` and ``sizes`` are integer arrays that broadcast against each
+    other; the result has their broadcast shape, and index vectors such as
+    ``np.arange(n)[:, None]`` give the bits of the full ``np.indices``
+    grids they stand for.  Semi-infinite families ignore ``sizes``.
+    Entries where pts is outside the lattice are returned as -inf.  The
+    values are gathered from one table of rows ln pi(.; n), for every n
+    from the smallest to the largest size (a single row for the
+    semi-infinite families), so the cost is that of the table, not of the
+    number of points; besides the result, only the table and one gather
+    index of the result's shape are held.  Used by the kernel builders,
+    and by ``measure_vector`` and the truncation certificate for one row.
     """
     row = _FAMILIES[family]
     pts = np.asarray(pts)
     sizes = np.asarray(sizes)
+    shape = np.broadcast_shapes(pts.shape, sizes.shape)
     valid = (pts >= 0) & (pts <= sizes) if row.finite else pts >= 0
     if not np.any(valid):
-        return np.full(valid.shape, -np.inf)
-    if not row.finite:
-        x = np.maximum(pts, 0)
-        table = _log_measure_rows(row, params, None, int(x.max()))
-        return np.where(valid, table.take(x), -np.inf)
+        return np.full(shape, -np.inf)
     n = np.maximum(sizes, 0)
-    x = np.minimum(np.maximum(pts, 0), n)
     if row.log_grid is not None:
-        out = row.log_grid(n, x, *params)
+        out = row.log_grid(n, np.minimum(np.maximum(pts, 0), n), *params)
     else:
-        nmin, nmax = int(n.min()), int(n.max())
-        table = _log_measure_rows(row, params, np.arange(nmin, nmax + 1), nmax)
-        out = table.take((n - nmin) * (nmax + 1) + x)
-    return np.where(valid, out, -np.inf)
+        if row.finite:
+            nmin, nmax = int(n.min()), int(n.max())
+            table = _log_measure_rows(row, params, np.arange(nmin, nmax + 1), nmax)
+        else:
+            table = _log_measure_rows(row, params, None, int(pts.max()))
+        # the gather index, built in place in one array of the result's shape
+        x = np.maximum(pts, 0, out=np.empty(shape, dtype=np.intp))
+        if row.finite:
+            np.minimum(x, n, out=x)
+            x += (n - nmin) * (nmax + 1)
+        out = table.take(x)
+    np.copyto(out, -np.inf, where=~valid)
+    return out
 
 
 def _log_pi(spec: FamilySpec, npoints: int | None = None) -> np.ndarray:
@@ -334,17 +350,23 @@ def site_values(spec: FamilySpec, npoints: int) -> np.ndarray:
     return _FAMILIES[spec.family].theta(np.arange(npoints, dtype=float), *spec.params)
 
 
-def _recurrence(theta, A, C, b, seed):
+def _recurrence(theta, A, C, b, seed, wedge=False):
     """Columns v_0..v_{S-1} of theta v_k = b_k v_{k+1} - (A_k + C_k) v_k +
     b_{k-1} v_{k-1}, from v_0 = seed and v_{-1} = 0, as (values, log_scale):
     v_k = values[:, k] exp(log_scale[:, k]).  A row is rescaled to 1 where
-    it passes 1e100, so no row leaves the double range on the way up."""
+    it passes 1e100, so no row leaves the double range on the way up.
+
+    Rows are independent.  With ``wedge`` only the entries k <= x are
+    computed (step k updates rows x >= k + 1); the others are left unset."""
     S = len(theta)
     values, log_scale = np.empty((S, S)), np.zeros((S, S))
     values[:, 0] = seed
     cur, prev, lrow = values[:, 0].copy(), np.zeros(S), np.zeros(S)
+    lo = 0
     for k in range(S - 1):
-        nxt = ((theta + A[k] + C[k]) * cur - (b[k - 1] if k else 0.0) * prev) / b[k]
+        if wedge:
+            lo, cur, prev, lrow = k + 1, cur[1:], prev[1:], lrow[1:]
+        nxt = ((theta[lo:] + A[k] + C[k]) * cur - (b[k - 1] if k else 0.0) * prev) / b[k]
         prev, cur = cur, nxt
         big = np.flatnonzero(np.abs(cur) > 1e100)
         if big.size:
@@ -352,9 +374,14 @@ def _recurrence(theta, A, C, b, seed):
             cur[big] /= f
             prev[big] /= f
             lrow[big] += np.log(f)
-        values[:, k + 1] = cur
-        log_scale[:, k + 1] = lrow
+        values[lo:, k + 1] = cur
+        log_scale[lo:, k + 1] = lrow
     return values, log_scale
+
+
+#: rows of the basis spliced at once: the splice's temporaries are this
+#: many rows long, whatever the lattice size
+_SPLICE_ROWS = 32
 
 
 def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndarray:
@@ -374,8 +401,13 @@ def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndar
       downward pass anchored at the top (``_recurrence`` on the reversed
       coefficients), spliced by ``_splice``;
     * Charlier and Meixner are self-dual with d_n^2 pi(x) symmetric in
-      (n, x), so the matrix itself is symmetric: the upward pass fills the
-      stable wedge n <= x and the rest is its mirror image.
+      (n, x), so the matrix itself is symmetric: the upward pass runs only
+      in the stable wedge n <= x and the rest is its mirror image.
+
+    The upward pass is written into the result, so besides it the memory
+    held at once is one matrix of its size on Z>=0 (the pass's log scale)
+    and two on a finite lattice (the downward pass and its log scale),
+    plus the splice's scores of _SPLICE_ROWS rows.
 
     A basis with an entry outside the double range (the q-Hahn
     coefficients overflow once q^(-N) does) is refused with a DomainError.
@@ -388,19 +420,21 @@ def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndar
         theta = site_values(spec, npoints)
         A, C = recurrence_coefficients(spec, npoints - 1)
         b = np.sign(A[:-1]) * np.sqrt(A[:-1] * C[1:])
-        u, lgu = _recurrence(theta, A, C, b, np.exp(0.5 * _log_pi(spec, npoints)))
+        seed = np.exp(0.5 * _log_pi(spec, npoints))
+        phi, lgu = _recurrence(theta, A, C, b, seed, wedge=not spec.is_finite)
         # true magnitudes for the splice's validity test; lgu is 0 before it fails
-        u *= np.exp(lgu, out=lgu)
+        phi *= np.exp(lgu, out=lgu)
         del lgu
         if not spec.is_finite:
-            # symmetric matrix: keep the wedge n <= x, mirror the rest
-            phi = np.where(np.tri(npoints, dtype=bool), u, u.T)
-        elif npoints <= 3:
-            phi = u
-        else:
+            # symmetric matrix: mirror the wedge n <= x onto the rest
+            for x in range(npoints - 1):
+                phi[x, x + 1 :] = phi[x + 1 :, x]
+        elif npoints > 3:
             # downward pass, exactly seeded by the vanishing top coefficient A_N
             w, lgw = _recurrence(theta, A[::-1], C[::-1], b[::-1], 1.0)
-            phi = _splice(u, w[:, ::-1], lgw[:, ::-1])
+            for lo in range(0, npoints, _SPLICE_ROWS):
+                blk = slice(lo, lo + _SPLICE_ROWS)
+                phi[blk] = _splice(phi[blk], w[blk, ::-1], lgw[blk, ::-1])
     if not np.isfinite(phi).all():
         raise DomainError(f"the {spec.to_string()} basis leaves the double range")
     return phi
@@ -414,10 +448,12 @@ def _splice(u: np.ndarray, wst: np.ndarray, lg: np.ndarray) -> np.ndarray:
     (the upward parasite drifts it past the envelope peak, the downward one
     before it).  Magnitudes are pooled over adjacent index pairs because a
     tridiagonal eigenvector may vanish at isolated indices (it cannot at
-    two consecutive ones), e.g. by parity on symmetric measures.
+    two consecutive ones), e.g. by parity on symmetric measures.  Every
+    statement reads only its own row, so any block of rows may be spliced
+    on its own.
     """
-    S = len(u)
-    rows, cols = np.arange(S), np.arange(S)[None, :]
+    S = u.shape[1]
+    rows, cols = np.arange(len(u)), np.arange(S)[None, :]
     absu = np.abs(u)
     invalid = absu > 1.0 + 1e-6  # orthonormal entries cannot exceed 1
     first_bad = np.where(invalid.any(axis=1), invalid.argmax(axis=1), S)

@@ -10,11 +10,15 @@ and pi(., lambda1):
 
 and the stationary distribution is the measure of the mapped family
 lambda3 (``ConvolutionRecipe.lambda3``).  The builders below evaluate the
-two factors on whole index grids (in log space, exponentiated once) and
-reduce each type to a matrix product or a per-column convolution; columns
-are mathematically independent, so construction parallelizes trivially and
-the finished kernel is immutable.  The direct per-entry sums these builders
-are tested against live with the tests (``tests/oracles.py``).
+two factors in log space on broadcast index vectors (``log_measure_grid``
+gives the bits the full index grids would, without building them),
+exponentiate them in place and reduce each type to a matrix product or a
+per-column convolution.  A build so holds a handful of arrays of the
+kernel's size at most (``tests/test_memory.py`` bounds its traced peak),
+and window growth frees each window's matrix before it builds the next.
+Columns are mathematically independent, so construction parallelizes
+trivially and the finished kernel is immutable.  The direct per-entry sums
+these builders are tested against live with the tests (``tests/oracles.py``).
 
 Charlier and Meixner measures live on all of Z>=0 and are served only on a
 certified finite window: ``FamilySpec``, the one lattice-size rule, refuses
@@ -154,29 +158,29 @@ def _type_iii_z_extension(factor1: MeasureFactor) -> int:
 def _build_matrix(recipe: ConvolutionRecipe, size: int) -> np.ndarray:
     factor2, factor1 = recipe.factors
     N = size - 1
+    col, row = np.arange(size)[:, None], np.arange(size)[None, :]
+
+    def grid(factor: MeasureFactor, pts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        out = log_measure_grid(factor.family, factor.params, pts, sizes)
+        return np.exp(out, out=out)
+
     if recipe.conv_type is ConvType.I:
-        x, z = np.indices((size, size))
         with np.errstate(invalid="ignore"):
-            a = np.exp(log_measure_grid(factor2.family, factor2.params, x - z, N - z))
-        z2, y = np.indices((size, size))
-        b = np.exp(log_measure_grid(factor1.family, factor1.params, z2, y))
-        return a @ b
+            a = grid(factor2, col - row, N - row)  # a[x, z]
+        return a @ grid(factor1, col, row)  # b[z, y]
     if recipe.conv_type is ConvType.II:
         # row n of each grid is ln pi(.; n); column y convolves two row prefixes
-        n, u = np.indices((size, size))
-        e2 = np.exp(log_measure_grid(factor2.family, factor2.params, u, n))
-        e1 = np.exp(log_measure_grid(factor1.family, factor1.params, u, n))
+        e2 = grid(factor2, row, col)
+        e1 = grid(factor1, row, col)
         out = np.empty((size, size))
         for y in range(size):
             out[:, y] = np.convolve(e2[N - y, : N - y + 1], e1[y, : y + 1])
         return out
     # type iii: the z sum runs past the window for semi-infinite lattices
     zmax = N if recipe.is_finite else N + _type_iii_z_extension(factor1)
-    x, z = np.indices((size, zmax + 1))
-    e = np.exp(log_measure_grid(factor2.family, factor2.params, x, z))
-    z2, y = np.indices((zmax + 1, size))
-    g = np.exp(log_measure_grid(factor1.family, factor1.params, z2 - y, N - y))
-    return e @ g
+    z = np.arange(zmax + 1)
+    e = grid(factor2, col, z[None, :])  # e[x, z]
+    return e @ grid(factor1, z[:, None] - row, N - row)  # g[z, y]
 
 
 def build_kernel(
@@ -226,6 +230,7 @@ def build_kernel(
         if nxt == M:
             break
         M = nxt
+        del matrix  # released before the next window's build
     return ConvolutionKernel(
         matrix,
         np.exp(log_pi[: M + 1]),

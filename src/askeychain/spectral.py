@@ -47,11 +47,17 @@ def _hamiltonian(kernel: ConvolutionKernel) -> tuple[np.ndarray, float]:
     the max entrywise |H - H^T| of the raw transform it came from.
 
     The kernel must satisfy detailed balance (within tolerance), otherwise
-    the result is not meaningfully symmetric.
+    the result is not meaningfully symmetric.  Built in place: besides the
+    result, one matrix of its size is held.
     """
     s = np.sqrt(kernel.pi)
-    h = kernel.matrix * (s[None, :] / s[:, None])
-    return 0.5 * (h + h.T), float(np.max(np.abs(h - h.T)))
+    h = np.divide(s[None, :], s[:, None])
+    np.multiply(kernel.matrix, h, out=h)  # K * (s_y / s_x), as one product
+    out = np.subtract(h, h.T)
+    asymmetry = float(np.max(np.abs(out, out=out)))
+    np.add(h, h.T, out=out)
+    out *= 0.5
+    return out, asymmetry
 
 
 @dataclass(frozen=True)
@@ -120,9 +126,12 @@ def spectrum_comparison(system: SpectralSystem) -> float:
 
 def eigen_residuals(system: SpectralSystem) -> np.ndarray:
     """||H phi_n - kappa(n) phi_n||_inf per mode, scaled by ||H||_inf."""
-    r = system.hamiltonian @ system.phi - system.phi * system.kappas[None, :]
-    hnorm = float(np.max(np.sum(np.abs(system.hamiltonian), axis=1)))
-    return np.max(np.abs(r), axis=0) / hnorm
+    r = system.hamiltonian @ system.phi
+    r -= system.phi * system.kappas[None, :]
+    worst = np.max(np.abs(r, out=r), axis=0)
+    # r's buffer takes |H| next
+    hnorm = float(np.max(np.sum(np.abs(system.hamiltonian, out=r), axis=1)))
+    return worst / hnorm
 
 
 def orthonormality_defect(phi: np.ndarray) -> float:

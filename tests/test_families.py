@@ -185,6 +185,25 @@ class TestMeasure:
         ])
         np.testing.assert_array_equal(scalar, row)
 
+    @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=FamilySpec.to_string)
+    def test_broadcast_vectors_match_full_grids(self, spec):
+        # index vectors that broadcast against each other give the shape and
+        # the bits of the full np.indices grids they stand for, points before
+        # the lattice and past its end included
+        pts, sizes = np.arange(-3, 17), np.arange(13)
+        i, j = np.indices((len(pts), len(sizes)))
+
+        def grid(p, s):
+            return F.log_measure_grid(spec.family, spec.params, p, s)
+
+        full = grid(pts[i], sizes[j])
+        assert grid(pts[:, None], sizes[None, :]).tobytes() == full.tobytes()
+        assert grid(pts[None, :], sizes[:, None]).tobytes() == full.T.tobytes()
+        # a difference grid against one index vector, as type i reads it
+        diff = pts[i] - sizes[j]
+        assert grid(pts[:, None] - sizes[None, :], sizes[None, :]).tobytes() == (
+            grid(diff, sizes[j]).tobytes())
+
 
 class TestPolynomial:
     """P_n is no library function: it is read off the orthonormal basis

@@ -61,6 +61,17 @@ class TestClassicalHamiltonian:
         for recipe, N in grid_recipes():
             assert SpectralSystem(kernel_cache(recipe, N)).presym_asymmetry <= 1e-13
 
+    def test_in_place_build_keeps_the_bits(self, kernel_cache):
+        # H and its asymmetry are built in one buffer; the bits are those of
+        # the plain expressions
+        for recipe, N in grid_recipes():
+            kern = kernel_cache(recipe, N)
+            s = np.sqrt(kern.pi)
+            h = kern.matrix * (s[None, :] / s[:, None])
+            system = SpectralSystem(kern)
+            assert system.hamiltonian.tobytes() == (0.5 * (h + h.T)).tobytes()
+            assert system.presym_asymmetry == float(np.max(np.abs(h - h.T)))
+
 
 class TestAnalyticEigensystem:
     def test_mode_zero_is_sqrt_pi(self):
@@ -87,6 +98,14 @@ class TestAnalyticEigensystem:
             ConvolutionRecipe(Family.Q_HAHN, ConvType.I, (0.3, 0.5, 0.4, 0.5)), N=4
         )
         assert np.max(eigen_residuals(sys_)) <= 1e-10
+
+    def test_residuals_in_place_keep_the_bits(self, kernel_cache):
+        for recipe, N in grid_recipes():
+            system = SpectralSystem(kernel_cache(recipe, N))
+            h, phi = system.hamiltonian, system.phi
+            r = h @ phi - phi * system.kappas[None, :]
+            want = np.max(np.abs(r), axis=0) / float(np.max(np.sum(np.abs(h), axis=1)))
+            assert eigen_residuals(system).tobytes() == want.tobytes()
 
 
 class TestNumericSpectrum:
