@@ -1,9 +1,13 @@
 """CSV and JSON emission with exact double round-trip.
 
-CSV floats are printed with 17 significant digits, which pins the double
-bit pattern; JSON uses Python's shortest round-trip repr.  Files are
-written atomically (temp file in the target directory, then rename) and
-get the mode a plain write would give under the process umask.
+Both formats pin the double bit pattern.  CSV floats are printed in one
+format, ``FLOAT_FORMAT`` (17 significant digits); JSON uses Python's
+shortest round-trip repr, with the bytes of ``json.dumps(payload,
+indent=1)``.  Each matrix row becomes one C-level string operation, and
+the text is joined once from its rows, so building it holds about twice
+the output text.  Files are written atomically (temp file in the target
+directory, then rename) and get the mode a plain write would give under
+the process umask.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ from typing import Iterable
 
 import numpy as np
 
+FLOAT_FORMAT = "%.17g"
+
 
 def format_float(v: float) -> str:
-    return f"{v:.17g}"
+    return FLOAT_FORMAT % v
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -39,8 +45,10 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def matrix_csv(matrix: np.ndarray) -> str:
-    lines = [",".join(format_float(v) for v in row) for row in np.atleast_2d(matrix)]
-    return "\n".join(lines) + "\n"
+    rows = np.atleast_2d(matrix)
+    line = ",".join([FLOAT_FORMAT] * rows.shape[1]) + "\n"
+    # a matrix without rows is one empty line
+    return "".join([line % tuple(row.tolist()) for row in rows]) or "\n"
 
 
 def rows_csv(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
@@ -52,13 +60,45 @@ def rows_csv(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _default(o):
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    if isinstance(o, (np.floating, np.integer)):
+        return o.item()
+    raise TypeError(f"cannot serialize {type(o)}")
+
+
+def _array_json(a: np.ndarray, depth: int, parts: list[str]) -> None:
+    """Append ``json.dumps(a.tolist(), indent=1)`` as it reads at nesting
+    ``depth``: one join per 1-D row, its items on lines of ``depth + 1``
+    spaces."""
+    if len(a) == 0:
+        parts.append("[]")
+        return
+    pad = "\n" + " " * (depth + 1)
+    if a.ndim == 1:
+        # repr is json's float text; NaN, infinities, ints and bools take json's own
+        finite = a.dtype.kind == "f" and np.isfinite(a).all()
+        items = map(float.__repr__ if finite else json.dumps, a.tolist())
+        parts += ("[", pad, ("," + pad).join(items), pad[:-1], "]")
+        return
+    parts += ("[", pad)
+    for i, row in enumerate(a):
+        if i:
+            parts += (",", pad)
+        _array_json(row, depth + 1, parts)
+    parts += (pad[:-1], "]")
+
+
 def envelope_json(payload: dict) -> str:
-    def default(o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        raise TypeError(f"cannot serialize {type(o)}")
-
-    return json.dumps(payload, default=default, indent=1) + "\n"
-
+    """``json.dumps(payload, indent=1) + "\\n"`` for a payload keyed by str,
+    with numpy arrays and scalars written as their ``tolist``/``item``."""
+    parts: list[str] = []
+    for key, value in payload.items():
+        parts += (",\n " if parts else "{\n ", json.dumps(key), ": ")
+        if isinstance(value, np.ndarray) and value.ndim and value.dtype.kind in "biuf":
+            _array_json(value, 1, parts)
+        else:
+            parts.append(json.dumps(value, default=_default, indent=1).replace("\n", "\n "))
+    parts.append("\n}\n" if parts else "{}\n")
+    return "".join(parts)

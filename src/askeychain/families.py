@@ -67,9 +67,10 @@ class _FamilyRow:
     """The facts fixing one family, as functions of its measure parameters
     p: the range of p, the term ratio ``ratio(m, x, *p)`` = pi(x+1)/pi(x)
     with m = max(n - x, 0) on the lattice {0..n} (None on Z>=0), or instead
-    a closed-form ``log_grid(n, x, *p)`` = ln pi(x; n), the recurrence
-    (A_n, C_n) and sites theta(x), and on Z>=0 ln pi(0) and a bound
-    ``tail_ratio(M, *p)`` on sup_{x>M} of the term ratio."""
+    a closed-form ``log_grid(n, x, *p)`` = ln pi(x; n) (free to overwrite
+    its index array x), the recurrence (A_n, C_n) and sites theta(x), and
+    on Z>=0 ln pi(0) and a bound ``tail_ratio(M, *p)`` on sup_{x>M} of the
+    term ratio."""
 
     names: tuple[str, ...]
     recipe_names: tuple[str, ...]
@@ -136,7 +137,22 @@ def _qhahn_log_grid(n, x, a, b, q):
     la = _log_qpoch_prefix(a, q, nmax)
     lb = _log_qpoch_prefix(b, q, nmax)
     lab = _log_qpoch_prefix(a * b, q, nmax)
-    return lqf[n] - lqf[x] - lqf[n - x] + la[x] + lb[n - x] + (n - x) * math.log(a) - lab[n]
+    # lqf[n] - lqf[x] - lqf[m] + la[x] + lb[m] + m ln a - lab[n], m = n - x,
+    # summed left to right in one result and one gather buffer.  x's buffer
+    # holds x and m in turn (exact integer steps), as a separate m would hold
+    # one more array of the result's size.  Both lie in 0..nmax, so "clip"
+    # moves no index; it spares the output copy take makes by default
+    out = lqf[n] - lqf[x]
+    term = np.empty_like(out)
+    m = np.subtract(n, x, out=x)
+    out -= lqf.take(m, out=term, mode="clip")
+    x = np.subtract(n, m, out=m)
+    out += la.take(x, out=term, mode="clip")
+    m = np.subtract(n, x, out=x)
+    out += lb.take(m, out=term, mode="clip")
+    out += np.multiply(m, math.log(a), out=term)
+    out -= lab[n]
+    return out
 
 
 #: One row per family: the only place that tells the families apart.

@@ -274,7 +274,8 @@ def verify_kernel(kernel: ConvolutionKernel, tol: float | None = None) -> Kernel
     k = kernel.matrix
     stoch = float(np.max(np.abs(k.sum(axis=0) - 1.0)))
     flux = k * kernel.pi[None, :]
-    rev = float(np.max(np.abs(flux - flux.T)) / np.max(flux))
+    skew = flux - flux.T
+    rev = float(np.max(np.abs(skew, out=skew)) / np.max(flux))
     positivity = bool(np.all(k > 0.0)) if finite else bool(np.all(k >= 0.0))
     passed = stoch <= tol and rev <= tol
     return KernelReport(stoch, rev, positivity, tol, passed)

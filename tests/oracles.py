@@ -10,6 +10,7 @@ library objects (recipes, kernels) only as data.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -230,6 +231,27 @@ def eigvals_moduli_excess(matrix: np.ndarray) -> float:
 def parse_matrix_csv(text: str) -> np.ndarray:
     """A ``matrix_csv`` text back to the matrix (its rows hold no whitespace)."""
     return np.array([[float(v) for v in row.split(",")] for row in text.split()])
+
+
+def matrix_csv_per_float(matrix: np.ndarray) -> str:
+    """The ``matrix_csv`` text built one f-string per float: the export
+    builders' byte referee."""
+    lines = [",".join(f"{v:.17g}" for v in row) for row in np.atleast_2d(matrix)]
+    return "\n".join(lines) + "\n"
+
+
+def envelope_json_dumps(payload: dict) -> str:
+    """The ``envelope_json`` text from one ``json.dumps(indent=1)`` of the
+    whole payload, arrays and numpy scalars as their ``tolist``/``item``."""
+
+    def default(o):
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        if isinstance(o, (np.floating, np.integer)):
+            return o.item()
+        raise TypeError(f"cannot serialize {type(o)}")
+
+    return json.dumps(payload, default=default, indent=1) + "\n"
 
 
 # ---------------------------------------------------------------------------

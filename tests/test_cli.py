@@ -678,6 +678,24 @@ class TestLibraryBoundary:
         for name in ("max_stochastic_violation", "max_reversibility_violation", "tol"):
             assert hasattr(report, name), name
 
+    def test_the_benchmarks_tracer_counts_the_written_text(self, tmp_path):
+        # the tracer counts export.bytes_out off the str that atomic_write
+        # receives: the builders return the whole text, not chunks
+        tracer = bench_module("spans").Tracer()
+        out = tmp_path / "kernel.json"
+        tracer.install()
+        try:
+            tracer.enabled = True
+            code = main(["kernel", "--recipe", "hahn type=iii a=1.0 b=2.0 c=1.0 N=40",
+                         "--format", "json", "--out", str(out)])
+        finally:
+            tracer.enabled = False
+            tracer.uninstall()
+        assert code == 0
+        assert tracer.counters["export.bytes_out"] == out.stat().st_size > 0
+        names = {span[0] for span in tracer.spans}
+        assert {"export.envelope_json", "export.atomic_write"} <= names
+
     def test_the_benchmarks_library_calls_run(self):
         # the entropy workload's op and the export workload's references,
         # run once: a library change that would fail a benchmark run fails here
