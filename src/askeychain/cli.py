@@ -8,9 +8,9 @@ A run is specified by a one-line recipe, e.g.
     askeychain entropy --recipe "charlier type=i a=0.5 b=1.0" --eps 1e-12
 
 This module only parses flags, dispatches and formats: the recipe grammar
-is ``families.parse_recipe``, and ``verify`` formats the invariant suite of
-``spectral.verification_report``.  Every command is one row of
-``_COMMANDS``, so every JSON envelope has one shape:
+is ``families.parse_recipe``, and the PASS/FAIL lines of ``verify`` are
+formatted here from the checks of ``spectral.verification_report``.  Every
+command is one row of ``_COMMANDS``, so every JSON envelope has one shape:
 ``recipe, stationary, lattice`` and then the command's own fields.
 
 Every command writes its output and exits by one rule: 0 when its checks
@@ -38,7 +38,7 @@ from .errors import DomainError
 from .families import ConvolutionRecipe, parse_recipe
 from .fermion import FreeFermionModel, block_entropy, correlation_matrix, entropy_profile
 from .markov import build_kernel, verify_kernel
-from .spectral import CheckResult, SpectralSystem, verification_report
+from .spectral import SpectralSystem, verification_report
 
 _USAGE_ERROR = 2
 _TOLERANCE_ERROR = 1
@@ -99,7 +99,8 @@ def _verify_fields(args, system) -> dict:
 
 
 def _verify_text(fields: dict) -> str:
-    lines = [CheckResult(**c).line() for c in fields["checks"]]
+    lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: "
+             f"measured={c['measured']:.3e} tol={c['tol']:.1e}" for c in fields["checks"]]
     lines.append("ALL PASS" if fields["passed"] else "FAILURES PRESENT")
     return "\n".join(lines) + "\n"
 

@@ -1,13 +1,16 @@
 """CSV and JSON emission with exact double round-trip.
 
-Both formats pin the double bit pattern.  CSV floats are printed in one
+The writers take what the commands build: numeric arrays and JSON-native
+values.  CSV is a matrix, or a header over (index, float) rows; a JSON
+envelope writes its top-level array fields as their ``tolist``.  Both
+formats pin the double bit pattern.  CSV floats are printed in one
 format, ``FLOAT_FORMAT`` (17 significant digits); JSON uses Python's
 shortest round-trip repr, with the bytes of ``json.dumps(payload,
-indent=1)``.  Each matrix row becomes one C-level string operation, and
-the text is joined once from its rows, so building it holds about twice
-the output text.  Files are written atomically (temp file in the target
-directory, then rename) and get the mode a plain write would give under
-the process umask.
+indent=1)``.  Each matrix or table row becomes one C-level string
+operation, and the text is joined once from its rows, so building it
+holds about twice the output text.  Files are written atomically (temp
+file in the target directory, then rename) and get the mode a plain
+write would give under the process umask.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ from typing import Iterable
 import numpy as np
 
 FLOAT_FORMAT = "%.17g"
-
-
-def format_float(v: float) -> str:
-    return FLOAT_FORMAT % v
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -51,21 +50,9 @@ def matrix_csv(matrix: np.ndarray) -> str:
     return "".join([line % tuple(row.tolist()) for row in rows]) or "\n"
 
 
-def rows_csv(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _default(o):
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    raise TypeError(f"cannot serialize {type(o)}")
+def rows_csv(header: tuple[str, ...], rows: Iterable[tuple[int, float]]) -> str:
+    line = "%d," + FLOAT_FORMAT + "\n"
+    return ",".join(header) + "\n" + "".join([line % (n, v) for n, v in rows])
 
 
 def _array_json(a: np.ndarray, depth: int, parts: list[str]) -> None:
@@ -92,13 +79,13 @@ def _array_json(a: np.ndarray, depth: int, parts: list[str]) -> None:
 
 def envelope_json(payload: dict) -> str:
     """``json.dumps(payload, indent=1) + "\\n"`` for a payload keyed by str,
-    with numpy arrays and scalars written as their ``tolist``/``item``."""
+    with each top-level array field written as its ``tolist``."""
     parts: list[str] = []
     for key, value in payload.items():
         parts += (",\n " if parts else "{\n ", json.dumps(key), ": ")
-        if isinstance(value, np.ndarray) and value.ndim and value.dtype.kind in "biuf":
+        if isinstance(value, np.ndarray):
             _array_json(value, 1, parts)
         else:
-            parts.append(json.dumps(value, default=_default, indent=1).replace("\n", "\n "))
+            parts.append(json.dumps(value, indent=1).replace("\n", "\n "))
     parts.append("\n}\n" if parts else "{}\n")
     return "".join(parts)

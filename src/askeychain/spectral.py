@@ -160,10 +160,6 @@ class CheckResult:
     tol: float
     passed: bool
 
-    def line(self) -> str:
-        flag = "PASS" if self.passed else "FAIL"
-        return f"{flag} {self.name}: measured={self.measured:.3e} tol={self.tol:.1e}"
-
 
 def _check(name: str, measured: float, tol: float) -> CheckResult:
     return CheckResult(name, measured, tol, measured <= tol)

@@ -240,6 +240,16 @@ def matrix_csv_per_float(matrix: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def rows_csv_per_value(header: tuple[str, ...], rows) -> str:
+    """The ``rows_csv`` text built one value at a time, floats at 17
+    significant digits and every other value as its str: the table
+    builder's byte referee."""
+    lines = [",".join(header)]
+    lines += [",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def envelope_json_dumps(payload: dict) -> str:
     """The ``envelope_json`` text from one ``json.dumps(indent=1)`` of the
     whole payload, arrays and numpy scalars as their ``tolist``/``item``."""

@@ -1,8 +1,10 @@
 import ast
 import dataclasses
+import errno
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -91,6 +93,23 @@ class TestRecipeParsing:
             parse_recipe("krawtchouk type=i a 0.3 b=0.5")
         with pytest.raises(DomainError):
             parse_recipe("wat type=i a=0.3 b=0.5")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty recipe"),
+        ("   ", "empty recipe"),
+        ("krawtchouk type=i a=0.3 a=0.4 b=0.5 N=5", "duplicate key 'a'"),
+        ("krawtchouk type=iv a=0.3 b=0.5 N=5", "unknown convolution type 'iv'"),
+        ("krawtchouk type=i a=x b=0.5 N=5", "bad numeric value in recipe: could not convert"),
+        ("krawtchouk type=i a=0.3 b=0.5 N=2.5", "bad numeric value in recipe: invalid literal"),
+    ])
+    def test_refusals_name_the_fault(self, text, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            parse_recipe(text)
+
+    def test_recipe_arity_is_checked(self):
+        with pytest.raises(DomainError, match=re.escape(
+                "hahn recipes take parameters ('a', 'b', 'c'), got (1.0, 2.0)")):
+            ak.ConvolutionRecipe(ak.Family.HAHN, ConvType.I, (1.0, 2.0))
 
     def test_finite_needs_n_semi_infinite_rejects_it(self):
         with pytest.raises(DomainError, match="krawtchouk needs a lattice size N"):
@@ -248,6 +267,29 @@ class TestKernelCommand:
         assert code == 2
         assert not out.parent.exists()
         assert capsys.readouterr().err.startswith("error: cannot write --out ")
+
+    def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "k.csv"
+        out.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError(errno.EACCES, "refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code = main(["kernel", "--recipe", "krawtchouk type=i a=0.3 b=0.5 N=5", "--out", str(out)])
+        assert code == 2
+        assert out.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["k.csv"]
+        assert capsys.readouterr().err == f"error: cannot write --out {str(out)!r}: refused\n"
+
+    @pytest.mark.parametrize("command", ["kernel", "spectrum"])
+    def test_default_out_is_stdout(self, tmp_path, capsys, command):
+        argv = [command, "--recipe", "krawtchouk type=i a=0.3 b=0.5 N=5"]
+        assert main(argv) == 0
+        written = capsys.readouterr().out
+        code, text = run(tmp_path, *argv)
+        assert code == 0
+        assert written == text != ""
 
     def test_out_file_mode_follows_umask(self, tmp_path):
         old = os.umask(0o022)
@@ -417,7 +459,8 @@ class TestCommandTable:
             for key in ("recipe", "stationary", "lattice"):
                 assert payload[key] == kernel_payload[key]
             lines = [
-                ak.CheckResult(c["name"], c["measured"], c["tol"], c["passed"]).line()
+                f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: "
+                f"measured={c['measured']:.3e} tol={c['tol']:.1e}"
                 for c in payload["checks"]
             ]
             assert text.splitlines() == lines + ["ALL PASS"]
@@ -575,11 +618,20 @@ class TestFermionCommands:
         assert code == 2
         assert "outside lattice of 8 sites" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", ["5", "a:b"])
+    def test_malformed_block_exits_2(self, tmp_path, capsys, block):
+        code, _ = run(tmp_path, "entropy", "--recipe", "krawtchouk type=ii a=0.2 b=0.6 N=7",
+                      "--block", block)
+        assert code == 2
+        assert not (tmp_path / "out.dat").exists()
+        err = capsys.readouterr().err
+        assert err == f"error: bad block spec {block!r}, expected start:stop\n"
+
 
 class TestRoundTrips:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_csv_float_format_roundtrips(self, v):
-        assert float(export.format_float(v)) == v
+        assert float(export.FLOAT_FORMAT % v) == v
 
     def test_matrix_csv_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -677,6 +729,13 @@ class TestLibraryBoundary:
         report = ak.verify_kernel(system.kernel)
         for name in ("max_stochastic_violation", "max_reversibility_violation", "tol"):
             assert hasattr(report, name), name
+
+    def test_the_benchmarks_selftest_passes(self):
+        # -B: the harness's modules are read, and no bytecode is written beside them
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-B", "bench/selftest.py"], cwd=root,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_the_benchmarks_tracer_counts_the_written_text(self, tmp_path):
         # the tracer counts export.bytes_out off the str that atomic_write

@@ -1,14 +1,14 @@
 """The export builders write the bytes of their one-call referees
-(``oracles.matrix_csv_per_float``, ``oracles.envelope_json_dumps``): every
-float, special value, dtype and shape the envelopes can hold, and the real
-envelopes of the matrix commands."""
+(``oracles.matrix_csv_per_float``, ``oracles.envelope_json_dumps``,
+``oracles.rows_csv_per_value``): every float, special value, dtype and
+shape the envelopes can hold, and the real output of every command."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import envelope_json_dumps, matrix_csv_per_float
+from oracles import envelope_json_dumps, matrix_csv_per_float, rows_csv_per_value
 
 from askeychain import export
 from askeychain.cli import main
@@ -54,6 +54,11 @@ def test_matrix_csv_bytes(name):
 def test_envelope_json_bytes(name):
     payload = {"recipe": "hahn type=i a=1.0 b=2.0 c=3.0 N=2", "matrix": ARRAYS[name],
                "pi": EDGE_VALUES[3:8], "passed": True}
+    if ARRAYS[name].ndim == 0:
+        # no command emits a 0-d array: it is refused, not written as its item
+        with pytest.raises(TypeError):
+            export.envelope_json(payload)
+        return
     assert export.envelope_json(payload) == envelope_json_dumps(payload)
 
 
@@ -68,15 +73,27 @@ def test_empty_shapes_keep_their_lines():
 @pytest.mark.parametrize("payload", [
     {},
     {"only": np.zeros(0)},
-    {"mu": np.float64(0.1), "n": np.int64(3), "x": np.float32(1e-40), "flag": False},
-    {"lattice": {"kind": "truncated", "tail_eps": np.float64(1e-12), "points": np.int32(41),
-                 "window": np.arange(3), "grid": np.eye(2)}},
+    {"mu": np.float64(0.1), "n": 3, "x": 1e-40, "flag": False},
+    {"lattice": {"kind": "truncated", "tail_eps": np.float64(1e-12), "points": 41}},
     {"rows": [[0, 0.0], [1, np.float64(0.6931471805599453)]], "filled_modes": [0, 2]},
     {"checks": [{"name": "a", "measured": np.float64(np.nan), "tol": 1e-12, "passed": False}]},
     {"text": "quote \" and \\ and \n and é", "none": None, "empty": [], "nested": {}},
 ], ids=lambda p: ",".join(p) or "empty")
 def test_envelope_json_bytes_of_non_array_fields(payload):
+    # np.float64 is a float, so json writes it as one
     assert export.envelope_json(payload) == envelope_json_dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": np.int64(3)},
+    {"x": np.float32(1e-40)},
+    {"lattice": {"points": np.int32(41)}},
+    {"lattice": {"window": np.arange(3)}},
+], ids=["int64", "float32", "nested-int32", "nested-array"])
+def test_envelope_json_refuses_numpy_scalars_and_nested_arrays(payload):
+    # only top-level array fields are converted; every other value is json's
+    with pytest.raises(TypeError):
+        export.envelope_json(payload)
 
 
 def test_envelope_json_refuses_what_json_refuses():
@@ -100,27 +117,36 @@ def test_builders_match_referees_on_any_float_array(a):
     ["hamiltonian", "--recipe", "krawtchouk type=ii a=0.2 b=0.6 N=25"],
     ["eigvecs", "--recipe", "meixner type=i a=1.0 b=6.0 c=0.2"],
     ["correlation", "--recipe", "hahn type=ii a=1.0 b=0.5 c=1.0 N=20", "--mu", "-0.3"],
+    ["correlation", "--recipe", "krawtchouk type=i a=0.3 b=0.5 N=5", "--filled", "0,2"],
     ["entropy", "--recipe", "hahn type=i a=1.0 b=2.0 c=3.0 N=12", "--mu", "-0.4"],
+    ["entropy", "--recipe", "krawtchouk type=ii a=0.2 b=0.6 N=9", "--block", "2:7"],
+    ["entropy", "--recipe", "charlier type=i a=0.4 b=0.8"],
     ["spectrum", "--recipe", "qhahn type=i a=0.3 b=0.5 c=0.4 q=0.5 N=15"],
+    ["verify", "--recipe", "hahn type=ii a=1.0 b=0.5 c=1.0 N=20"],
+    ["verify", "--recipe", "charlier type=i a=0.4 b=0.8"],
 ], ids=lambda argv: f"{argv[0]}:{argv[2].split()[0]}")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_real_envelopes_match_referees(argv, fmt, tmp_path, monkeypatch):
-    # the CLI's own payloads and matrices, captured on their way to the builders
+    # the CLI's own payloads, matrices and tables, captured on their way to the builders
     seen = []
 
     def capture(builder, referee):
-        def checked(arg):
-            text = builder(arg)
-            seen.append((text, referee(arg)))
+        def checked(*args):
+            text = builder(*args)
+            seen.append((text, referee(*args)))
             return text
         return checked
 
-    monkeypatch.setattr(export, "envelope_json", capture(export.envelope_json, envelope_json_dumps))
-    monkeypatch.setattr(export, "matrix_csv", capture(export.matrix_csv, matrix_csv_per_float))
+    for name, referee in [("envelope_json", envelope_json_dumps),
+                          ("matrix_csv", matrix_csv_per_float),
+                          ("rows_csv", rows_csv_per_value)]:
+        monkeypatch.setattr(export, name, capture(getattr(export, name), referee))
     out = tmp_path / "out"
     assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
-    if fmt == "json" or argv[0] not in ("spectrum", "entropy"):
-        assert len(seen) == 1
-        text, want = seen[0]
-        assert text == want
-        assert out.read_text() == text
+    if fmt == "csv" and argv[0] == "verify":
+        assert seen == []  # the CLI formats the verify lines itself
+        return
+    assert len(seen) == 1
+    text, want = seen[0]
+    assert text == want
+    assert out.read_text() == text

@@ -51,6 +51,10 @@ class TestFamilySpec:
         with pytest.raises(DomainError):
             FamilySpec(Family.KRAWTCHOUK, (0.5,))
 
+    def test_semi_infinite_spec_has_no_size(self):
+        with pytest.raises(ValueError, match="^semi-infinite family has no intrinsic size$"):
+            FamilySpec(Family.CHARLIER, (1.3,)).size
+
     def test_measure_factor_validated(self):
         # a factor carries the same range rules as a spec, without the lattice
         assert MeasureFactor(Family.KRAWTCHOUK, (0.5,)).params == (0.5,)
@@ -392,6 +396,11 @@ class TestOrthonormalColumns:
     def test_basis_outside_double_range_is_refused(self, spec):
         with pytest.raises(DomainError, match="basis leaves the double range"):
             F.orthonormal_columns(spec)
+
+    def test_finite_basis_takes_the_full_lattice(self):
+        spec = FamilySpec(Family.HAHN, (1.0, 2.0), N=9)
+        with pytest.raises(ValueError, match="^finite-family basis must use the full lattice$"):
+            F.orthonormal_columns(spec, npoints=5)
 
     def test_first_column_is_sqrt_pi(self):
         spec = FamilySpec(Family.HAHN, (1.0, 2.0), N=9)
