@@ -257,6 +257,20 @@ class FamilySpec:
 # ---------------------------------------------------------------------------
 
 
+#: rows that the measure table build, the measure gather and the basis
+#: splice work on at once: their temporaries are this many rows long,
+#: whatever the lattice size
+_SPLICE_ROWS = 32
+#: rows the downward basis pass runs on at once; fewer rows hold less and
+#: take more Python steps (each pass steps through every column)
+_DOWN_PASS_ROWS = 512
+
+
+def _row_blocks(nrows: int, step: int) -> list[slice]:
+    """Consecutive slices of ``step`` rows covering 0..nrows-1."""
+    return [slice(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
+
+
 def _log_measure_rows(
     row: _FamilyRow, params: tuple[float, ...], rows: np.ndarray | None, xmax: int
 ) -> np.ndarray:
@@ -264,26 +278,29 @@ def _log_measure_rows(
     the log term ratios.
 
     A finite row (``xmax`` its largest size) has ratio 0 from its end on,
-    so it is -inf past its end, and is normalized by its own log-sum-exp.
-    A semi-infinite row (``rows`` is None; one row) starts from its
-    closed-form ln pi(0).
+    so it is -inf past its end, and is normalized by its own log-sum-exp;
+    the rows are built _SPLICE_ROWS at a time, so besides the table only
+    temporaries of that many rows are held.  A semi-infinite row (``rows``
+    is None; one row) starts from its closed-form ln pi(0).
     """
     x = np.arange(xmax, dtype=float)
-    m = None
-    if rows is not None:
-        m = rows.astype(float)[:, None] - x
-        np.maximum(m, 0.0, out=m)
-    with np.errstate(divide="ignore"):
-        t = row.ratio(m, x, *params)
-        np.log(t, out=t)
-    del m
-    table = np.zeros(t.shape[:-1] + (xmax + 1,))
-    np.cumsum(t, axis=-1, out=table[..., 1:])
-    del t
-    if not row.finite:
+    if rows is None:
+        with np.errstate(divide="ignore"):
+            t = np.log(row.ratio(None, x, *params))
+        table = np.zeros(xmax + 1)
+        np.cumsum(t, out=table[1:])
         return table + row.log_pi0(*params)
-    table -= table.max(axis=1, keepdims=True)
-    table -= np.log(np.exp(table).sum(axis=1, keepdims=True))
+    table = np.zeros((len(rows), xmax + 1))
+    for blk in _row_blocks(len(rows), _SPLICE_ROWS):
+        m = rows[blk].astype(float)[:, None] - x
+        np.maximum(m, 0.0, out=m)
+        with np.errstate(divide="ignore"):
+            t = row.ratio(m, x, *params)
+            np.log(t, out=t)
+        part = table[blk]
+        np.cumsum(t, axis=-1, out=part[:, 1:])
+        part -= part.max(axis=1, keepdims=True)
+        part -= np.log(np.exp(part).sum(axis=1, keepdims=True))
     return table
 
 
@@ -300,33 +317,46 @@ def log_measure_grid(
     values are gathered from one table of rows ln pi(.; n), for every n
     from the smallest to the largest size (a single row for the
     semi-infinite families), so the cost is that of the table, not of the
-    number of points; besides the result, only the table and one gather
-    index of the result's shape are held.  Used by the kernel builders,
-    and by ``measure_vector`` and the truncation certificate for one row.
+    number of points.  The gather and the validity mask run _SPLICE_ROWS
+    rows of the result at a time, so besides the result only the table and
+    index and mask blocks of that many rows are held.  Used by the kernel
+    builders, and by ``measure_vector`` and the truncation certificate for
+    one row.
     """
     row = _FAMILIES[family]
     pts = np.asarray(pts)
     sizes = np.asarray(sizes)
     shape = np.broadcast_shapes(pts.shape, sizes.shape)
-    valid = (pts >= 0) & (pts <= sizes) if row.finite else pts >= 0
-    if not np.any(valid):
+    if math.prod(shape) == 0 or pts.max() < 0:
         return np.full(shape, -np.inf)
     n = np.maximum(sizes, 0)
+    table = None
     if row.log_grid is not None:
         out = row.log_grid(n, np.minimum(np.maximum(pts, 0), n), *params)
     else:
         if row.finite:
             nmin, nmax = int(n.min()), int(n.max())
             table = _log_measure_rows(row, params, np.arange(nmin, nmax + 1), nmax)
+            # each size's row offset in the flat table, at the shape of sizes
+            offset = np.broadcast_to((n - nmin) * (nmax + 1), shape)
         else:
             table = _log_measure_rows(row, params, None, int(pts.max()))
-        # the gather index, built in place in one array of the result's shape
-        x = np.maximum(pts, 0, out=np.empty(shape, dtype=np.intp))
+        out = np.empty(shape)  # after the table, whose build holds more
+    pts, sizes, n = (np.broadcast_to(v, shape) for v in (pts, sizes, n))
+    # a result of fewer than two axes is one block
+    for blk in [...] if len(shape) < 2 else _row_blocks(shape[0], _SPLICE_ROWS):
+        if table is not None:
+            x = np.maximum(pts[blk], 0, out=np.empty(out[blk].shape, dtype=np.intp))
+            if row.finite:
+                np.minimum(x, n[blk], out=x)
+                x += offset[blk]
+            # every index lies in the table, so "clip" moves none; it spares
+            # the copy of the output that take makes by default
+            table.take(x, out=out[blk], mode="clip")
+        invalid = pts[blk] < 0
         if row.finite:
-            np.minimum(x, n, out=x)
-            x += (n - nmin) * (nmax + 1)
-        out = table.take(x)
-    np.copyto(out, -np.inf, where=~valid)
+            invalid |= pts[blk] > sizes[blk]
+        np.copyto(out[blk], -np.inf, where=invalid)
     return out
 
 
@@ -367,21 +397,27 @@ def site_values(spec: FamilySpec, npoints: int) -> np.ndarray:
 
 
 def _recurrence(theta, A, C, b, seed, wedge=False):
-    """Columns v_0..v_{S-1} of theta v_k = b_k v_{k+1} - (A_k + C_k) v_k +
-    b_{k-1} v_{k-1}, from v_0 = seed and v_{-1} = 0, as (values, log_scale):
-    v_k = values[:, k] exp(log_scale[:, k]).  A row is rescaled to 1 where
+    """Columns v_0..v_{len(b)} of theta v_k = b_k v_{k+1} - (A_k + C_k) v_k
+    + b_{k-1} v_{k-1}, from v_0 = seed and v_{-1} = 0, with one row per
+    site of ``theta``, as (values, rescales).  A row is rescaled to 1 where
     it passes 1e100, so no row leaves the double range on the way up.
+    ``rescales`` records each rescale as an event (row, column, log f),
+    sorted by row, and ``_log_scale`` rebuilds from them any block of rows of
+    the log scale L, with v_k = values[:, k] exp(L[:, k]).
 
-    Rows are independent.  With ``wedge`` only the entries k <= x are
-    computed (step k updates rows x >= k + 1); the others are left unset."""
-    S = len(theta)
-    values, log_scale = np.empty((S, S)), np.zeros((S, S))
+    Rows are independent, so a pass may run on any subset of the sites.
+    With ``wedge`` (all sites, as many as columns) only the entries k <= x
+    are computed (step k updates rows x >= k + 1); the others are left
+    unset."""
+    S, ncols = len(theta), len(b) + 1
+    values = np.empty((S, ncols))
     values[:, 0] = seed
-    cur, prev, lrow = values[:, 0].copy(), np.zeros(S), np.zeros(S)
+    cur, prev = values[:, 0].copy(), np.zeros(S)
+    rows, cols, logs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
     lo = 0
-    for k in range(S - 1):
+    for k in range(ncols - 1):
         if wedge:
-            lo, cur, prev, lrow = k + 1, cur[1:], prev[1:], lrow[1:]
+            lo, cur, prev = k + 1, cur[1:], prev[1:]
         nxt = ((theta[lo:] + A[k] + C[k]) * cur - (b[k - 1] if k else 0.0) * prev) / b[k]
         prev, cur = cur, nxt
         big = np.flatnonzero(np.abs(cur) > 1e100)
@@ -389,15 +425,25 @@ def _recurrence(theta, A, C, b, seed, wedge=False):
             f = np.abs(cur[big])
             cur[big] /= f
             prev[big] /= f
-            lrow[big] += np.log(f)
+            rows.append(big + lo)
+            cols.append(np.full(big.size, k + 1))
+            logs.append(np.log(f))
         values[lo:, k + 1] = cur
-        log_scale[lo:, k + 1] = lrow
-    return values, log_scale
+    rows, cols, logs = (np.concatenate(v) for v in (rows, cols, logs))
+    order = np.argsort(rows, kind="stable")
+    return values, (rows[order], cols[order], logs[order])
 
 
-#: rows of the basis spliced at once: the splice's temporaries are this
-#: many rows long, whatever the lattice size
-_SPLICE_ROWS = 32
+def _log_scale(rescales, blk: slice, ncols: int) -> np.ndarray:
+    """Rows ``blk`` of the log scale that ``_recurrence``'s rescale events
+    stand for: each event adds its log f to its row from its column on.
+    A running sum over the columns adds a row's events in their order, so
+    the entries are the bits of the dense scale the pass once accumulated."""
+    rows, cols, logs = rescales
+    i, j = np.searchsorted(rows, (blk.start, blk.stop))
+    lg = np.zeros((blk.stop - blk.start, ncols))
+    lg[rows[i:j] - blk.start, cols[i:j]] = logs[i:j]
+    return np.cumsum(lg, axis=1, out=lg)
 
 
 def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndarray:
@@ -420,10 +466,11 @@ def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndar
       (n, x), so the matrix itself is symmetric: the upward pass runs only
       in the stable wedge n <= x and the rest is its mirror image.
 
-    The upward pass is written into the result, so besides it the memory
-    held at once is one matrix of its size on Z>=0 (the pass's log scale)
-    and two on a finite lattice (the downward pass and its log scale),
-    plus the splice's scores of _SPLICE_ROWS rows.
+    The upward pass is written into the result, and the log scales of both
+    passes are rebuilt from their rescale events _SPLICE_ROWS rows at a
+    time.  Besides the result, only the downward pass over _DOWN_PASS_ROWS
+    rows (on a finite lattice) and temporaries of _SPLICE_ROWS rows are
+    held at once.
 
     A basis with an entry outside the double range (the q-Hahn
     coefficients overflow once q^(-N) does) is refused with a DomainError.
@@ -437,20 +484,25 @@ def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndar
         A, C = recurrence_coefficients(spec, npoints - 1)
         b = np.sign(A[:-1]) * np.sqrt(A[:-1] * C[1:])
         seed = np.exp(0.5 * _log_pi(spec, npoints))
-        phi, lgu = _recurrence(theta, A, C, b, seed, wedge=not spec.is_finite)
-        # true magnitudes for the splice's validity test; lgu is 0 before it fails
-        phi *= np.exp(lgu, out=lgu)
-        del lgu
+        phi, up = _recurrence(theta, A, C, b, seed, wedge=not spec.is_finite)
+        # true magnitudes for the splice's validity test; the scale is 0
+        # before it fails
+        for blk in _row_blocks(npoints, _SPLICE_ROWS):
+            lg = _log_scale(up, blk, npoints)
+            phi[blk] *= np.exp(lg, out=lg)
         if not spec.is_finite:
             # symmetric matrix: mirror the wedge n <= x onto the rest
             for x in range(npoints - 1):
                 phi[x, x + 1 :] = phi[x + 1 :, x]
         elif npoints > 3:
-            # downward pass, exactly seeded by the vanishing top coefficient A_N
-            w, lgw = _recurrence(theta, A[::-1], C[::-1], b[::-1], 1.0)
-            for lo in range(0, npoints, _SPLICE_ROWS):
-                blk = slice(lo, lo + _SPLICE_ROWS)
-                phi[blk] = _splice(phi[blk], w[blk, ::-1], lgw[blk, ::-1])
+            # downward pass, exactly seeded by the vanishing top coefficient
+            # A_N, run on blocks of rows and spliced in as each block is done
+            for top in _row_blocks(npoints, _DOWN_PASS_ROWS):
+                w, down = _recurrence(theta[top], A[::-1], C[::-1], b[::-1], 1.0)
+                for blk in _row_blocks(len(w), _SPLICE_ROWS):
+                    lgw = _log_scale(down, blk, npoints)
+                    at = slice(top.start + blk.start, top.start + blk.stop)
+                    phi[at] = _splice(phi[at], w[blk, ::-1], lgw[:, ::-1])
     if not np.isfinite(phi).all():
         raise DomainError(f"the {spec.to_string()} basis leaves the double range")
     return phi

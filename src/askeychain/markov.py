@@ -13,9 +13,12 @@ lambda3 (``ConvolutionRecipe.lambda3``).  The builders below evaluate the
 two factors in log space on broadcast index vectors (``log_measure_grid``
 gives the bits the full index grids would, without building them),
 exponentiate them in place and reduce each type to a matrix product or a
-per-column convolution.  A build so holds a handful of arrays of the
-kernel's size at most (``tests/test_memory.py`` bounds its traced peak),
-and window growth frees each window's matrix before it builds the next.
+per-column convolution.  A grid is gathered from its measure table in
+blocks of rows, so no gather index of the kernel's size is held: a build
+holds at most the factor grids, an index difference and the table being
+built, three to five arrays of the kernel's size
+(``tests/test_memory.py`` bounds its traced peak), and window growth frees
+each window's matrix before it builds the next.
 Columns are mathematically independent, so construction parallelizes
 trivially and the finished kernel is immutable.  The direct per-entry sums
 these builders are tested against live with the tests (``tests/oracles.py``).
@@ -290,8 +293,13 @@ def perron_frobenius_residual(kernel: ConvolutionKernel) -> float:
     rounding amplified by 1/gap.
     """
     n = kernel.size
+    # K - I + 1 1^T in one matrix: subtracting 0 off the diagonal leaves the
+    # bits of the expression with np.eye(n) as they are
+    a = kernel.matrix.copy()
+    a.flat[:: n + 1] -= 1.0
+    a += 1.0
     try:
-        v = np.linalg.solve(kernel.matrix - np.eye(n) + 1.0, np.ones(n))
+        v = np.linalg.solve(a, np.ones(n))
     except np.linalg.LinAlgError:
         return np.inf
     return float(np.max(np.abs(v / v.sum() - kernel.pi)))

@@ -2,38 +2,61 @@
 (``markov._build_matrix``) and the orthonormal basis
 (``families.orthonormal_columns``) hold temporaries of their output's size
 only, so their traced peak stays within a fixed multiple of the output's
-``nbytes``; the verify checks work in the buffer of the product they check;
-the export builders hold the text and its rows.  Whole ``np.indices`` grids
-and an unblocked splice read 9 to 14 here; the budgets are the measured
-multiples plus headroom.
+``nbytes``; the verify checks work in the buffer of the product they check,
+and a whole ``verification_report`` holds H, phi and one work array besides
+K; the export builders hold the text and its rows.  Whole ``np.indices``
+grids and an unblocked splice read 9 to 14 here; the budgets are the
+measured multiples plus headroom.  One guard reads a CLI ``verify`` child's
+peak RSS the way the benchmark does.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import oracles
 
 from askeychain import export, markov, spectral
 from askeychain import families as F
 from askeychain.families import ConvolutionRecipe, ConvType, Family, FamilySpec, parse_recipe
 
-#: measured 4.3 (types i, ii), 5.3 (iii) on table families, 4.3 and 4.7 on
-#: the Meixner windows
-BUILD_BUDGET = 7.0
+#: measured 3.6 (types i, ii), 4.4 (iii) on table families, 3.3 and 3.6 on
+#: the Meixner windows; a gather index of the grid's size and a measure
+#: table built whole read 4.3 and 5.3 on table families
+BUILD_BUDGET = 4.6
 #: q-Hahn's closed form sums in one result and one gather buffer: measured
 #: 4.4 (i) and 5.4 (iii); its five gathers held at once read 5.4 and 6.4
 QHAHN_BUILD_BUDGET = 5.6
-#: the two passes and the splice blocks: measured 4.8 at N = 200
-FINITE_BASIS_BUDGET = 6.0
-#: the upward pass and its log scale: measured 2.04 on 300-point windows
-WINDOW_BASIS_BUDGET = 2.15
+#: the downward pass and the splice blocks: measured 4.05 at N = 200; the
+#: dense log scales of the two passes read 4.8
+FINITE_BASIS_BUDGET = 4.25
+#: the upward pass and its log scale's blocks: measured 1.24 on 300-point
+#: windows; its dense log scale read 2.04
+WINDOW_BASIS_BUDGET = 1.35
 #: g = phi^T phi (or phi phi^T) and nothing more: measured 1.02 over phi's
 #: nbytes; with g - I and its abs beside g it read 3.0
 IDENTITY_DEFECT_BUDGET = 1.1
 #: the flux matrix and its skew part: measured 2.2 over K's nbytes; with the
 #: skew part's abs beside them it read 3.0
 VERIFY_KERNEL_BUDGET = 2.3
+#: a whole verification_report over K's nbytes, K itself not counted: H,
+#: phi and the basis's downward pass (5.07 on Hahn iii N = 200) or the
+#: residual product (3.16 on the Meixner iii window); with dense log scales,
+#: a gather index of the grid's size and phi**2 whole they read 5.86 and 4.07
+FINITE_REPORT_BUDGET = 5.3
+WINDOW_REPORT_BUDGET = 3.4
+#: peak RSS of a CLI ``verify`` child above that of a child that only
+#: imports the CLI, over the lattice matrix's nbytes: measured 5.4 on Hahn
+#: iii N = 800 (K, H, phi and one work array, and the allocator's slack); a
+#: gather index of the grid's size, whole measure-table temporaries, dense
+#: log scales and phi**2 whole read 7.0
+VERIFY_RSS_BUDGET = 6.2
 #: the row strings and their join: measured 2.0 over the text's length; the
 #: per-float generator read 3.0 (CSV), json.dumps 4.5 (JSON)
 EXPORT_BUDGET = 2.25
@@ -49,6 +72,29 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+#: runs ``python argv`` and prints its exit code and ru_maxrss.  A child's
+#: peak RSS counts the pages of the process it was forked from, so the
+#: child is forked from this small interpreter, not from the test process
+_WAIT4 = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def child_maxrss_kib(*argv: str) -> int:
+    """Peak RSS (KiB) of one ``python argv`` child that exits 0, read from
+    ``os.wait4`` with one BLAS thread, as the benchmark reads its ops."""
+    env = {**os.environ, "PYTHONPATH": str(Path(markov.__file__).parents[1])}
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    out = subprocess.run([sys.executable, "-c", _WAIT4, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    code, maxrss = map(int, out.split())
+    assert code == 0
+    return maxrss
 
 
 def traced_multiple(fn, *args) -> float:
@@ -106,20 +152,49 @@ def test_verify_kernel_holds_the_flux_and_its_skew_part(hahn200):
 
 @pytest.mark.parametrize("text", [
     "hahn type=iii a=1 b=2 c=1 N=60", "krawtchouk type=ii a=0.2 b=0.6 N=40",
-    "charlier type=iii a=1.0 b=0.4",
+    "charlier type=iii a=1.0 b=0.4", "meixner type=i a=1 b=6 c=0.2",
 ])
 def test_checks_in_place_keep_the_bits(text):
-    # every printed value reads the bits of the expressions with g - I and
-    # flux - flux.T in buffers of their own
+    # every printed value reads the bits of the expressions with g - I,
+    # flux - flux.T, K - I + 1, H phi - phi kappa and phi**2 in buffers of
+    # their own
     recipe, N = parse_recipe(text)
     system = spectral.SpectralSystem(markov.build_kernel(recipe, N=N))
-    phi, kernel = system.phi, system.kernel
+    phi, kernel, h = system.phi, system.kernel, system.hamiltonian
     eye = np.eye(len(phi))
     assert spectral.orthonormality_defect(phi) == float(np.max(np.abs(phi.T @ phi - eye)))
     assert spectral.completeness_defect(phi) == float(np.max(np.abs(phi @ phi.T - eye)))
     flux = kernel.matrix * kernel.pi[None, :]
     want = float(np.max(np.abs(flux - flux.T)) / np.max(flux))
     assert markov.verify_kernel(kernel).max_reversibility_violation == want
+    v = np.linalg.solve(kernel.matrix - eye + 1.0, np.ones(len(eye)))
+    want = float(np.max(np.abs(v / v.sum() - kernel.pi)))
+    assert markov.perron_frobenius_residual(kernel) == want
+    r = np.max(np.abs(h @ phi - phi * system.kappas[None, :]), axis=0)
+    want = r / float(np.max(np.sum(np.abs(h), axis=1)))
+    assert spectral.eigen_residuals(system).tobytes() == want.tobytes()
+    want = np.abs(1.0 - np.sum(phi**2, axis=0))
+    assert system.mode_norm_defects().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text, budget", [
+    ("hahn type=iii a=1 b=2 c=1 N=200", FINITE_REPORT_BUDGET),
+    ("meixner type=iii a=6 b=0.2 c=1", WINDOW_REPORT_BUDGET),
+])
+def test_verification_report_holds_its_floor(text, budget):
+    # a fresh system per call, so H and phi are built inside the trace
+    recipe, N = parse_recipe(text)
+    kernel = markov.build_kernel(recipe, N=N)
+    _, peak = traced_peak(lambda k: spectral.verification_report(spectral.SpectralSystem(k)), kernel)
+    assert peak / kernel.matrix.nbytes <= budget
+
+
+def test_cli_verify_rss_stays_near_its_floor():
+    size = 801
+    base = child_maxrss_kib("-c", "import askeychain.cli")
+    peak = child_maxrss_kib("-m", "askeychain.cli", "verify", "--recipe",
+                            f"hahn type=iii a=1 b=2 c=1 N={size - 1}")
+    assert (peak - base) * 1024 / (8 * size * size) <= VERIFY_RSS_BUDGET
 
 
 @pytest.mark.parametrize("builder, payload_of", [
@@ -144,14 +219,17 @@ def test_basis_holds_output_sized_temporaries(spec, npoints, budget):
 
 @pytest.mark.parametrize("spec", [
     FamilySpec(Family.HAHN, (1.0, 2.0), N=150),
+    FamilySpec(Family.HAHN, (2.0, 7.0), N=600),
     FamilySpec(Family.KRAWTCHOUK, (0.7,), N=100),
     FamilySpec(Family.Q_HAHN, (0.3, 0.5, 0.5), N=70),
 ], ids=FamilySpec.to_string)
 def test_splice_blocks_keep_the_bits(spec, monkeypatch):
-    # every statement of the splice reads only its own row, so scoring the
-    # rows in blocks gives the bits of scoring them all at once
+    # every statement of the splice and of the downward pass reads only its
+    # own row, so running them on blocks of rows gives the bits of running
+    # them on all rows at once
     blocked = F.orthonormal_columns(spec)
     monkeypatch.setattr(F, "_SPLICE_ROWS", spec.size)
+    monkeypatch.setattr(F, "_DOWN_PASS_ROWS", spec.size)
     assert blocked.tobytes() == F.orthonormal_columns(spec).tobytes()
 
 
@@ -169,7 +247,55 @@ def test_wedge_pass_keeps_the_bits(spec):
     A, C = F.recurrence_coefficients(spec, npoints - 1)
     b = np.sign(A[:-1]) * np.sqrt(A[:-1] * C[1:])
     with np.errstate(all="ignore"):
-        u, lgu = F._recurrence(theta, A, C, b, np.exp(0.5 * F._log_pi(spec, npoints)))
+        u, lgu = oracles.dense_recurrence(theta, A, C, b, np.exp(0.5 * F._log_pi(spec, npoints)))
         full = u * np.exp(lgu)
     want = np.where(np.tri(npoints, dtype=bool), full, full.T)
     assert F.orthonormal_columns(spec, npoints).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec, npoints", [
+    (FamilySpec(Family.HAHN, (2.0, 7.0), N=600), None),
+    (FamilySpec(Family.Q_HAHN, (0.3, 0.5, 0.5), N=70), None),
+    (FamilySpec(Family.CHARLIER, (1.3,)), 400),
+], ids=lambda v: v.to_string() if isinstance(v, FamilySpec) else str(v))
+def test_rescale_events_rebuild_the_dense_scale(spec, npoints):
+    # both passes on every row, and the downward pass on a block of rows,
+    # against the dense pass: the same values, and the log scale rebuilt
+    # from the rescale events in blocks of rows is the dense log scale (each
+    # pass rescales rows here)
+    npoints = npoints or spec.size
+    theta = F.site_values(spec, npoints)
+    A, C = F.recurrence_coefficients(spec, npoints - 1)
+    b = np.sign(A[:-1]) * np.sqrt(A[:-1] * C[1:])
+    passes = [(A, C, b, np.exp(0.5 * F._log_pi(spec, npoints))), (A[::-1], C[::-1], b[::-1], 1.0)]
+    with np.errstate(all="ignore"):
+        for coef in passes:
+            want, want_lg = oracles.dense_recurrence(theta, *coef)
+            got, rescales = F._recurrence(theta, *coef)
+            assert len(rescales[0]) > 0
+            lg = np.vstack([F._log_scale(rescales, blk, npoints) for blk in F._row_blocks(npoints, 32)])
+            assert got.tobytes() == want.tobytes()
+            assert lg.tobytes() == want_lg.tobytes()
+            rows = slice(npoints // 3, 2 * npoints // 3)
+            seed = coef[3][rows] if np.ndim(coef[3]) else coef[3]
+            part, part_rescales = F._recurrence(theta[rows], *coef[:3], seed)
+            assert part.tobytes() == want[rows].tobytes()
+            local = slice(0, rows.stop - rows.start)
+            assert F._log_scale(part_rescales, local, npoints).tobytes() == want_lg[rows].tobytes()
+
+
+@pytest.mark.parametrize("family, params", [
+    (Family.HAHN, (1.5, 0.7)), (Family.KRAWTCHOUK, (0.3,)), (Family.Q_HAHN, (0.3, 0.5, 0.5)),
+    (Family.CHARLIER, (3.0,)), (Family.MEIXNER, (2.0, 0.4)),
+], ids=lambda v: v.value if isinstance(v, Family) else str(v))
+def test_gather_blocks_keep_the_bits(family, params, monkeypatch):
+    # the gather and the validity mask read each row of the result on its
+    # own, so blocks of rows give the bits of one block of all rows; points
+    # before the lattice and past its end, and negative sizes, included
+    pts, sizes = np.arange(-5, 110)[:, None], np.arange(-2, 100)[None, :]
+    grids = [(pts, sizes), (pts - sizes, sizes), (sizes.T, pts.T), (pts.ravel(), 40)]
+    blocked = [F.log_measure_grid(family, params, p, s) for p, s in grids]
+    for (p, s), got in zip(grids, blocked):
+        assert np.isneginf(got).any() and np.isfinite(got).any()
+        monkeypatch.setattr(F, "_SPLICE_ROWS", got.shape[0])
+        assert got.tobytes() == F.log_measure_grid(family, params, p, s).tobytes()
