@@ -27,8 +27,9 @@ products like binom(N,x) p^x (1-p)^(N-x) leave the double range long
 before N ~ 1e3.  Each row ln pi(.; n) is a running sum of the log term
 ratios r(x) = pi(x+1)/pi(x), the row's ``ratio``, normalized by its own
 log-sum-exp (finite lattices) or started from the row's closed-form
-ln pi(0) (Charlier, Meixner); q-Hahn's row gives a closed form that sums
-log q-Pochhammer factors the same way.
+ln pi(0) (Charlier, Meixner); q-Hahn's rows come from a closed form that
+sums log q-Pochhammer factors the same way.  Every family's values are
+gathered from its table of rows.
 Log-gamma differences would cancel instead: ln Gamma(801) ~ 4551 leaves
 ~5e-13 of error in every entry at N = 800, while the running sums stay within
 ~4e-13 of 40-digit references out to ln pi = -708.  ``log_measure_grid``
@@ -67,10 +68,10 @@ class _FamilyRow:
     """The facts fixing one family, as functions of its measure parameters
     p: the range of p, the term ratio ``ratio(m, x, *p)`` = pi(x+1)/pi(x)
     with m = max(n - x, 0) on the lattice {0..n} (None on Z>=0), or instead
-    a closed-form ``log_grid(n, x, *p)`` = ln pi(x; n) (free to overwrite
-    its index array x), the recurrence (A_n, C_n) and sites theta(x), and
-    on Z>=0 ln pi(0) and a bound ``tail_ratio(M, *p)`` on sup_{x>M} of the
-    term ratio."""
+    a closed form: ``log_grid(nmax, *p)`` is the function (n, x) -> ln pi(x; n)
+    on index arrays 0 <= x <= n <= nmax; the recurrence (A_n, C_n) and sites
+    theta(x), and on Z>=0 ln pi(0) and a bound ``tail_ratio(M, *p)`` on
+    sup_{x>M} of the term ratio."""
 
     names: tuple[str, ...]
     recipe_names: tuple[str, ...]
@@ -131,28 +132,12 @@ def _log_qpoch_prefix(w: float, q: float, kmax: int) -> np.ndarray:
     return out
 
 
-def _qhahn_log_grid(n, x, a, b, q):
-    nmax = int(n.max())
-    lqf = _log_qpoch_prefix(q, q, nmax)  # ln (q;q)_k, k = 0..nmax
-    la = _log_qpoch_prefix(a, q, nmax)
-    lb = _log_qpoch_prefix(b, q, nmax)
-    lab = _log_qpoch_prefix(a * b, q, nmax)
-    # lqf[n] - lqf[x] - lqf[m] + la[x] + lb[m] + m ln a - lab[n], m = n - x,
-    # summed left to right in one result and one gather buffer.  x's buffer
-    # holds x and m in turn (exact integer steps), as a separate m would hold
-    # one more array of the result's size.  Both lie in 0..nmax, so "clip"
-    # moves no index; it spares the output copy take makes by default
-    out = lqf[n] - lqf[x]
-    term = np.empty_like(out)
-    m = np.subtract(n, x, out=x)
-    out -= lqf.take(m, out=term, mode="clip")
-    x = np.subtract(n, m, out=m)
-    out += la.take(x, out=term, mode="clip")
-    m = np.subtract(n, x, out=x)
-    out += lb.take(m, out=term, mode="clip")
-    out += np.multiply(m, math.log(a), out=term)
-    out -= lab[n]
-    return out
+def _qhahn_log_grid(nmax, a, b, q):
+    """ln pi(x; n) as a function of index arrays 0 <= x <= n <= nmax, from
+    four log q-Pochhammer prefixes built once."""
+    lqf, la, lb, lab = (_log_qpoch_prefix(w, q, nmax) for w in (q, a, b, a * b))
+    return lambda n, x: (lqf[n] - lqf[x] - lqf[n - x] + la[x] + lb[n - x]
+                         + (n - x) * math.log(a) - lab[n])
 
 
 #: One row per family: the only place that tells the families apart.
@@ -257,31 +242,29 @@ class FamilySpec:
 # ---------------------------------------------------------------------------
 
 
-#: rows that the measure table build, the measure gather and the basis
-#: splice work on at once: their temporaries are this many rows long,
-#: whatever the lattice size
-_SPLICE_ROWS = 32
-#: rows the downward basis pass runs on at once; fewer rows hold less and
-#: take more Python steps (each pass steps through every column)
-_DOWN_PASS_ROWS = 512
+#: rows that the measure table build, the measure gather, the basis's log
+#: scales and splice and the spectral checks work on at once: their
+#: temporaries are this many rows long, whatever the lattice size
+_BLOCK_ROWS = 32
 
 
-def _row_blocks(nrows: int, step: int) -> list[slice]:
-    """Consecutive slices of ``step`` rows covering 0..nrows-1."""
-    return [slice(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
+def _row_blocks(nrows: int) -> list[slice]:
+    """Consecutive slices of _BLOCK_ROWS rows covering 0..nrows-1."""
+    return [slice(lo, min(lo + _BLOCK_ROWS, nrows)) for lo in range(0, nrows, _BLOCK_ROWS)]
 
 
 def _log_measure_rows(
     row: _FamilyRow, params: tuple[float, ...], rows: np.ndarray | None, xmax: int
 ) -> np.ndarray:
     """Table T[i, x] = ln pi(x; rows[i]), x = 0..xmax, as running sums of
-    the log term ratios.
+    the log term ratios, or from the row's closed form.
 
-    A finite row (``xmax`` its largest size) has ratio 0 from its end on,
-    so it is -inf past its end, and is normalized by its own log-sum-exp;
-    the rows are built _SPLICE_ROWS at a time, so besides the table only
-    temporaries of that many rows are held.  A semi-infinite row (``rows``
-    is None; one row) starts from its closed-form ln pi(0).
+    A finite row (``xmax`` its largest size) is built _BLOCK_ROWS rows at a
+    time, so besides the table only temporaries of that many rows are held.
+    Its running sum has ratio 0 from its end on, so it is -inf past its
+    end, and is normalized by its own log-sum-exp; a closed-form row holds
+    its value at n past its end.  A semi-infinite row (``rows`` is None;
+    one row) starts from its closed-form ln pi(0).
     """
     x = np.arange(xmax, dtype=float)
     if rows is None:
@@ -291,8 +274,13 @@ def _log_measure_rows(
         np.cumsum(t, out=table[1:])
         return table + row.log_pi0(*params)
     table = np.zeros((len(rows), xmax + 1))
-    for blk in _row_blocks(len(rows), _SPLICE_ROWS):
-        m = rows[blk].astype(float)[:, None] - x
+    log_grid = row.log_grid(xmax, *params) if row.log_grid else None
+    for blk in _row_blocks(len(rows)):
+        n = rows[blk, None]
+        if log_grid:
+            table[blk] = log_grid(n, np.minimum(np.arange(xmax + 1), n))
+            continue
+        m = n - x
         np.maximum(m, 0.0, out=m)
         with np.errstate(divide="ignore"):
             t = row.ratio(m, x, *params)
@@ -317,7 +305,7 @@ def log_measure_grid(
     values are gathered from one table of rows ln pi(.; n), for every n
     from the smallest to the largest size (a single row for the
     semi-infinite families), so the cost is that of the table, not of the
-    number of points.  The gather and the validity mask run _SPLICE_ROWS
+    number of points.  The gather and the validity mask run _BLOCK_ROWS
     rows of the result at a time, so besides the result only the table and
     index and mask blocks of that many rows are held.  Used by the kernel
     builders, and by ``measure_vector`` and the truncation certificate for
@@ -330,29 +318,24 @@ def log_measure_grid(
     if math.prod(shape) == 0 or pts.max() < 0:
         return np.full(shape, -np.inf)
     n = np.maximum(sizes, 0)
-    table = None
-    if row.log_grid is not None:
-        out = row.log_grid(n, np.minimum(np.maximum(pts, 0), n), *params)
+    if row.finite:
+        nmin, nmax = int(n.min()), int(n.max())
+        table = _log_measure_rows(row, params, np.arange(nmin, nmax + 1), nmax)
+        # each size's row offset in the flat table, at the shape of sizes
+        offset = np.broadcast_to((n - nmin) * (nmax + 1), shape)
     else:
-        if row.finite:
-            nmin, nmax = int(n.min()), int(n.max())
-            table = _log_measure_rows(row, params, np.arange(nmin, nmax + 1), nmax)
-            # each size's row offset in the flat table, at the shape of sizes
-            offset = np.broadcast_to((n - nmin) * (nmax + 1), shape)
-        else:
-            table = _log_measure_rows(row, params, None, int(pts.max()))
-        out = np.empty(shape)  # after the table, whose build holds more
+        table = _log_measure_rows(row, params, None, int(pts.max()))
+    out = np.empty(shape)  # after the table, whose build holds more
     pts, sizes, n = (np.broadcast_to(v, shape) for v in (pts, sizes, n))
     # a result of fewer than two axes is one block
-    for blk in [...] if len(shape) < 2 else _row_blocks(shape[0], _SPLICE_ROWS):
-        if table is not None:
-            x = np.maximum(pts[blk], 0, out=np.empty(out[blk].shape, dtype=np.intp))
-            if row.finite:
-                np.minimum(x, n[blk], out=x)
-                x += offset[blk]
-            # every index lies in the table, so "clip" moves none; it spares
-            # the copy of the output that take makes by default
-            table.take(x, out=out[blk], mode="clip")
+    for blk in [...] if len(shape) < 2 else _row_blocks(shape[0]):
+        x = np.maximum(pts[blk], 0, out=np.empty(out[blk].shape, dtype=np.intp))
+        if row.finite:
+            np.minimum(x, n[blk], out=x)
+            x += offset[blk]
+        # every index lies in the table, so "clip" moves none; it spares the
+        # copy of the output that take makes by default
+        table.take(x, out=out[blk], mode="clip")
         invalid = pts[blk] < 0
         if row.finite:
             invalid |= pts[blk] > sizes[blk]
@@ -467,10 +450,9 @@ def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndar
       in the stable wedge n <= x and the rest is its mirror image.
 
     The upward pass is written into the result, and the log scales of both
-    passes are rebuilt from their rescale events _SPLICE_ROWS rows at a
-    time.  Besides the result, only the downward pass over _DOWN_PASS_ROWS
-    rows (on a finite lattice) and temporaries of _SPLICE_ROWS rows are
-    held at once.
+    passes are rebuilt from their rescale events _BLOCK_ROWS rows at a
+    time.  Besides the result, only the downward pass (on a finite lattice)
+    and temporaries of _BLOCK_ROWS rows are held at once.
 
     A basis with an entry outside the double range (the q-Hahn
     coefficients overflow once q^(-N) does) is refused with a DomainError.
@@ -487,7 +469,7 @@ def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndar
         phi, up = _recurrence(theta, A, C, b, seed, wedge=not spec.is_finite)
         # true magnitudes for the splice's validity test; the scale is 0
         # before it fails
-        for blk in _row_blocks(npoints, _SPLICE_ROWS):
+        for blk in _row_blocks(npoints):
             lg = _log_scale(up, blk, npoints)
             phi[blk] *= np.exp(lg, out=lg)
         if not spec.is_finite:
@@ -495,14 +477,11 @@ def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndar
             for x in range(npoints - 1):
                 phi[x, x + 1 :] = phi[x + 1 :, x]
         elif npoints > 3:
-            # downward pass, exactly seeded by the vanishing top coefficient
-            # A_N, run on blocks of rows and spliced in as each block is done
-            for top in _row_blocks(npoints, _DOWN_PASS_ROWS):
-                w, down = _recurrence(theta[top], A[::-1], C[::-1], b[::-1], 1.0)
-                for blk in _row_blocks(len(w), _SPLICE_ROWS):
-                    lgw = _log_scale(down, blk, npoints)
-                    at = slice(top.start + blk.start, top.start + blk.stop)
-                    phi[at] = _splice(phi[at], w[blk, ::-1], lgw[:, ::-1])
+            # downward pass, exactly seeded by the vanishing top coefficient A_N
+            w, down = _recurrence(theta, A[::-1], C[::-1], b[::-1], 1.0)
+            for blk in _row_blocks(npoints):
+                lgw = _log_scale(down, blk, npoints)
+                phi[blk] = _splice(phi[blk], w[blk, ::-1], lgw[:, ::-1])
     if not np.isfinite(phi).all():
         raise DomainError(f"the {spec.to_string()} basis leaves the double range")
     return phi

@@ -29,7 +29,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .families import ConvolutionRecipe, kappa_vector, orthonormal_columns, spectral_gap
+from .families import (
+    ConvolutionRecipe,
+    _row_blocks,
+    kappa_vector,
+    orthonormal_columns,
+    spectral_gap,
+)
 from .markov import (
     ConvolutionKernel,
     build_kernel,
@@ -40,8 +46,6 @@ from .markov import (
 
 #: window spill past which a truncated mode is left out of the eigenvector checks
 _RELIABLE_MODE_DEFECT = 1e-10
-#: rows of phi a check reads at once: its temporaries are this many rows long
-_CHECK_ROWS = 32
 
 
 def _hamiltonian(kernel: ConvolutionKernel) -> tuple[np.ndarray, float]:
@@ -106,17 +110,13 @@ class SpectralSystem:
         """|1 - ||phi_n||^2| per mode: the window spill of each eigenvector
         (identically ~0 on finite lattices).
 
-        The squares are summed _CHECK_ROWS rows at a time below the running
+        The squares are summed a block of rows at a time below the running
         total: numpy sums over rows in their order, so these are the bits of
         ``np.sum(phi**2, axis=0)``."""
         phi = self.phi
         total = np.zeros(phi.shape[1])
-        buf = np.empty((_CHECK_ROWS + 1, phi.shape[1]))
-        for lo in range(0, len(phi), _CHECK_ROWS):
-            blk = phi[lo : lo + _CHECK_ROWS]
-            buf[0] = total
-            np.square(blk, out=buf[1 : len(blk) + 1])
-            np.sum(buf[: len(blk) + 1], axis=0, out=total)
+        for blk in _row_blocks(len(phi)):
+            total = np.vstack((total, np.square(phi[blk]))).sum(axis=0)
         return np.abs(1.0 - total)
 
 
@@ -142,11 +142,10 @@ def eigen_residuals(system: SpectralSystem) -> np.ndarray:
     """||H phi_n - kappa(n) phi_n||_inf per mode, scaled by ||H||_inf.
 
     H phi stays one product (blocks of it would move its bits); phi kappa
-    is subtracted from it _CHECK_ROWS rows at a time."""
+    is subtracted from it a block of rows at a time."""
     phi, kappas = system.phi, system.kappas
     r = system.hamiltonian @ phi
-    for lo in range(0, len(r), _CHECK_ROWS):
-        blk = slice(lo, lo + _CHECK_ROWS)
+    for blk in _row_blocks(len(r)):
         r[blk] -= phi[blk] * kappas
     worst = np.max(np.abs(r, out=r), axis=0)
     # r's buffer takes |H| next

@@ -208,6 +208,13 @@ class TestMeasure:
         assert grid(pts[:, None] - sizes[None, :], sizes[None, :]).tobytes() == (
             grid(diff, sizes[j]).tobytes())
 
+    @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=FamilySpec.to_string)
+    def test_numpy_scalars_give_the_rows_entry(self, spec):
+        # 0-d input gives a 0-d result with the bits of the 1-D row's entry
+        got = F.log_measure_grid(spec.family, spec.params, np.int64(3), np.int64(5))
+        row = F.log_measure_grid(spec.family, spec.params, np.arange(6), np.int64(5))
+        assert got.shape == () and got.tobytes() == row[3].tobytes()
+
 
 class TestPolynomial:
     """P_n is no library function: it is read off the orthonormal basis

@@ -26,13 +26,11 @@ from askeychain import export, markov, spectral
 from askeychain import families as F
 from askeychain.families import ConvolutionRecipe, ConvType, Family, FamilySpec, parse_recipe
 
-#: measured 3.6 (types i, ii), 4.4 (iii) on table families, 3.3 and 3.6 on
-#: the Meixner windows; a gather index of the grid's size and a measure
-#: table built whole read 4.3 and 5.3 on table families
+#: measured 3.6 (types i, ii), 4.4 (iii) on the finite families, q-Hahn
+#: included, 3.3 and 3.6 on the Meixner windows; a gather index of the
+#: grid's size and a measure table built whole read 4.3 and 5.3, and
+#: q-Hahn's closed form summed on the whole grid 4.25 (i) and 5.26 (iii)
 BUILD_BUDGET = 4.6
-#: q-Hahn's closed form sums in one result and one gather buffer: measured
-#: 4.4 (i) and 5.4 (iii); its five gathers held at once read 5.4 and 6.4
-QHAHN_BUILD_BUDGET = 5.6
 #: the downward pass and the splice blocks: measured 4.05 at N = 200; the
 #: dense log scales of the two passes read 4.8
 FINITE_BASIS_BUDGET = 4.25
@@ -52,8 +50,9 @@ VERIFY_KERNEL_BUDGET = 2.3
 FINITE_REPORT_BUDGET = 5.3
 WINDOW_REPORT_BUDGET = 3.4
 #: peak RSS of a CLI ``verify`` child above that of a child that only
-#: imports the CLI, over the lattice matrix's nbytes: measured 5.4 on Hahn
-#: iii N = 800 (K, H, phi and one work array, and the allocator's slack); a
+#: imports the CLI, over the lattice matrix's nbytes: measured 5.72 on Hahn
+#: iii N = 800 (K, H, phi and one work array, the whole downward basis pass
+#: and the allocator's slack; 5.37 with that pass on 512 rows at a time); a
 #: gather index of the grid's size, whole measure-table temporaries, dense
 #: log scales and phi**2 whole read 7.0
 VERIFY_RSS_BUDGET = 6.2
@@ -113,13 +112,12 @@ def traced_multiple(fn, *args) -> float:
     (ConvolutionRecipe(Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0)), 300),
 ], ids=lambda v: v.to_string() if isinstance(v, ConvolutionRecipe) else str(v))
 def test_kernel_build_holds_output_sized_temporaries(recipe, size):
-    budget = QHAHN_BUILD_BUDGET if recipe.family is Family.Q_HAHN else BUILD_BUDGET
-    assert traced_multiple(markov._build_matrix, recipe, size) <= budget
+    assert traced_multiple(markov._build_matrix, recipe, size) <= BUILD_BUDGET
 
 
 @pytest.mark.parametrize("params", [(0.3, 0.5, 0.5), (0.9, -2.0, 0.7)])
 def test_qhahn_grid_keeps_the_bits(params):
-    # the in-place sum adds the terms of the one-expression form in its order
+    # the table rows hold the one-expression form, gathered at (n, min(x, n))
     a, b, q = params
     pts, sizes = np.arange(-2, 40)[:, None], np.arange(35)[None, :]
     got = F.log_measure_grid(Family.Q_HAHN, params, pts, sizes)
@@ -224,12 +222,11 @@ def test_basis_holds_output_sized_temporaries(spec, npoints, budget):
     FamilySpec(Family.Q_HAHN, (0.3, 0.5, 0.5), N=70),
 ], ids=FamilySpec.to_string)
 def test_splice_blocks_keep_the_bits(spec, monkeypatch):
-    # every statement of the splice and of the downward pass reads only its
-    # own row, so running them on blocks of rows gives the bits of running
-    # them on all rows at once
+    # every statement of the splice, of the log scales' rebuild and of the
+    # measure table and gather reads only its own row, so running them on
+    # blocks of rows gives the bits of running them on all rows at once
     blocked = F.orthonormal_columns(spec)
-    monkeypatch.setattr(F, "_SPLICE_ROWS", spec.size)
-    monkeypatch.setattr(F, "_DOWN_PASS_ROWS", spec.size)
+    monkeypatch.setattr(F, "_BLOCK_ROWS", spec.size)
     assert blocked.tobytes() == F.orthonormal_columns(spec).tobytes()
 
 
@@ -273,7 +270,7 @@ def test_rescale_events_rebuild_the_dense_scale(spec, npoints):
             want, want_lg = oracles.dense_recurrence(theta, *coef)
             got, rescales = F._recurrence(theta, *coef)
             assert len(rescales[0]) > 0
-            lg = np.vstack([F._log_scale(rescales, blk, npoints) for blk in F._row_blocks(npoints, 32)])
+            lg = np.vstack([F._log_scale(rescales, blk, npoints) for blk in F._row_blocks(npoints)])
             assert got.tobytes() == want.tobytes()
             assert lg.tobytes() == want_lg.tobytes()
             rows = slice(npoints // 3, 2 * npoints // 3)
@@ -297,5 +294,5 @@ def test_gather_blocks_keep_the_bits(family, params, monkeypatch):
     blocked = [F.log_measure_grid(family, params, p, s) for p, s in grids]
     for (p, s), got in zip(grids, blocked):
         assert np.isneginf(got).any() and np.isfinite(got).any()
-        monkeypatch.setattr(F, "_SPLICE_ROWS", got.shape[0])
+        monkeypatch.setattr(F, "_BLOCK_ROWS", got.shape[0])
         assert got.tobytes() == F.log_measure_grid(family, params, p, s).tobytes()
