@@ -19,8 +19,16 @@ eigenproblems, at O(k m min(k, m)) for the product and O(min(k, m)^3) for
 the solve.  The left sweep reuses its products: for k <= m each block is a
 leading principal submatrix of the one m x m product Q[:m] Q[:m]^T, and
 for k > m the Gram matrix grows by one rank-one term q_k q_k^T per site,
-so its products cost O(m^3 + N m^2) in all.  The eigensolves, O(N m^3),
-are the floor.
+so its products cost O(m^3 + N m^2) in all.
+
+On a finite lattice the columns of phi are orthonormal, so the filled
+state is pure and S([0,k)) = S([k,N)) (Peschel, J. Phys. A 36, L205,
+2003).  The profile then runs the left sweep from both ends to the middle:
+entry k reads the rows Q[:k] for k <= N//2 and Q[k:] past it, and the
+eigensolves cost sum_k min(k, N - k, m)^3, about 0.4 of the one-sided sum
+at half filling.  A truncated window's columns are not orthonormal, so its
+state is not pure; it keeps the one-sided sweep, whose entry k reads
+Q[:k], at sum_k min(k, m)^3.  The eigensolves are the floor.
 
 The pipeline needs only the ground state, so the subset sums are not a
 library function.  They live with the tests (``tests/oracles.py``, as
@@ -80,10 +88,13 @@ class CorrelationMatrix:
 
     ``modes`` is Q, the N x m filled-mode columns of phi in ascending mode
     order.  ``matrix`` forms C, a symmetric projector with eigenvalues in
-    [0,1] and trace = number of filled modes, on each access.
+    [0,1] and trace = number of filled modes, on each access.  ``pure``
+    says that the columns are orthonormal, so that C is the projector of a
+    pure state: true on a finite lattice, false on a truncated window.
     """
 
     modes: np.ndarray
+    pure: bool = False
 
     @property
     def matrix(self) -> np.ndarray:
@@ -97,7 +108,8 @@ class CorrelationMatrix:
 def correlation_matrix(model: FreeFermionModel) -> CorrelationMatrix:
     """C = phi_filled phi_filled^T, kept as phi_filled."""
     cols = sorted(model.filled_modes)
-    return CorrelationMatrix(model.spectral.phi[:, cols])
+    pure = model.spectral.kernel.recipe.is_finite
+    return CorrelationMatrix(model.spectral.phi[:, cols], pure)
 
 
 def _binary_entropy(lams: np.ndarray) -> float:
@@ -131,27 +143,45 @@ def block_entropy(corr: CorrelationMatrix, block: tuple[int, int]) -> float:
     return _binary_entropy(np.linalg.eigvalsh(gram))
 
 
-def entropy_profile(corr: CorrelationMatrix) -> np.ndarray:
-    """S([0,k)) for k = 0..size: the left-block entropy sweep.
+def _left_sweep(q: np.ndarray, kmax: int) -> np.ndarray:
+    """S(Q[:k]) for k = 0..kmax, the entropies of the leading row blocks.
 
-    Each S([0,k)) equals ``block_entropy(corr, (0, k))`` up to rounding,
-    but the products are shared.  For k <= m the block is the leading
-    k x k submatrix of the one m x m product Q[:m] Q[:m]^T.  For k > m the
-    m x m Gram matrix Q[:k]^T Q[:k] starts from Q[:m]^T Q[:m] and gains
-    the rank-one term q q^T of each new row q: N - m updates of O(m^2)
-    each, where a new product per block would cost O(k m^2).  No entry of
-    S([0,k)) reads the complement rows Q[k:].  The eigensolves, O(N m^3)
-    in all, are the floor.
+    For k <= j = min(m, kmax) the block is the leading k x k submatrix of
+    the one product Q[:j] Q[:j]^T.  For k > m the m x m Gram matrix
+    Q[:k]^T Q[:k] starts from Q[:m]^T Q[:m] and gains the rank-one term
+    q q^T of each new row q: O(m^2) per site, where a new product per block
+    would cost O(k m^2).  Entry k reads only the rows Q[:k].
+    """
+    m = q.shape[1]
+    out = np.zeros(kmax + 1)
+    lead = q[: min(m, kmax)]
+    block = lead @ lead.T
+    for k in range(1, lead.shape[0] + 1):
+        out[k] = _binary_entropy(np.linalg.eigvalsh(block[:k, :k]))
+    if kmax > m:
+        gram = lead.T @ lead
+        for k in range(m, kmax):
+            gram += np.outer(q[k], q[k])
+            out[k + 1] = _binary_entropy(np.linalg.eigvalsh(gram))
+    return out
+
+
+def entropy_profile(corr: CorrelationMatrix) -> np.ndarray:
+    """S([0,k)) for k = 0..size, each entry from the smaller side it can use.
+
+    Each entry equals ``block_entropy`` of its own block up to rounding,
+    but the products are shared (``_left_sweep``).  On a truncated window
+    every entry is the left block S([0,k)), read from the rows Q[:k], and
+    the eigensolves cost sum_k min(k, m)^3.  A pure state (finite lattice)
+    has S([0,k)) = S([k,N)), so the entries k > N//2 are the right blocks
+    S([k,N)), swept over the reversed rows and read from Q[k:] only: each
+    eigenproblem has order min(k, N - k, m), and the solves cost
+    sum_k min(k, N - k, m)^3.
     """
     q = corr.modes
-    n, m = q.shape
-    profile = np.zeros(n + 1)
-    lead = q[:m]
-    block = lead @ lead.T
-    for k in range(1, m + 1):
-        profile[k] = _binary_entropy(np.linalg.eigvalsh(block[:k, :k]))
-    gram = lead.T @ lead
-    for k in range(m, n):
-        gram += np.outer(q[k], q[k])
-        profile[k + 1] = _binary_entropy(np.linalg.eigvalsh(gram))
-    return profile
+    n = q.shape[0]
+    if not corr.pure:
+        return _left_sweep(q, n)
+    half = n // 2
+    right = _left_sweep(q[::-1], n - half - 1)
+    return np.concatenate((_left_sweep(q, half), right[::-1]))

@@ -23,6 +23,7 @@ from askeychain import (
     ConvType,
     Family,
     FamilySpec,
+    FreeFermionModel,
     SpectralSystem,
     build_kernel,
     markov,
@@ -97,6 +98,12 @@ def window_system(recipe, size):
     matrix = markov._build_matrix(recipe, size)
     kernel = ConvolutionKernel(matrix, measure_vector(spec, size), recipe)
     return SpectralSystem(kernel)
+
+
+def lowest_filling(system, m):
+    """The ground state that fills the m modes of lowest kappa."""
+    order = np.argsort(system.kappas, kind="stable")
+    return FreeFermionModel(system, filled_modes=frozenset(int(n) for n in order[:m]))
 
 
 def basis_polynomials(spec, npoints=None):

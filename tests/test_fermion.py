@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import FINITE_GRID, TRUNCATED_GRID, window_system
+from conftest import FINITE_GRID, TRUNCATED_GRID, lowest_filling, window_system
 from oracles import (
     jordan_wigner_ground_state,
     jordan_wigner_hamiltonian,
@@ -31,11 +31,6 @@ def _system(family, conv_type, params, N):
     if recipe.is_finite:
         return analytic_eigensystem(recipe, N=N)
     return window_system(recipe, N + 1)
-
-
-def _lowest_filling(sys_, m):
-    order = np.argsort(sys_.kappas, kind="stable")
-    return FreeFermionModel(sys_, filled_modes=frozenset(int(n) for n in order[:m]))
 
 
 # every pinned recipe on a 30-site lattice (a raw window when truncated)
@@ -262,7 +257,7 @@ class TestGramBranches:
     ):
         sys_ = _system(family, conv_type, params, GRAM_SIZE - 1)
         m = GRAM_SIZE // fill_div
-        corr = correlation_matrix(_lowest_filling(sys_, m))
+        corr = correlation_matrix(lowest_filling(sys_, m))
         assert corr.modes.shape == (GRAM_SIZE, m)
         c = corr.matrix
         for k in (m - 1, m, m + 1):
@@ -333,37 +328,84 @@ class TestBinaryEntropy:
             assert abs(_binary_entropy(lams) - want) <= 1e-15 * max(1.0, want)
 
 
+def _own_block(corr, k):
+    """The block whose entropy is profile entry k: [k, n) for the right half
+    of a pure state, [0, k) otherwise."""
+    n = corr.size
+    return (k, n) if corr.pure and k > n // 2 else (0, k)
+
+
 class TestSweep:
     """entropy_profile shares its products across k (a leading block of C
-    for k <= m, rank-one Gram updates for k > m); each entry must still be
-    the entropy of its own block, computed from the rows of that block."""
+    for k <= m, rank-one Gram updates for k > m), and on a finite lattice
+    sweeps from both ends; each entry must still be the entropy of its own
+    block, computed from the rows of that block."""
 
     @pytest.mark.parametrize("m", [1, GRAM_SIZE // 4, GRAM_SIZE // 2, GRAM_SIZE])
     @pytest.mark.parametrize("family,conv_type,params", GRAM_RECIPES)
     def test_profile_matches_per_block_entropy(self, family, conv_type, params, m):
         sys_ = _system(family, conv_type, params, GRAM_SIZE - 1)
-        corr = correlation_matrix(_lowest_filling(sys_, m))
+        corr = correlation_matrix(lowest_filling(sys_, m))
+        assert corr.pure == ConvolutionRecipe(family, conv_type, params).is_finite
         prof = entropy_profile(corr)
         assert prof.shape == (GRAM_SIZE + 1,)
         for k in range(GRAM_SIZE + 1):
-            assert abs(prof[k] - block_entropy(corr, (0, k))) <= 1e-12, k
+            assert abs(prof[k] - block_entropy(corr, _own_block(corr, k))) <= 1e-12, k
 
     def test_profile_matches_per_block_entropy_at_401_sites(self):
         sys_ = _system(Family.KRAWTCHOUK, ConvType.II, (0.2, 0.6), 400)
-        corr = correlation_matrix(_lowest_filling(sys_, sys_.size // 2))
+        corr = correlation_matrix(lowest_filling(sys_, sys_.size // 2))
         prof = entropy_profile(corr)
-        want = [block_entropy(corr, (0, k)) for k in range(sys_.size + 1)]
+        want = [block_entropy(corr, _own_block(corr, k)) for k in range(sys_.size + 1)]
         assert np.max(np.abs(prof - want)) <= 1e-11
 
-    @pytest.mark.parametrize("k", [0, 3, 9, 10, 11, 17, 30])
-    def test_profile_never_reads_the_complement(self, k):
-        # other rows k.. leave S([0,j)), j <= k, bit for bit as they were,
-        # so the complement check of the benchmark compares two different
-        # computations
-        sys_ = _system(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0), GRAM_SIZE - 1)
-        corr = correlation_matrix(_lowest_filling(sys_, 10))
+    @pytest.mark.parametrize(
+        "family,conv_type,params,k",
+        [pytest.param(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0), k, id=f"finite-{k}")
+         for k in (0, 3, 9, 10, 11, 15, 16, 19, 20, 21, 27, 30)]
+        + [pytest.param(Family.CHARLIER, ConvType.I, (0.4, 0.8), k, id=f"truncated-{k}")
+           for k in (0, 3, 9, 10, 11, 17, 30)],
+    )
+    def test_each_entry_reads_only_its_own_blocks_rows(self, family, conv_type, params, k):
+        # spoiling the rows outside entry k's block leaves it bit for bit as
+        # it was: on a finite lattice, the rows k.. for the left half and
+        # the rows ..k for the right half; on a truncated window, left only
+        sys_ = _system(family, conv_type, params, GRAM_SIZE - 1)
+        corr = correlation_matrix(lowest_filling(sys_, 10))
+        right = corr.pure and k > GRAM_SIZE // 2
+        entries = slice(k, None) if right else slice(None, k + 1)
         spoiled = corr.modes.copy()
-        spoiled[k:] = np.random.default_rng(k).normal(size=spoiled[k:].shape)
-        want = entropy_profile(corr)[: k + 1]
-        got = entropy_profile(CorrelationMatrix(spoiled))[: k + 1]
+        rows = slice(None, k) if right else slice(k, None)
+        spoiled[rows] = np.random.default_rng(k).normal(size=spoiled[rows].shape)
+        want = entropy_profile(corr)[entries]
+        got = entropy_profile(CorrelationMatrix(spoiled, corr.pure))[entries]
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_eigenproblem_orders(self, monkeypatch, pure):
+        # every eigensolve of a finite 401-site profile at half filling has
+        # order min(k, n - k, m), and their cubes sum to at most 0.45 of the
+        # left sweep's; a truncated window keeps the orders min(k, m)
+        if pure:
+            sys_ = _system(Family.KRAWTCHOUK, ConvType.II, (0.2, 0.6), 400)
+        else:
+            sys_ = _system(Family.CHARLIER, ConvType.I, (0.4, 0.8), 60)
+        n = sys_.size
+        m = n // 2
+        corr = correlation_matrix(lowest_filling(sys_, m))
+        assert corr.pure == pure
+        orders = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            orders.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        entropy_profile(corr)
+        left = [min(k, m) for k in range(1, n + 1)]
+        if not pure:
+            assert orders == left
+            return
+        assert sorted(orders) == sorted(min(k, n - k, m) for k in range(1, n))
+        assert sum(o**3 for o in orders) <= 0.45 * sum(o**3 for o in left)

@@ -16,12 +16,15 @@ where no turning point exists.
 Block entropies are refereed by a 40-digit eigensolve of the k x k block
 A A^T of the correlation matrix, formed from the same float filled-mode
 columns the library uses, on blocks on both sides of the filling m: both
-the single-block path and the left sweep, whose leading-block and rank-one
-Gram products round differently.
+the single-block path and the sweep, whose leading-block and rank-one
+Gram products round differently, and whose entries past the middle of a
+finite lattice are right blocks.  The right side is also refereed against
+the exact state, from a 60-digit Krawtchouk basis.
 """
 
 import numpy as np
 import pytest
+from conftest import lowest_filling
 from mpmath import mp, mpf
 
 from askeychain.families import (
@@ -33,7 +36,7 @@ from askeychain.families import (
     orthonormal_columns,
 )
 from askeychain.fermion import (
-    FreeFermionModel,
+    CorrelationMatrix,
     block_entropy,
     correlation_matrix,
     entropy_profile,
@@ -138,11 +141,12 @@ def _mp_qhahn_phi(a, b, q, N):
 
 
 def _mp_krawtchouk_phi(p, N):
+    # the basis at the working precision, as an object array of mpf
     S = N + 1
     A = [p * (N - n) for n in range(S)]
     C = [n * (1 - p) for n in range(S)]
     bb = [mp.sqrt(A[k] * C[k + 1]) for k in range(S - 1)]
-    out = np.empty((S, S))
+    out = np.empty((S, S), dtype=object)
     for x in range(S):
         lpi = (
             mp.loggamma(N + 1) - mp.loggamma(x + 1) - mp.loggamma(N - x + 1)
@@ -150,12 +154,12 @@ def _mp_krawtchouk_phi(p, N):
         )
         th = mpf(-x)
         p0 = mp.e ** (lpi / 2)
-        out[x, 0] = float(p0)
+        out[x, 0] = p0
         p1 = (th + A[0] + C[0]) * p0 / bb[0]
-        out[x, 1] = float(p1)
+        out[x, 1] = p1
         for k in range(1, S - 1):
             p1, p0 = ((th + A[k] + C[k]) * p1 - bb[k - 1] * p0) / bb[k], p1
-            out[x, k + 1] = float(p1)
+            out[x, k + 1] = p1
     return out
 
 
@@ -172,7 +176,7 @@ def test_krawtchouk_delocalized_basis_matches_reference():
     spec = FamilySpec(Family.KRAWTCHOUK, (0.5,), N=40)
     got = orthonormal_columns(spec)
     mp.dps = 120
-    ref = _mp_krawtchouk_phi(mpf(0.5), 40)
+    ref = _mp_krawtchouk_phi(mpf(0.5), 40).astype(float)
     assert np.max(np.abs(got - ref)) <= 1e-12
 
 
@@ -208,6 +212,8 @@ def test_meixner_window_basis_matches_reference():
 
 def _mp_block_entropy(rows):
     # the k x k block A A^T of C, formed and solved at the working precision
+    if len(rows) == 0:
+        return mpf(0)
     a = mp.matrix(rows.tolist())
     lams = mp.eigsy(a * a.T, eigvals_only=True)
     total = mpf(0)
@@ -221,16 +227,46 @@ def _mp_block_entropy(rows):
 def test_block_entropy_matches_40_digit_reference(fill_div):
     # blocks on both sides of m, so both the k x k and the m x m Gram
     # eigenproblems are refereed against the same float Q, once from the
-    # single-block path and once from the sweep
+    # single-block path and once from the sweep, whose entries past n // 2
+    # are the right blocks [k, n) of this pure state
     recipe = ConvolutionRecipe(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0))
     system = analytic_eigensystem(recipe, N=59)
-    m = system.size // fill_div
-    order = np.argsort(system.kappas, kind="stable")
-    model = FreeFermionModel(system, filled_modes=frozenset(int(n) for n in order[:m]))
-    corr = correlation_matrix(model)
+    n = system.size
+    m = n // fill_div
+    corr = correlation_matrix(lowest_filling(system, m))
     profile = entropy_profile(corr)
     mp.dps = 40
     for k in (m - 1, m + 7, 45, 60):
         ref = float(_mp_block_entropy(corr.modes[:k]))
         assert abs(block_entropy(corr, (0, k)) - ref) <= 1e-12, k
+        if k > n // 2:
+            ref = float(_mp_block_entropy(corr.modes[k:]))
         assert abs(profile[k] - ref) <= 1e-12, k
+
+
+@pytest.mark.parametrize("conv_type,params", [(ConvType.I, (0.3, 0.5)), (ConvType.II, (0.2, 0.6))])
+def test_right_sweep_matches_exact_state_entropy(conv_type, params):
+    # The referee is the entropy of the exact state: S([k, n)) from a
+    # 60-digit Krawtchouk basis, run through the three-term recurrence at
+    # the library's own p.  Near the right end the left block [0, k) holds
+    # many eigenvalues next to 1, each read to about an ulp, so the right
+    # block is the more accurate side of S([0, k)) = S([k, n)).
+    N = 120
+    recipe = ConvolutionRecipe(Family.KRAWTCHOUK, conv_type, params)
+    system = analytic_eigensystem(recipe, N=N)
+    n = system.size
+    model = lowest_filling(system, n // 2)
+    corr = correlation_matrix(model)
+    profile = entropy_profile(corr)
+    one_sided = entropy_profile(CorrelationMatrix(corr.modes))
+    mp.dps = 60
+    (p,) = recipe.stationary_spec(N).params
+    phi = _mp_krawtchouk_phi(mpf(p), N)
+    cols = sorted(model.filled_modes)
+    errs, one_sided_errs = [], []
+    for k in (n - 3, n - 10, n - 25, n - 40):
+        ref = _mp_block_entropy(phi[k:, cols])
+        errs.append(abs(float(profile[k] - ref)))
+        one_sided_errs.append(abs(float(one_sided[k] - ref)))
+    assert max(errs) <= 1e-11, errs
+    assert max(errs) <= max(one_sided_errs), (errs, one_sided_errs)
