@@ -25,11 +25,11 @@ cross-check.
 Measures are built in log space and exponentiated once at the end:
 products like binom(N,x) p^x (1-p)^(N-x) leave the double range long
 before N ~ 1e3.  Each row ln pi(.; n) is a running sum of the log term
-ratios r(x) = pi(x+1)/pi(x), the row's ``ratio``, normalized by its own
-log-sum-exp (finite lattices) or started from the row's closed-form
-ln pi(0) (Charlier, Meixner); q-Hahn's rows come from a closed form that
-sums log q-Pochhammer factors the same way.  Every family's values are
-gathered from its table of rows.
+ratios r(x) = pi(x+1)/pi(x), the row's ``ratio``, or for q-Hahn the sum of
+the log q-Pochhammer factors of its closed form that depend on x.  Every
+finite row is then normalized by its own log-sum-exp; a semi-infinite row
+(Charlier, Meixner) starts from its closed-form ln pi(0).  Every family's
+values are gathered from its table of rows.
 Log-gamma differences would cancel instead: ln Gamma(801) ~ 4551 leaves
 ~5e-13 of error in every entry at N = 800, while the running sums stay within
 ~4e-13 of 40-digit references out to ln pi = -708.  ``log_measure_grid``
@@ -69,9 +69,9 @@ class _FamilyRow:
     p: the range of p, the term ratio ``ratio(m, x, *p)`` = pi(x+1)/pi(x)
     with m = max(n - x, 0) on the lattice {0..n} (None on Z>=0), or instead
     a closed form: ``log_grid(nmax, *p)`` is the function (n, x) -> ln pi(x; n)
-    on index arrays 0 <= x <= n <= nmax; the recurrence (A_n, C_n) and sites
-    theta(x), and on Z>=0 ln pi(0) and a bound ``tail_ratio(M, *p)`` on
-    sup_{x>M} of the term ratio."""
+    up to a term in n, on index arrays 0 <= x <= n <= nmax; the recurrence
+    (A_n, C_n) and sites theta(x), and on Z>=0 ln pi(0) and a bound
+    ``tail_ratio(M, *p)`` on sup_{x>M} of the term ratio."""
 
     names: tuple[str, ...]
     recipe_names: tuple[str, ...]
@@ -122,9 +122,10 @@ def _qhahn_recurrence(n, N, a, b, q):
 
 
 def _log_qpoch_prefix(w: float, q: float, kmax: int) -> np.ndarray:
-    """Array L[k] = ln (w;q)_k for k = 0..kmax; requires all factors > 0."""
+    """Array L[k] = ln (w;q)_k for k = 0..kmax; requires all factors > 0.  A
+    factor 1 - w q^k with w > 0 is -expm1(ln w + k ln q), so w q^k -> 1 cancels nothing."""
     k = np.arange(kmax)
-    factors = 1.0 - w * q**k
+    factors = -np.expm1(math.log(w) + k * math.log(q)) if w > 0 else 1.0 - w * q**k
     if np.any(factors <= 0.0):
         raise DomainError(f"nonpositive q-pochhammer factor for w={w}, q={q}")
     out = np.zeros(kmax + 1)
@@ -133,11 +134,10 @@ def _log_qpoch_prefix(w: float, q: float, kmax: int) -> np.ndarray:
 
 
 def _qhahn_log_grid(nmax, a, b, q):
-    """ln pi(x; n) as a function of index arrays 0 <= x <= n <= nmax, from
-    four log q-Pochhammer prefixes built once."""
-    lqf, la, lb, lab = (_log_qpoch_prefix(w, q, nmax) for w in (q, a, b, a * b))
-    return lambda n, x: (lqf[n] - lqf[x] - lqf[n - x] + la[x] + lb[n - x]
-                         + (n - x) * math.log(a) - lab[n])
+    """ln pi(x; n) up to a term in n: ln of (a;q)_x (b;q)_{n-x} a^(n-x) / ((q;q)_x
+    (q;q)_{n-x}) on index arrays 0 <= x <= n <= nmax, from three prefixes built once."""
+    lqf, la, lb = (_log_qpoch_prefix(w, q, nmax) for w in (q, a, b))
+    return lambda n, x: la[x] - lqf[x] + lb[n - x] - lqf[n - x] + (n - x) * math.log(a)
 
 
 #: One row per family: the only place that tells the families apart.
@@ -261,10 +261,10 @@ def _log_measure_rows(
 
     A finite row (``xmax`` its largest size) is built _BLOCK_ROWS rows at a
     time, so besides the table only temporaries of that many rows are held.
-    Its running sum has ratio 0 from its end on, so it is -inf past its
-    end, and is normalized by its own log-sum-exp; a closed-form row holds
-    its value at n past its end.  A semi-infinite row (``rows`` is None;
-    one row) starts from its closed-form ln pi(0).
+    Its unnormalized log weights are -inf past its end (a running sum has
+    ratio 0 from there on; a closed-form row is set so), and each finite
+    row is normalized by its own log-sum-exp.  A semi-infinite row
+    (``rows`` is None; one row) starts from its closed-form ln pi(0).
     """
     x = np.arange(xmax, dtype=float)
     if rows is None:
@@ -277,16 +277,18 @@ def _log_measure_rows(
     log_grid = row.log_grid(xmax, *params) if row.log_grid else None
     for blk in _row_blocks(len(rows)):
         n = rows[blk, None]
-        if log_grid:
-            table[blk] = log_grid(n, np.minimum(np.arange(xmax + 1), n))
-            continue
-        m = n - x
-        np.maximum(m, 0.0, out=m)
-        with np.errstate(divide="ignore"):
-            t = row.ratio(m, x, *params)
-            np.log(t, out=t)
         part = table[blk]
-        np.cumsum(t, axis=-1, out=part[:, 1:])
+        if log_grid:
+            xs = np.arange(xmax + 1)
+            part[:] = log_grid(n, np.minimum(xs, n))
+            np.copyto(part, -np.inf, where=xs > n)
+        else:
+            m = n - x
+            np.maximum(m, 0.0, out=m)
+            with np.errstate(divide="ignore"):
+                t = row.ratio(m, x, *params)
+                np.log(t, out=t)
+            np.cumsum(t, axis=-1, out=part[:, 1:])
         part -= part.max(axis=1, keepdims=True)
         part -= np.log(np.exp(part).sum(axis=1, keepdims=True))
     return table

@@ -375,6 +375,14 @@ class TestVerifyCommand:
         assert code == 0, text
         assert "ALL PASS" in text
 
+    @pytest.mark.parametrize("conv_type", ["i", "iii"])
+    def test_qhahn_near_q_one(self, tmp_path, conv_type):
+        # each factor 1 - w q^k sits ~1e-6 above 0 here
+        recipe = f"qhahn type={conv_type} a=0.3 b=0.5 c=0.4 q=0.999999 N=10"
+        code, text = run(tmp_path, "verify", "--recipe", recipe)
+        assert code == 0, text
+        assert "ALL PASS" in text
+
     def test_injected_fault_yields_exit_1(self, tmp_path, monkeypatch):
         inject_fault(monkeypatch)
         code, text = run(tmp_path, "verify", "--recipe", FAULT_RECIPE)

@@ -149,6 +149,24 @@ class TestVectorizedAgainstReference:
         col = np.array([kernel_entry(r, x, 4, N=6) for x in range(7)])
         np.testing.assert_allclose(k[:, 4], col, rtol=1e-12)
 
+    @pytest.mark.parametrize("conv_type", [ConvType.I, ConvType.III])
+    def test_qhahn_tends_to_hahn_as_q_tends_to_one(self, conv_type):
+        # a = q^alpha, b = q^beta, c = q^gamma: q-Hahn types i and iii tend to
+        # Hahn types i and iii at (alpha, beta, gamma) (Koekoek, Lesky and
+        # Swarttouw 2010), here at a distance of 1.24 (1 - q) and 1.52 (1 - q),
+        # while the q-Hahn measures' factors 1 - w q^k shrink like 1 - q
+        alpha, beta, gamma, N = 0.7, 1.3, 0.9, 20
+        hahn = build_kernel(ConvolutionRecipe(Family.HAHN, conv_type, (alpha, beta, gamma)), N=N)
+        for e in range(2, 8):
+            d = 10.0**-e
+            q = 1.0 - d
+            recipe = ConvolutionRecipe(Family.Q_HAHN, conv_type, (q**alpha, q**beta, q**gamma, q))
+            system = analytic_eigensystem(recipe, N=N)
+            assert np.max(np.abs(system.kernel.matrix - hahn.matrix)) <= 2 * d, d
+            assert verify_kernel(system.kernel).max_stochastic_violation <= 1e-13, d
+            if e <= 5:
+                assert all(c.passed for c in verification_report(system)), d
+
 
 #: tail_eps of the WINDOW_POINTS columns: the default and the largest accepted
 WINDOW_EPS = (1e-12, 1e-11)

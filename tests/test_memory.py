@@ -117,14 +117,21 @@ def test_kernel_build_holds_output_sized_temporaries(recipe, size):
 
 @pytest.mark.parametrize("params", [(0.3, 0.5, 0.5), (0.9, -2.0, 0.7)])
 def test_qhahn_grid_keeps_the_bits(params):
-    # the table rows hold the one-expression form, gathered at (n, min(x, n))
+    # the table rows hold the closed form's x-dependent factors from three
+    # prefixes, -inf past each row's end, normalized by their own
+    # log-sum-exp, and are gathered at (n, min(x, n))
     a, b, q = params
     pts, sizes = np.arange(-2, 40)[:, None], np.arange(35)[None, :]
     got = F.log_measure_grid(Family.Q_HAHN, params, pts, sizes)
+    lqf, la, lb = (F._log_qpoch_prefix(w, q, 34) for w in (q, a, b))
+    rows, cols = np.arange(35)[:, None], np.arange(35)
+    x = np.minimum(cols, rows)
+    table = la[x] - lqf[x] + lb[rows - x] - lqf[rows - x] + (rows - x) * math.log(a)
+    table[cols > rows] = -np.inf
+    table -= table.max(axis=1, keepdims=True)
+    table -= np.log(np.exp(table).sum(axis=1, keepdims=True))
     n = np.broadcast_to(sizes, got.shape)
-    x = np.minimum(np.maximum(pts, 0), n)
-    lqf, la, lb, lab = (F._log_qpoch_prefix(w, q, 34) for w in (q, a, b, a * b))
-    want = lqf[n] - lqf[x] - lqf[n - x] + la[x] + lb[n - x] + (n - x) * math.log(a) - lab[n]
+    want = table[n, np.minimum(np.maximum(pts, 0), n)]
     want[(pts < 0) | (pts > sizes)] = -np.inf
     assert got.tobytes() == want.tobytes()
 

@@ -1,10 +1,12 @@
 """High-precision reference checks for the measures and the eigenvector
 machinery.
 
-The measures are running sums of log term ratios; they are pinned against
-40-digit log-gamma (q-Pochhammer for q-Hahn) closed forms up to N = 800
+The measures are running sums of log term ratios (q-Hahn's sum its closed
+form's x-dependent factors); they are pinned against 40-digit log-gamma
+(q-Pochhammer for q-Hahn, also at q = 0.999999) closed forms up to N = 800
 and, on the semi-infinite lattices, out to ~2000 points, where log-gamma
-differences in double precision lose ~1e-12.
+differences in double precision lose ~1e-12.  Every finite row sums to 1
+within 8 eps.
 
 The matched-recurrence construction of the orthonormal basis is the one
 piece whose accuracy is not obvious from structure alone, so it is pinned
@@ -22,9 +24,11 @@ finite lattice are right blocks.  The right side is also refereed against
 the exact state, from a 60-digit Krawtchouk basis.
 """
 
+import math
+
 import numpy as np
 import pytest
-from conftest import lowest_filling
+from conftest import FINITE_GRID, lowest_filling
 from mpmath import mp, mpf
 
 from askeychain.families import (
@@ -66,7 +70,8 @@ def _mp_log_measure(family, params, N, x):
     return binom + lg(a + x) - lg(a) + lg(b + N - x) - lg(b) - lg(a + b + N) + lg(a + b)
 
 
-@pytest.mark.parametrize("spec, xmax", [
+#: (spec, largest point) pairs whose ln pi is pinned against 40 digits
+MEASURE_REFERENCE = [
     (FamilySpec(Family.CHARLIER, (500.0,)), 1540),
     (FamilySpec(Family.CHARLIER, (50.0,)), 400),
     (FamilySpec(Family.MEIXNER, (30.0, 0.9)), 1000),
@@ -83,7 +88,14 @@ def _mp_log_measure(family, params, N, x):
     (FamilySpec(Family.Q_HAHN, (0.2, 0.6, 0.6), N=400), 400),
     (FamilySpec(Family.Q_HAHN, (0.3, -0.5, 0.7), N=400), 400),
     (FamilySpec(Family.Q_HAHN, (0.15, 0.4, 0.5), N=800), 800),
-], ids=lambda v: v.to_string() if isinstance(v, FamilySpec) else str(v))
+]
+
+
+def _spec_id(v):
+    return v.to_string() if isinstance(v, FamilySpec) else str(v)
+
+
+@pytest.mark.parametrize("spec, xmax", MEASURE_REFERENCE, ids=_spec_id)
 def test_log_measure_matches_40_digit_reference(spec, xmax):
     # every 7th point, wherever pi(x) is a normal double
     xs = np.arange(0, xmax + 1, 7)
@@ -93,6 +105,37 @@ def test_log_measure_matches_40_digit_reference(spec, xmax):
     keep = ref >= -708.0
     assert keep.sum() >= 28
     assert np.max(np.abs(got[keep] - ref[keep])) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(Family.Q_HAHN, (0.3, 0.5, 0.999999), N=10),
+    FamilySpec(Family.Q_HAHN, (0.9999993, 0.9999987, 0.999999), N=20),
+], ids=_spec_id)
+def test_log_measure_near_q_one_matches_40_digit_reference(spec):
+    # the factors 1 - q^k of the closed form, and at the second spec all of
+    # its factors, are below 3e-5: every lattice point is checked
+    xs = np.arange(spec.N + 1)
+    got = log_measure_grid(spec.family, spec.params, xs, np.full(xs.shape, spec.N))
+    mp.dps = 40
+    ref = np.array([float(_mp_log_measure(spec.family, spec.params, spec.N, int(x))) for x in xs])
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+#: the finite reference specs and the q-Hahn stationary measures of the grids
+FINITE_ROWS = [spec for spec, _ in MEASURE_REFERENCE if spec.is_finite] + [
+    ConvolutionRecipe(Family.Q_HAHN, conv_type, params).stationary_spec(400)
+    for conv_type in (ConvType.I, ConvType.III)
+    for params in FINITE_GRID[Family.Q_HAHN, conv_type]
+]
+
+
+@pytest.mark.parametrize("spec", FINITE_ROWS, ids=_spec_id)
+def test_every_measure_row_sums_to_one(spec):
+    # each row ln pi(.; n), n <= 400, summed exactly: within 8 eps of 1
+    nmax = min(spec.N, 400)
+    sizes = np.arange(nmax + 1)
+    rows = np.exp(log_measure_grid(spec.family, spec.params, sizes[None, :], sizes[:, None]))
+    assert max(abs(math.fsum(row) - 1.0) for row in rows) <= 8 * np.finfo(float).eps
 
 
 def _mp_qpoch(w, q, n):

@@ -1,10 +1,11 @@
 """Special-function primitives behind the measure path and the series checks.
 
 The library keeps one q-Pochhammer primitive, ``families._log_qpoch_prefix``
-(the q-Hahn measure, its q-binomial and its norm constants are sums of its
-entries), and the polynomial tests check the recurrence against the exact
-terminating series in ``oracles``.  Both are pinned here against hand values
-and exact rational products.
+(the q-Hahn measure's x-dependent factors, its q-binomial included, are
+sums of its entries), and the polynomial tests check the recurrence against
+the exact terminating series in ``oracles``.  Both are pinned here against
+hand values and exact rational products, the prefix also where its factors
+come near 0 as q -> 1.
 """
 
 import math
@@ -53,6 +54,14 @@ class TestQPochhammer:
             return
         got = math.exp(_log_qpoch_prefix(float(a), 0.5, n)[n])
         assert got == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("w,q,n", [(0.999999, 0.999999, 10), (0.9999993, 0.999999, 20)])
+    def test_factors_near_zero(self, w, q, n):
+        # every factor 1 - w q^k is below 3e-5: formed by subtraction, each
+        # would carry ~eps / (1 - w q^k) of relative error
+        exact = oracles.qpoch_frac(Fraction(w), Fraction(q), n)
+        got = math.exp(_log_qpoch_prefix(w, q, n)[n])
+        assert abs(got / float(exact) - 1.0) <= 1e-12
 
 
 class TestQBinomial:
