@@ -13,7 +13,11 @@ piece whose accuracy is not obvious from structure alone, so it is pinned
 against a 200-digit re-run of the same recurrence.  q-Hahn is the hard
 case (corner values decay like q^(n x) and the upward parasite grows at
 the same rate); Krawtchouk at p = 1/2 exercises the delocalized regime
-where no turning point exists.
+where no turning point exists.  At N = 200 the upward recurrence leaves
+the double range even at 200 digits, so the finite bases are also pinned,
+row by row, against a 40-digit twisted factorization of the Jacobi matrix
+(``_mp_twisted_phi``), which needs no more digits as N grows and is itself
+checked against 80 digits.
 
 Block entropies are refereed by a 40-digit eigensolve of the k x k block
 A A^T of the correlation matrix, formed from the same float filled-mode
@@ -145,10 +149,10 @@ def _mp_qpoch(w, q, n):
     return out
 
 
-def _mp_qhahn_phi(a, b, q, N):
-    S = N + 1
+def _mp_qhahn_recurrence(a, b, q, N):
+    # A_n, C_n for n = 0..N at the working precision
     A, C = [], [mpf(0)]
-    for n in range(S):
+    for n in range(N + 1):
         qn = q**n
         if n == 0:
             A.append((1 - a) * (1 - q**-N) / (1 - a * b))
@@ -163,6 +167,12 @@ def _mp_qhahn_phi(a, b, q, N):
                 * (1 - b * qn / q)
                 / ((1 - a * b * qn * qn / (q * q)) * (1 - a * b * qn * qn / q))
             )
+    return A, C
+
+
+def _mp_qhahn_phi(a, b, q, N):
+    S = N + 1
+    A, C = _mp_qhahn_recurrence(a, b, q, N)
     bb = [mp.sign(A[k]) * mp.sqrt(A[k] * C[k + 1]) for k in range(S - 1)]
     qq = _mp_qpoch(q, q, N)
     out = np.empty((S, S))
@@ -221,6 +231,101 @@ def test_krawtchouk_delocalized_basis_matches_reference():
     mp.dps = 120
     ref = _mp_krawtchouk_phi(mpf(0.5), 40).astype(float)
     assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def _mp_jacobi(family, params, N):
+    """The Jacobi matrix of the degree recurrence and the sites at the
+    working precision, from the double parameters exactly: its diagonal
+    -(A_n + C_n), its off-diagonal b_n and its squares A_n C_{n+1}, and
+    theta(x), x = 0..N."""
+    S = N + 1
+    if family is Family.Q_HAHN:
+        a, b, q = map(mpf, params)
+        A, C = _mp_qhahn_recurrence(a, b, q, N)
+        theta = [q**-x - 1 for x in range(S)]
+    else:
+        theta = [mpf(-x) for x in range(S)]
+        if family is Family.KRAWTCHOUK:
+            (p,) = map(mpf, params)
+            A = [p * (N - n) for n in range(S)]
+            C = [n * (1 - p) for n in range(S)]
+        else:
+            a, b = map(mpf, params)
+            A = [a * N / (a + b)] + [
+                (n + a + b - 1) * (n + a) * (N - n) / ((2 * n + a + b - 1) * (2 * n + a + b))
+                for n in range(1, S)
+            ]
+            C = [mpf(0)] + [
+                n * (n + a + b + N - 1) * (n + b - 1) / ((2 * n + a + b - 2) * (2 * n + a + b - 1))
+                for n in range(1, S)
+            ]
+    diag = [-(A[k] + C[k]) for k in range(S)]
+    b2 = [A[k] * C[k + 1] for k in range(N)]
+    off = [mp.sign(A[k]) * mp.sqrt(b2[k]) for k in range(N)]
+    return diag, off, b2, theta
+
+
+def _mp_twisted_phi(family, params, N, rows):
+    """Rows ``rows`` of the finite basis at the working precision, as an
+    object array of mpf: row x is the unit eigenvector of the Jacobi matrix
+    for theta(x), from its twisted factorization (forward pivots P_k,
+    backward pivots Q_k, twisted at the k of least |P_k + Q_k - s_k|), with
+    phi(x, 0) > 0.  Each row takes O(N) operations at any precision, where
+    an upward recurrence needs digits in proportion to N^2 on q-Hahn."""
+    diag, off, b2, theta = _mp_jacobi(family, params, N)
+    S = N + 1
+    tiny = mp.eps**2  # stands in for an exact zero pivot
+    out = np.empty((len(rows), S), dtype=object)
+    for i, x in enumerate(rows):
+        s = [d - theta[x] for d in diag]
+        P, Q = list(s), list(s)
+        for k in range(S):
+            if k:
+                P[k] = s[k] - b2[k - 1] / P[k - 1]
+            P[k] = P[k] or tiny
+        for k in reversed(range(S)):
+            if k < N:
+                Q[k] = s[k] - b2[k] / Q[k + 1]
+            Q[k] = Q[k] or tiny
+        r = min(range(S), key=lambda k: abs(P[k] + Q[k] - s[k]))
+        v = [mpf(0)] * S
+        v[r] = mpf(1)
+        for k in reversed(range(r)):
+            v[k] = -off[k] * v[k + 1] / P[k]
+        for k in range(r + 1, S):
+            v[k] = -off[k - 1] * v[k - 1] / Q[k]
+        norm = mp.sqrt(mp.fsum(t * t for t in v)) * mp.sign(v[0])
+        out[i] = [t / norm for t in v]
+    return out
+
+
+#: finite bases pinned against the twisted referee: the delocalized
+#: Krawtchouk p = 1/2, two lattice sizes past 200, and q-Hahn at N = 200,
+#: where an upward recurrence leaves the double range even at 200 digits
+TWISTED_REFERENCE = [
+    FamilySpec(Family.KRAWTCHOUK, (0.5,), N=40),
+    FamilySpec(Family.KRAWTCHOUK, (0.3,), N=200),
+    FamilySpec(Family.KRAWTCHOUK, (0.15,), N=300),
+    FamilySpec(Family.HAHN, (2.0, 3.0), N=200),
+    FamilySpec(Family.HAHN, (0.5, 7.0), N=150),
+    FamilySpec(Family.Q_HAHN, (0.15, 0.4, 0.5), N=30),
+    FamilySpec(Family.Q_HAHN, (0.3, -0.5, 0.7), N=24),
+    FamilySpec(Family.Q_HAHN, (0.15, 0.4, 0.5), N=200),
+]
+
+
+@pytest.mark.parametrize("spec", TWISTED_REFERENCE, ids=_spec_id)
+def test_basis_matches_twisted_reference(spec):
+    # every row below N = 200, every 10th from there; the 40-digit rows
+    # agree with the 80-digit ones far below a double's resolution
+    rows = range(0, spec.size, 10 if spec.N >= 200 else 1)
+    got = orthonormal_columns(spec)[rows]
+    mp.dps = 80
+    fine = _mp_twisted_phi(spec.family, spec.params, spec.N, rows)
+    mp.dps = 40
+    ref = _mp_twisted_phi(spec.family, spec.params, spec.N, rows)
+    assert max(abs(t) for t in (fine - ref).ravel()) <= mpf(10) ** -30
+    assert np.max(np.abs(got - ref.astype(float))) <= 1e-12
 
 
 def _mp_meixner_phi(a, b, S):
