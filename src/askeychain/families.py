@@ -14,11 +14,11 @@ lambda3 and its eigenvalues kappa(n).  The pipeline needs only phi, so
 P_n and d_n^2 are not offered on their own; the tests read them off the
 columns of phi.
 
-The basis is produced by the three-term recurrence in the degree, run on
-the weighted functions, not by summing the defining hypergeometric series:
-the series terms alternate in sign and cancel catastrophically for degrees
-and lattice points past ~25, while the recurrence stays accurate through
-the lattice sizes supported here.  The series themselves are evaluated
+The basis is produced from the three-term recurrence in the degree, not
+by summing the defining hypergeometric series: each row of phi is an
+eigenvector of the recurrence's Jacobi matrix, built from ratios of the
+pivots of its factorizations, while the series terms alternate in sign and
+cancel catastrophically for degrees and lattice points past ~25.  The series themselves are evaluated
 only in the tests, in exact rational arithmetic, as the small-instance
 cross-check.
 
@@ -121,6 +121,14 @@ def _qhahn_recurrence(n, N, a, b, q):
     return A, C
 
 
+def _qhahn_theta(x, a, b, q):
+    """q^(-x) - 1.  The power is correctly rounded, where exp(x ln(1/q)) has
+    an error x ln(1/q) times that of ln q; below 2 expm1 keeps the digits
+    that subtracting 1 would cancel."""
+    qx = np.float64(q) ** -x
+    return np.where(qx >= 2.0, qx - 1.0, np.expm1(-x * math.log(q)))
+
+
 def _log_qpoch_prefix(w: float, q: float, kmax: int) -> np.ndarray:
     """Array L[k] = ln (w;q)_k for k = 0..kmax; requires all factors > 0.  A
     factor 1 - w q^k with w > 0 is -expm1(ln w + k ln q), so w q^k -> 1 cancels nothing."""
@@ -173,7 +181,7 @@ _FAMILIES: dict[Family, _FamilyRow] = {
         ("a", "b", "q"), ("a", "b", "c", "q"),
         lambda a, b, q: 0.0 < a < 1.0 and b < 1.0 and 0.0 < q < 1.0, "0 < a < 1, b < 1, 0 < q < 1",
         recurrence=_qhahn_recurrence,
-        theta=lambda x, a, b, q: np.expm1(-x * math.log(q)),
+        theta=_qhahn_theta,
         log_grid=_qhahn_log_grid,
     ),
 }
@@ -242,8 +250,8 @@ class FamilySpec:
 # ---------------------------------------------------------------------------
 
 
-#: rows that the measure table build, the measure gather, the basis's log
-#: scales and splice and the spectral checks work on at once: their
+#: rows that the measure table build, the measure gather, the basis's twist
+#: and row assembly and the spectral checks work on at once: their
 #: temporaries are this many rows long, whatever the lattice size
 _BLOCK_ROWS = 32
 
@@ -381,80 +389,55 @@ def site_values(spec: FamilySpec, npoints: int) -> np.ndarray:
     return _FAMILIES[spec.family].theta(np.arange(npoints, dtype=float), *spec.params)
 
 
-def _recurrence(theta, A, C, b, seed, wedge=False):
-    """Columns v_0..v_{len(b)} of theta v_k = b_k v_{k+1} - (A_k + C_k) v_k
-    + b_{k-1} v_{k-1}, from v_0 = seed and v_{-1} = 0, with one row per
-    site of ``theta``, as (values, rescales).  A row is rescaled to 1 where
-    it passes 1e100, so no row leaves the double range on the way up.
-    ``rescales`` records each rescale as an event (row, column, log f),
-    sorted by row, and ``_log_scale`` rebuilds from them any block of rows of
-    the log scale L, with v_k = values[:, k] exp(L[:, k]).
-
-    Rows are independent, so a pass may run on any subset of the sites.
-    With ``wedge`` (all sites, as many as columns) only the entries k <= x
-    are computed (step k updates rows x >= k + 1); the others are left
-    unset."""
-    S, ncols = len(theta), len(b) + 1
-    values = np.empty((S, ncols))
-    values[:, 0] = seed
-    cur, prev = values[:, 0].copy(), np.zeros(S)
-    rows, cols, logs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    lo = 0
-    for k in range(ncols - 1):
-        if wedge:
-            lo, cur, prev = k + 1, cur[1:], prev[1:]
-        nxt = ((theta[lo:] + A[k] + C[k]) * cur - (b[k - 1] if k else 0.0) * prev) / b[k]
-        prev, cur = cur, nxt
-        big = np.flatnonzero(np.abs(cur) > 1e100)
-        if big.size:
-            f = np.abs(cur[big])
-            cur[big] /= f
-            prev[big] /= f
-            rows.append(big + lo)
-            cols.append(np.full(big.size, k + 1))
-            logs.append(np.log(f))
-        values[lo:, k + 1] = cur
-    rows, cols, logs = (np.concatenate(v) for v in (rows, cols, logs))
-    order = np.argsort(rows, kind="stable")
-    return values, (rows[order], cols[order], logs[order])
+#: stands in for an exact zero pivot, which marks an exact zero of phi (as
+#: in Krawtchouk at p = 1/2 by parity): the ratio it gives is huge, not
+#: infinite, and the zero comes out as ~1e-154 of its neighbours, not NaN
+_ZERO_PIVOT = math.sqrt(np.finfo(float).tiny)
 
 
-def _log_scale(rescales, blk: slice, ncols: int) -> np.ndarray:
-    """Rows ``blk`` of the log scale that ``_recurrence``'s rescale events
-    stand for: each event adds its log f to its row from its column on.
-    A running sum over the columns adds a row's events in their order, so
-    the entries are the bits of the dense scale the pass once accumulated."""
-    rows, cols, logs = rescales
-    i, j = np.searchsorted(rows, (blk.start, blk.stop))
-    lg = np.zeros((blk.stop - blk.start, ncols))
-    lg[rows[i:j] - blk.start, cols[i:j]] = logs[i:j]
-    return np.cumsum(lg, axis=1, out=lg)
+def _pivots(diag, theta, b2, P):
+    """Forward pivots P_k = s_k - b2_{k-1} / P_{k-1}, P_0 = s_0, with s_k =
+    diag_k - theta, of the shifted Jacobi matrix: one row of ``P`` per
+    degree k and one column per site of ``theta``.  The backward pivots
+    are these on the reversed coefficients and rows."""
+    for k in range(len(P)):
+        np.subtract(diag[k], theta, out=P[k])
+        if k:
+            P[k] -= b2[k - 1] / P[k - 1]
+        np.copyto(P[k], _ZERO_PIVOT, where=P[k] == 0.0)
 
 
 def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndarray:
     """Matrix whose column n is phi_n(x) = d_n sqrt(pi(x)) P_n(x).
 
-    The recurrence runs directly on the weighted functions (entries stay
-    O(1)); the symmetrized off-diagonal coefficient is b_n = sign(A_n)
-    sqrt(A_n C_{n+1}), from d_{n+1}/d_n = sqrt(A_n / C_{n+1}).
+    Row x of phi is an eigenvector, for the eigenvalue theta(x), of the
+    Jacobi matrix J of the degree recurrence: diagonal -(A_n + C_n) and
+    off-diagonal b_n = sign(A_n) sqrt(A_n C_{n+1}) (from d_{n+1}/d_n =
+    sqrt(A_n / C_{n+1})).  Each row is built from the ratios of its
+    consecutive entries, read off the pivots of J - theta(x), with s_k =
+    -(A_k + C_k) - theta(x).  No row carries a scale factor, and each row
+    is computed on its own:
 
-    Upward recurrence in the degree is stable only up to the envelope peak
-    of each lattice row; past it the true value is the recessive solution
-    and rounding noise takes over (catastrophically so for q-Hahn).  Two
-    stable schemes cover all cases:
-
-    * finite families terminate exactly at the top (A_N = 0), so each row
-      is built from an upward pass anchored at phi_0 = sqrt(pi) and a
-      downward pass anchored at the top (``_recurrence`` on the reversed
-      coefficients), spliced by ``_splice``;
+    * on a finite lattice row x is the unit eigenvector, from the twisted
+      factorization of J - theta(x) (Parlett & Dhillon, Linear Algebra
+      Appl. 267, 1997): forward pivots P_k = s_k - b_{k-1}^2 / P_{k-1},
+      backward pivots Q_k = s_k - b_k^2 / Q_{k+1}, the twist r where
+      |P_k + Q_k - s_k| is least, and v_k / v_{k+1} = -b_k / P_k below r,
+      v_k / v_{k-1} = -b_{k-1} / Q_k above it.  The ratios are multiplied
+      outward from the twist, the row is divided by its own norm and its
+      sign fixed by phi(x, 0) > 0;
     * Charlier and Meixner are self-dual with d_n^2 pi(x) symmetric in
-      (n, x), so the matrix itself is symmetric: the upward pass runs only
-      in the stable wedge n <= x and the rest is its mirror image.
+      (n, x), so the window is symmetric: the forward pivots alone give
+      the wedge n <= x, phi(x, k+1) / phi(x, k) = -P_k / b_k multiplied
+      up from phi(x, 0) = sqrt(pi(x)), one degree per row of the result,
+      and the rest is its mirror image.
 
-    The upward pass is written into the result, and the log scales of both
-    passes are rebuilt from their rescale events _BLOCK_ROWS rows at a
-    time.  Besides the result, only the downward pass (on a finite lattice)
-    and temporaries of _BLOCK_ROWS rows are held at once.
+    The finite pivots are held degree by degree, the forward ones in a
+    work array and the backward ones in the result; the twist and the
+    ratios are formed _BLOCK_ROWS sites at a time in the work array, and
+    the rows are assembled from it _BLOCK_ROWS at a time into the result.
+    Besides the result, only that work array (on a finite lattice) and
+    temporaries of _BLOCK_ROWS rows are held at once.
 
     A basis with an entry outside the double range (the q-Hahn
     coefficients overflow once q^(-N) does) is refused with a DomainError.
@@ -466,65 +449,70 @@ def orthonormal_columns(spec: FamilySpec, npoints: int | None = None) -> np.ndar
     with np.errstate(all="ignore"):
         theta = site_values(spec, npoints)
         A, C = recurrence_coefficients(spec, npoints - 1)
-        b = np.sign(A[:-1]) * np.sqrt(A[:-1] * C[1:])
-        seed = np.exp(0.5 * _log_pi(spec, npoints))
-        phi, up = _recurrence(theta, A, C, b, seed, wedge=not spec.is_finite)
-        # true magnitudes for the splice's validity test; the scale is 0
-        # before it fails
-        for blk in _row_blocks(npoints):
-            lg = _log_scale(up, blk, npoints)
-            phi[blk] *= np.exp(lg, out=lg)
-        if not spec.is_finite:
-            # symmetric matrix: mirror the wedge n <= x onto the rest
-            for x in range(npoints - 1):
-                phi[x, x + 1 :] = phi[x + 1 :, x]
-        elif npoints > 3:
-            # downward pass, exactly seeded by the vanishing top coefficient A_N
-            w, down = _recurrence(theta, A[::-1], C[::-1], b[::-1], 1.0)
-            for blk in _row_blocks(npoints):
-                lgw = _log_scale(down, blk, npoints)
-                phi[blk] = _splice(phi[blk], w[blk, ::-1], lgw[:, ::-1])
+        diag = -(A + C)
+        b2 = A[:-1] * C[1:]
+        b = np.sign(A[:-1]) * np.sqrt(b2)
+        phi = _finite_basis(diag, b, b2, theta) if spec.is_finite else _wedge_basis(
+            diag, b, b2, theta, np.exp(0.5 * _log_pi(spec, npoints)))
     if not np.isfinite(phi).all():
         raise DomainError(f"the {spec.to_string()} basis leaves the double range")
     return phi
 
 
-def _splice(u: np.ndarray, wst: np.ndarray, lg: np.ndarray) -> np.ndarray:
-    """Each row of the upward pass ``u`` up to the column m where it agrees
-    best with the downward pass ``wst * exp(lg)``, and that pass past m.
+def _finite_basis(diag, b, b2, theta):
+    """The twisted-factorization rows of ``orthonormal_columns``."""
+    S = len(theta)
+    deg = np.arange(S)
+    work = np.empty((S, S))  # forward pivots, then the ratios, degree by site
+    phi = np.empty((S, S))  # backward pivots, degree by site, then the basis
+    _pivots(diag, theta, b2, work)
+    _pivots(diag[::-1], theta, b2[::-1], phi[::-1])
+    # v_k / v_{k+1} = -b_k / P_k below the twist, v_k / v_{k-1} =
+    # -b_{k-1} / Q_k above it, 1 at it
+    b_below, b_above = np.append(-b, 0.0)[:, None], np.insert(-b, 0, 0.0)[:, None]
+    twist = np.empty(S, dtype=np.intp)
+    for blk in _row_blocks(S):
+        P, Q = work[:, blk], phi[:, blk]
+        gamma = np.subtract.outer(diag, theta[blk])
+        np.subtract(P + Q, gamma, out=gamma)
+        r = twist[blk] = np.abs(gamma, out=gamma).argmin(axis=0)
+        np.divide(b_below, P, out=P)
+        np.divide(b_above, Q, out=P, where=deg[:, None] > r)
+        np.copyto(P, 1.0, where=deg[:, None] == r)
+    for blk in _row_blocks(S):
+        after = work[:, blk].T.copy()  # ratios, site by degree
+        below = deg < twist[blk, None]
+        before = np.where(below, after, 1.0)
+        # phi(x, 0) > 0: its sign, kept where phi(x, 0) underflows
+        flip = np.count_nonzero(before < 0.0, axis=1) % 2 == 1
+        np.copyto(after, 1.0, where=below)
+        # products outward from the twist, where |v| is near its largest,
+        # so they cannot overflow; an entry that underflows is below the
+        # double range after the normalization too
+        np.cumprod(after, axis=1, out=after)
+        np.cumprod(before[:, ::-1], axis=1, out=before[:, ::-1])
+        row = np.multiply(after, before, out=phi[blk])
+        norm = np.sqrt(np.sum(row * row, axis=1, keepdims=True))
+        np.negative(norm, out=norm, where=flip[:, None])
+        row /= norm
+    return phi
 
-    The log of |u/w| is flat exactly on the overlap of the two trust zones
-    (the upward parasite drifts it past the envelope peak, the downward one
-    before it).  Magnitudes are pooled over adjacent index pairs because a
-    tridiagonal eigenvector may vanish at isolated indices (it cannot at
-    two consecutive ones), e.g. by parity on symmetric measures.  Every
-    statement reads only its own row, so any block of rows may be spliced
-    on its own.
-    """
-    S = u.shape[1]
-    rows, cols = np.arange(len(u)), np.arange(S)[None, :]
-    absu = np.abs(u)
-    invalid = absu > 1.0 + 1e-6  # orthonormal entries cannot exceed 1
-    first_bad = np.where(invalid.any(axis=1), invalid.argmax(axis=1), S)
-    lu = np.log(absu)
-    lw = np.log(np.abs(wst)) + lg
-    lratio = np.maximum(lu[:, :-1], lu[:, 1:]) - np.maximum(lw[:, :-1], lw[:, 1:])
-    dl = np.abs(np.diff(lratio, axis=1))
-    step_cost = np.where(np.isfinite(dl), dl, np.inf)
-    cost = step_cost[:, :-1] + step_cost[:, 1:]  # column j scores pair (j+1, j+2)
-    cost = np.where(cols[:, 1 : S - 2] + 2 < first_bad[:, None], cost, np.inf)
-    # degenerate fallback (tiny matrices): the peak of the valid prefix
-    fallback = np.where(cols < first_bad[:, None], absu, -1.0).argmax(axis=1)
-    pair = np.where(np.isfinite(cost).any(axis=1), cost.argmin(axis=1) + 1, fallback)
-    # splice at whichever pair member carries the larger entry
-    pair1 = np.clip(pair + 1, 0, S - 1)
-    m = np.where(absu[rows, pair] >= absu[rows, pair1], pair, pair1)
-    # phi_n = u_m * (w_n / w_m) for n > m, assembled in log scale; the
-    # exponent is <= 0 on the used side, so underflow (not overflow) is the
-    # only rounding mode there and it returns honest zeros
-    dlog = np.minimum(lg - lg[rows, m][:, None], 0.0)
-    tail = u[rows, m][:, None] * (wst / wst[rows, m][:, None]) * np.exp(dlog)
-    return np.where(cols <= m[:, None], u, tail)
+
+def _wedge_basis(diag, b, b2, theta, sqrt_pi):
+    """The self-dual window of ``orthonormal_columns``: step k writes
+    phi(k.., k) into row k, the wedge's mirror image, then the mirror."""
+    S = len(theta)
+    phi = np.empty((S, S))
+    phi[0] = sqrt_pi
+    P = diag[0] - theta
+    for k in range(S - 1):
+        P = P[1:]
+        np.copyto(P, _ZERO_PIVOT, where=P == 0.0)
+        np.multiply(phi[k, k + 1 :], P / -b[k], out=phi[k + 1, k + 1 :])
+        P = (diag[k + 1] - theta[k + 1 :]) - b2[k] / P
+    for x in range(1, S):
+        phi[x, :x] = phi[:x, x]
+    return phi
 
 
 # ---------------------------------------------------------------------------

@@ -228,31 +228,6 @@ def eigvals_moduli_excess(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(matrix))) - 1.0)
 
 
-def dense_recurrence(theta, A, C, b, seed):
-    """Every column of the weighted three-term recurrence theta v_k = b_k
-    v_{k+1} - (A_k + C_k) v_k + b_{k-1} v_{k-1} from v_0 = seed, with its log
-    scale held as a dense matrix: a row is rescaled to 1 where it passes
-    1e100 and its running log factor is stored at every column, so v_k =
-    values[:, k] exp(log_scale[:, k]).  The referee for the rescale events
-    ``families._recurrence`` keeps in its place."""
-    S = len(theta)
-    values, log_scale = np.empty((S, S)), np.zeros((S, S))
-    values[:, 0] = seed
-    cur, prev, lrow = values[:, 0].copy(), np.zeros(S), np.zeros(S)
-    for k in range(S - 1):
-        nxt = ((theta + A[k] + C[k]) * cur - (b[k - 1] if k else 0.0) * prev) / b[k]
-        prev, cur = cur, nxt
-        big = np.flatnonzero(np.abs(cur) > 1e100)
-        if big.size:
-            f = np.abs(cur[big])
-            cur[big] /= f
-            prev[big] /= f
-            lrow[big] += np.log(f)
-        values[:, k + 1] = cur
-        log_scale[:, k + 1] = lrow
-    return values, log_scale
-
-
 def parse_matrix_csv(text: str) -> np.ndarray:
     """A ``matrix_csv`` text back to the matrix (its rows hold no whitespace)."""
     return np.array([[float(v) for v in row.split(",")] for row in text.split()])

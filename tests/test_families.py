@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from askeychain import families as F
+from askeychain import spectral
 from askeychain.errors import DomainError
 from askeychain.markov import MAX_WINDOW_POINTS
 from askeychain.families import ConvolutionRecipe, ConvType, Family, FamilySpec, MeasureFactor
@@ -403,6 +404,28 @@ class TestOrthonormalColumns:
     def test_basis_outside_double_range_is_refused(self, spec):
         with pytest.raises(DomainError, match="basis leaves the double range"):
             F.orthonormal_columns(spec)
+
+    @pytest.mark.parametrize("spec, zero", [
+        (FamilySpec(Family.HAHN, (3.0, 1.5), N=6), (4, 1)),
+        (FamilySpec(Family.KRAWTCHOUK, (0.5,), N=40), (20, 1)),
+    ], ids=lambda v: v.to_string() if isinstance(v, FamilySpec) else str(v))
+    def test_zero_pivots_give_zero_entries(self, spec, zero):
+        # phi(4, 1) is exactly 0 on Hahn (3, 1.5) at N = 6, and phi(N/2, n)
+        # for odd n by parity on Krawtchouk p = 1/2; the pivots next to such
+        # an entry are exactly 0, and a row with an unguarded one is NaN
+        phi = F.orthonormal_columns(spec)
+        assert np.isfinite(phi).all()
+        assert np.max(np.abs(np.sum(phi**2, axis=1) - 1.0)) <= 1e-15
+        assert abs(phi[zero]) <= 1e-150
+
+    def test_rows_reach_past_an_underflowed_measure(self):
+        # lambda3 of Krawtchouk i (0.3, 0.5), p = 0.5/0.85, at N = 1999:
+        # sqrt(pi(x)) underflows on 59 rows, and each row is normalized by
+        # its own norm, so none is zero
+        spec = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.3, 0.5)).stationary_spec(1999)
+        phi = F.orthonormal_columns(spec)
+        assert phi.any(axis=1).all()
+        assert spectral.orthonormality_defect(phi) <= 1e-13
 
     def test_finite_basis_takes_the_full_lattice(self):
         spec = FamilySpec(Family.HAHN, (1.0, 2.0), N=9)

@@ -22,7 +22,7 @@ from askeychain.fermion import (
     correlation_matrix,
     entropy_profile,
 )
-from askeychain.spectral import analytic_eigensystem
+from askeychain.spectral import analytic_eigensystem, completeness_defect, orthonormality_defect
 
 
 def _system(family, conv_type, params, N):
@@ -234,6 +234,21 @@ class TestBlockEntropy:
             left = block_entropy(c, (0, k))
             right = block_entropy(c, (k, 10))
             assert abs(left - right) <= 1e-8
+
+    def test_qhahn_400_entropies_that_vanish_read_zero(self):
+        # q-Hahn iii (0.3, 0.5, 0.4, 0.5) at N = 400: its basis is
+        # orthonormal and complete to ~1e-13, and blocks whose exact entropy
+        # is 0 read within twice a twisted-basis prototype's reading (its
+        # upward and downward recurrences spliced read 3.1e-11 and 4.3e-11,
+        # and 1.02e-9 and 7.4e-9 on the entropies)
+        sys_ = _system(Family.Q_HAHN, ConvType.III, (0.3, 0.5, 0.4, 0.5), 400)
+        assert orthonormality_defect(sys_.phi) <= 8.4e-14
+        assert completeness_defect(sys_.phi) <= 6.4e-14
+        n = sys_.size
+        quarter = correlation_matrix(lowest_filling(sys_, n // 4))
+        assert max(block_entropy(quarter, (0, k)) for k in range(150, 201)) <= 1.04e-11
+        half = correlation_matrix(lowest_filling(sys_, n // 2))
+        assert max(block_entropy(half, (k, n)) for k in range(100, 151)) <= 2.8e-11
 
     def test_profile_endpoints_and_shape(self):
         sys_ = _system(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0), 9)

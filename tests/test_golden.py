@@ -14,7 +14,8 @@ moves output on purpose rewrites it with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-and lists each changed output.  The key set only grows.
+which prints each moved key, with its old and new exit code and digest,
+on stderr, for the list of changed outputs.  The key set only grows.
 """
 
 from __future__ import annotations
@@ -126,6 +127,12 @@ def test_every_golden_output_keeps_its_bytes():
 if __name__ == "__main__":
     if sys.argv[1:] == ["--record"]:
         outputs = child_digests()
+        old = json.loads(MANIFEST.read_text())["outputs"] if MANIFEST.exists() else {}
+        for key, d in sorted(outputs.items()):
+            was = old.get(key, {"exit": None, "sha256": None})
+            if d != was:
+                print(f"{key}: exit {was['exit']} -> {d['exit']}, "
+                      f"sha256 {was['sha256']} -> {d['sha256']}", file=sys.stderr)
         MANIFEST.write_text(json.dumps({"outputs": outputs}, indent=1, sort_keys=True) + "\n")
     else:
         with tempfile.TemporaryDirectory() as tmp:

@@ -5,8 +5,8 @@ only, so their traced peak stays within a fixed multiple of the output's
 ``nbytes``; the verify checks work in the buffer of the product they check,
 and a whole ``verification_report`` holds H, phi and one work array besides
 K; the export builders hold the text and its rows.  Whole ``np.indices``
-grids and an unblocked splice read 9 to 14 here; the budgets are the
-measured multiples plus headroom.  One guard reads a CLI ``verify`` child's
+grids read 9 to 14 here; the budgets are the measured multiples plus
+headroom.  One guard reads a CLI ``verify`` child's
 peak RSS the way the benchmark does.
 """
 
@@ -20,8 +20,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import oracles
-
 from askeychain import export, markov, spectral
 from askeychain import families as F
 from askeychain.families import ConvolutionRecipe, ConvType, Family, FamilySpec, parse_recipe
@@ -31,12 +29,14 @@ from askeychain.families import ConvolutionRecipe, ConvType, Family, FamilySpec,
 #: grid's size and a measure table built whole read 4.3 and 5.3, and
 #: q-Hahn's closed form summed on the whole grid 4.25 (i) and 5.26 (iii)
 BUILD_BUDGET = 4.6
-#: the downward pass and the splice blocks: measured 4.05 at N = 200; the
-#: dense log scales of the two passes read 4.8
-FINITE_BASIS_BUDGET = 4.25
-#: the upward pass and its log scale's blocks: measured 1.24 on 300-point
-#: windows; its dense log scale read 2.04
-WINDOW_BASIS_BUDGET = 1.35
+#: the pivots' work array and the site blocks: measured 2.77 at N = 200
+#: (Hahn, Krawtchouk and q-Hahn); two recurrence passes and their splice
+#: read 4.05, with the passes' dense log scales 4.8
+FINITE_BASIS_BUDGET = 3.0
+#: the wedge's running pivots: measured 1.15 on 300-point windows;
+#: an upward pass with its log scale rebuilt in blocks read 1.24, with a
+#: dense log scale 2.04
+WINDOW_BASIS_BUDGET = 1.25
 #: g = phi^T phi (or phi phi^T) and nothing more: measured 1.02 over phi's
 #: nbytes; with g - I and its abs beside g it read 3.0
 IDENTITY_DEFECT_BUDGET = 1.1
@@ -44,18 +44,20 @@ IDENTITY_DEFECT_BUDGET = 1.1
 #: skew part's abs beside them it read 3.0
 VERIFY_KERNEL_BUDGET = 2.3
 #: a whole verification_report over K's nbytes, K itself not counted: H,
-#: phi and the basis's downward pass (5.07 on Hahn iii N = 200) or the
-#: residual product (3.16 on the Meixner iii window); with dense log scales,
-#: a gather index of the grid's size and phi**2 whole they read 5.86 and 4.07
-FINITE_REPORT_BUDGET = 5.3
+#: phi and the basis's work array (3.79 on Hahn iii N = 200) or the
+#: residual product (3.16 on the Meixner iii window); with a second
+#: recurrence pass in place of the work array the first read 5.07, and with
+#: dense log scales, a gather index of the grid's size and phi**2 whole they
+#: read 5.86 and 4.07
+FINITE_REPORT_BUDGET = 4.1
 WINDOW_REPORT_BUDGET = 3.4
 #: peak RSS of a CLI ``verify`` child above that of a child that only
-#: imports the CLI, over the lattice matrix's nbytes: measured 5.72 on Hahn
-#: iii N = 800 (K, H, phi and one work array, the whole downward basis pass
-#: and the allocator's slack; 5.37 with that pass on 512 rows at a time); a
-#: gather index of the grid's size, whole measure-table temporaries, dense
-#: log scales and phi**2 whole read 7.0
-VERIFY_RSS_BUDGET = 6.2
+#: imports the CLI, over the lattice matrix's nbytes: measured 5.28 on Hahn
+#: iii N = 800 (K, H, phi and one work array, the basis's pivots included,
+#: and the allocator's slack); with a whole second recurrence pass in place
+#: of the work array it read 5.72, and a gather index of the grid's size,
+#: whole measure-table temporaries, dense log scales and phi**2 whole 7.0
+VERIFY_RSS_BUDGET = 5.8
 #: the row strings and their join: measured 2.0 over the text's length; the
 #: per-float generator read 3.0 (CSV), json.dumps 4.5 (JSON)
 EXPORT_BUDGET = 2.25
@@ -228,10 +230,10 @@ def test_basis_holds_output_sized_temporaries(spec, npoints, budget):
     FamilySpec(Family.KRAWTCHOUK, (0.7,), N=100),
     FamilySpec(Family.Q_HAHN, (0.3, 0.5, 0.5), N=70),
 ], ids=FamilySpec.to_string)
-def test_splice_blocks_keep_the_bits(spec, monkeypatch):
-    # every statement of the splice, of the log scales' rebuild and of the
-    # measure table and gather reads only its own row, so running them on
-    # blocks of rows gives the bits of running them on all rows at once
+def test_site_blocks_keep_the_bits(spec, monkeypatch):
+    # every statement of the twist, the ratios and the row assembly, and of
+    # the measure table and gather, reads only its own sites, so running
+    # them on blocks of sites gives the bits of running them on all at once
     blocked = F.orthonormal_columns(spec)
     monkeypatch.setattr(F, "_BLOCK_ROWS", spec.size)
     assert blocked.tobytes() == F.orthonormal_columns(spec).tobytes()
@@ -242,50 +244,11 @@ def test_splice_blocks_keep_the_bits(spec, monkeypatch):
     FamilySpec(Family.CHARLIER, (20.0,)),
     FamilySpec(Family.MEIXNER, (1.5, 0.4)),
 ], ids=FamilySpec.to_string)
-def test_wedge_pass_keeps_the_bits(spec):
-    # the rows of the recurrence are independent, so running the upward pass
-    # only in the wedge n <= x and mirroring it gives the bits of the full
-    # pass mirrored (with rows rescaled in the discarded wedge: Charlier 1.3)
-    npoints = 400
-    theta = F.site_values(spec, npoints)
-    A, C = F.recurrence_coefficients(spec, npoints - 1)
-    b = np.sign(A[:-1]) * np.sqrt(A[:-1] * C[1:])
-    with np.errstate(all="ignore"):
-        u, lgu = oracles.dense_recurrence(theta, A, C, b, np.exp(0.5 * F._log_pi(spec, npoints)))
-        full = u * np.exp(lgu)
-    want = np.where(np.tri(npoints, dtype=bool), full, full.T)
-    assert F.orthonormal_columns(spec, npoints).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("spec, npoints", [
-    (FamilySpec(Family.HAHN, (2.0, 7.0), N=600), None),
-    (FamilySpec(Family.Q_HAHN, (0.3, 0.5, 0.5), N=70), None),
-    (FamilySpec(Family.CHARLIER, (1.3,)), 400),
-], ids=lambda v: v.to_string() if isinstance(v, FamilySpec) else str(v))
-def test_rescale_events_rebuild_the_dense_scale(spec, npoints):
-    # both passes on every row, and the downward pass on a block of rows,
-    # against the dense pass: the same values, and the log scale rebuilt
-    # from the rescale events in blocks of rows is the dense log scale (each
-    # pass rescales rows here)
-    npoints = npoints or spec.size
-    theta = F.site_values(spec, npoints)
-    A, C = F.recurrence_coefficients(spec, npoints - 1)
-    b = np.sign(A[:-1]) * np.sqrt(A[:-1] * C[1:])
-    passes = [(A, C, b, np.exp(0.5 * F._log_pi(spec, npoints))), (A[::-1], C[::-1], b[::-1], 1.0)]
-    with np.errstate(all="ignore"):
-        for coef in passes:
-            want, want_lg = oracles.dense_recurrence(theta, *coef)
-            got, rescales = F._recurrence(theta, *coef)
-            assert len(rescales[0]) > 0
-            lg = np.vstack([F._log_scale(rescales, blk, npoints) for blk in F._row_blocks(npoints)])
-            assert got.tobytes() == want.tobytes()
-            assert lg.tobytes() == want_lg.tobytes()
-            rows = slice(npoints // 3, 2 * npoints // 3)
-            seed = coef[3][rows] if np.ndim(coef[3]) else coef[3]
-            part, part_rescales = F._recurrence(theta[rows], *coef[:3], seed)
-            assert part.tobytes() == want[rows].tobytes()
-            local = slice(0, rows.stop - rows.start)
-            assert F._log_scale(part_rescales, local, npoints).tobytes() == want_lg[rows].tobytes()
+def test_windows_are_exactly_symmetric(spec):
+    # the wedge n <= x is built one degree per row of the result, which by
+    # self-duality is the wedge's mirror image, and the mirror copies it
+    phi = F.orthonormal_columns(spec, 400)
+    assert phi.tobytes() == phi.T.tobytes()
 
 
 @pytest.mark.parametrize("family, params", [

@@ -230,7 +230,7 @@ def test_krawtchouk_delocalized_basis_matches_reference():
     got = orthonormal_columns(spec)
     mp.dps = 120
     ref = _mp_krawtchouk_phi(mpf(0.5), 40).astype(float)
-    assert np.max(np.abs(got - ref)) <= 1e-12
+    assert np.max(np.abs(got - ref)) <= 1e-14
 
 
 def _mp_jacobi(family, params, N):
@@ -325,7 +325,7 @@ def test_basis_matches_twisted_reference(spec):
     mp.dps = 40
     ref = _mp_twisted_phi(spec.family, spec.params, spec.N, rows)
     assert max(abs(t) for t in (fine - ref).ravel()) <= mpf(10) ** -30
-    assert np.max(np.abs(got - ref.astype(float))) <= 1e-12
+    assert np.max(np.abs(got - ref.astype(float))) <= 1e-14
 
 
 def _mp_meixner_phi(a, b, S):
