@@ -18,9 +18,9 @@ The basis is produced from the three-term recurrence in the degree, not
 by summing the defining hypergeometric series: each row of phi is an
 eigenvector of the recurrence's Jacobi matrix, built from ratios of the
 pivots of its factorizations, while the series terms alternate in sign and
-cancel catastrophically for degrees and lattice points past ~25.  The series themselves are evaluated
-only in the tests, in exact rational arithmetic, as the small-instance
-cross-check.
+cancel catastrophically for degrees and lattice points past ~25.  The
+series themselves are evaluated only in the tests, in exact rational
+arithmetic, as the small-instance cross-check.
 
 Measures are built in log space and exponentiated once at the end:
 products like binom(N,x) p^x (1-p)^(N-x) leave the double range long
