@@ -236,11 +236,11 @@ class TestBlockEntropy:
             assert abs(left - right) <= 1e-8
 
     def test_qhahn_400_entropies_that_vanish_read_zero(self):
-        # q-Hahn iii (0.3, 0.5, 0.4, 0.5) at N = 400: its basis is
-        # orthonormal and complete to ~1e-13, and blocks whose exact entropy
-        # is 0 read within twice a twisted-basis prototype's reading (its
-        # upward and downward recurrences spliced read 3.1e-11 and 4.3e-11,
-        # and 1.02e-9 and 7.4e-9 on the entropies)
+        # q-Hahn iii (0.3, 0.5, 0.4, 0.5) at N = 400: orthonormality,
+        # completeness and blocks whose exact entropy is 0 read within
+        # twice a twisted-basis prototype's 4.2e-14, 3.2e-14, 5.2e-12 and
+        # 1.4e-11 (upward and downward recurrences spliced read 3.1e-11,
+        # 4.3e-11, 1.02e-9 and 7.4e-9)
         sys_ = _system(Family.Q_HAHN, ConvType.III, (0.3, 0.5, 0.4, 0.5), 400)
         assert orthonormality_defect(sys_.phi) <= 8.4e-14
         assert completeness_defect(sys_.phi) <= 6.4e-14
