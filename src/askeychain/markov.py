@@ -17,8 +17,8 @@ per-column convolution.  A grid is gathered from its measure table in
 blocks of rows, so no gather index of the kernel's size is held: a build
 holds at most the factor grids, an index difference and the table being
 built, three to five arrays of the kernel's size
-(``tests/test_memory.py`` bounds its traced peak), and window growth frees
-each window's matrix before it builds the next.
+(``tests/test_memory.py`` bounds its traced peak), and a truncated
+window's matrix is built once.
 Columns are mathematically independent, so construction parallelizes
 trivially and the finished kernel is immutable.  The direct per-entry sums
 these builders are tested against live with the tests (``tests/oracles.py``).
@@ -28,12 +28,13 @@ certified finite window: ``FamilySpec``, the one lattice-size rule, refuses
 an N on these recipes, so no uncertified window is ever built.  One row
 ln pi(0..MAX_WINDOW_POINTS) and the family's tail-ratio bound give the
 geometric tail bound for every window end at once
-(``stationary_tail_bounds``); the window, the cap
-refusal, the growth guard, the stationary vector and the recorded bound are
-all read off that row.  The window grows until its column sums meet
-COL_TARGET_FACTOR * tail_eps, so ``tail_eps`` is refused above MAX_TAIL_EPS
-(1e-11), where that target would miss the truncated kernel tolerance;
-finite recipes take no ``tail_eps`` at all.
+(``stationary_tail_bounds``); the first certified end, the cap refusal,
+the -700 range guard, the stationary vector and the recorded bound are all
+read off that row.  The window is sized once, before any matrix is built,
+from a matrix-free bound on its last column's deficit (``_last_column_deficit``)
+against COL_TARGET_FACTOR * tail_eps; a recipe that no window certifies is
+refused up front.  So ``tail_eps`` is refused above MAX_TAIL_EPS (1e-11),
+where that target would miss the truncated kernel tolerance.
 
 Verification reads K itself and runs no eigensolver: the spectral radius is
 bounded by the induced 1-norm and the Perron-Frobenius vector is one linear
@@ -42,6 +43,7 @@ solve; their eigensolver referees live with the tests.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -100,7 +102,7 @@ DEFAULT_TAIL_EPS = 1e-12
 #: default tolerances for verify_kernel on finite and on truncated lattices
 FINITE_KERNEL_TOL = 1e-12
 TRUNCATED_KERNEL_TOL = 1e-10
-#: the largest tail_eps whose window growth target (COL_TARGET_FACTOR *
+#: the largest tail_eps whose window sizing target (COL_TARGET_FACTOR *
 #: tail_eps) still meets the truncated kernel tolerance
 MAX_TAIL_EPS = TRUNCATED_KERNEL_TOL / COL_TARGET_FACTOR
 
@@ -144,18 +146,35 @@ def _first_certified(bounds: np.ndarray, eps: float, window: str) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _type_iii_z_extension(factor1: MeasureFactor) -> int:
-    """How far past the window a semi-infinite type iii z sum runs, until the
-    lambda1 tail cannot move any entry of K: the first point of the scan
-    4, 6, 8, ..., M + max(2, M // 8) that certifies 1e-18 (ending the range
-    at the first certified point itself would move the bits of K).  One
-    value per factor, shared by every window build of a recipe."""
+    """How far past the window a semi-infinite type iii z sum runs: the
+    first point whose lambda1 tail is certified below 1e-18, where it cannot
+    move any entry of K; one value per factor, for sizing and build alike."""
     spec1 = FamilySpec(factor1.family, factor1.params)
     window = f"the type iii z sum over {spec1.to_string()}"
-    first = _first_certified(stationary_tail_bounds(spec1)[1], 1e-18, window)
-    zext = 4
-    while zext < first:
-        zext += max(2, zext // 8)
-    return zext
+    return _first_certified(stationary_tail_bounds(spec1)[1], 1e-18, window)
+
+
+def _last_column_deficit(recipe: ConvolutionRecipe):
+    """M -> an upper bound on |1 - sum| of the last column of the window
+    ending at M, from the factors alone: sum_z pi1(z; M) T2(M - z) on type
+    i, in O(M), and T1(zext) + sum_{z=M+1}^{M+zext} pi1(z - M) sum_{x>M}
+    pi2(x; z) on type iii.  T(k) >= sum_{x>k} pi(x) is the semi-infinite
+    factor's row summed from its far end, plus the certified bound past it."""
+    factor2, factor1 = recipe.factors
+    semi = factor2 if recipe.conv_type is ConvType.I else factor1
+    log_pi, bounds = stationary_tail_bounds(FamilySpec(semi.family, semi.params))
+    pi = np.exp(log_pi[:-1])
+    tail = np.append(np.cumsum(pi[:0:-1])[::-1], 0.0) + bounds[-1]
+
+    def deficit(M: int) -> float:
+        if recipe.conv_type is ConvType.I:
+            pi1 = np.exp(log_measure_grid(factor1.family, factor1.params, np.arange(M + 1), M))
+            return float(pi1 @ tail[M::-1])
+        zext = _type_iii_z_extension(factor1)
+        x = np.arange(M + 1, M + zext + 1)
+        spill = np.exp(log_measure_grid(factor2.family, factor2.params, x[None, :], x[:, None]))
+        return float(tail[zext] + pi[1 : zext + 1] @ spill.sum(axis=1))
+    return deficit
 
 
 def _build_matrix(recipe: ConvolutionRecipe, size: int) -> np.ndarray:
@@ -192,19 +211,19 @@ def build_kernel(
     """Construct the kernel with its stationary distribution attached.
 
     Finite families need the lattice size N and take no ``tail_eps``.
-    Semi-infinite families are truncated: the window starts at the first
-    certified stationary-tail cutoff for ``tail_eps`` (default 1e-12) and is
-    enlarged until the worst column-sum deficit is at most
-    COL_TARGET_FACTOR * tail_eps or the window holds MAX_WINDOW_POINTS
-    points; the achieved deficit is recorded on the kernel.
-    ``tail_eps`` must lie in (0, MAX_TAIL_EPS] = (0, 1e-11], where that
-    growth target still meets the truncated kernel tolerance.  The lattice
-    size rule is ``FamilySpec``'s: an N on a semi-infinite recipe, or none on
-    a finite one, is refused before any matrix is built, so every truncated
-    window carries a certificate it meets.  A lattice, finite or truncated,
-    whose first window would hold more than MAX_WINDOW_POINTS points is
-    refused.  The stationary vector is always recomputed from the lambda3
-    parameter map, never from a numeric eigenvector.
+    Semi-infinite families are truncated to a window sized once, before any
+    matrix is built: its end is the smallest M, from the first certified
+    stationary-tail cutoff M0 for ``tail_eps`` (default 1e-12) to the last
+    end Mmax past it where ln pi stays above -700, whose last-column deficit
+    bound meets COL_TARGET_FACTOR * tail_eps, else Mmax; a window whose
+    bound then exceeds TRUNCATED_KERNEL_TOL is refused.  The built matrix's
+    worst column-sum deficit is recorded on the kernel.  ``tail_eps`` must
+    lie in (0, MAX_TAIL_EPS] = (0, 1e-11].  The lattice size rule is
+    ``FamilySpec``'s: an N on a semi-infinite recipe, or none on a finite
+    one, is refused before any matrix is built.  A lattice, finite or
+    truncated, whose first window would hold more than MAX_WINDOW_POINTS
+    points is refused.  The stationary vector is always recomputed from the
+    lambda3 parameter map, never from a numeric eigenvector.
     """
     spec = recipe.stationary_spec(N)
     if recipe.is_finite:
@@ -219,28 +238,24 @@ def build_kernel(
     if not 0.0 < tail_eps <= MAX_TAIL_EPS:
         raise DomainError(f"tail_eps must lie in (0, {MAX_TAIL_EPS:g}], got {tail_eps}")
     log_pi, bounds = stationary_tail_bounds(spec)
-    M = _first_certified(bounds, tail_eps, f"the certified {spec.to_string()} window")
-    while True:
-        matrix = _build_matrix(recipe, M + 1)
-        deficiency = float(np.max(np.abs(matrix.sum(axis=0) - 1.0)))
-        if deficiency <= COL_TARGET_FACTOR * tail_eps or M + 1 >= MAX_WINDOW_POINTS:
-            break
-        nxt = min(max(M + 8, int(M * 1.25)), MAX_WINDOW_POINTS - 1)
-        # never grow past the representable range of the stationary vector
-        # (pi must stay strictly positive for the similarity transform)
-        while nxt > M and log_pi[nxt] <= -700.0:
-            nxt -= max(1, (nxt - M) // 4)
-        if nxt == M:
-            break
-        M = nxt
-        del matrix  # released before the next window's build
+    window = f"the certified {spec.to_string()} window"
+    M0 = _first_certified(bounds, tail_eps, window)
+    # the last end where ln pi > -700: pi stays positive for the similarity transform
+    Mmax = M0 + int(np.append(log_pi[M0 + 1 : MAX_WINDOW_POINTS] > -700.0, False).argmin())
+    deficit = _last_column_deficit(recipe)
+    M = M0 + bisect.bisect_left(range(M0, Mmax), True,
+                                key=lambda m: deficit(m) <= COL_TARGET_FACTOR * tail_eps)
+    if (worst := deficit(M)) > TRUNCATED_KERNEL_TOL:
+        raise DomainError(f"{window} of {M + 1} points leaves a column-sum deficit up to "
+                          f"{worst:.3g}, above the {TRUNCATED_KERNEL_TOL:g} kernel tolerance")
+    matrix = _build_matrix(recipe, M + 1)
     return ConvolutionKernel(
         matrix,
         np.exp(log_pi[: M + 1]),
         recipe,
         tail_eps=tail_eps,
         tail_bound=float(bounds[M]),
-        col_deficiency=deficiency,
+        col_deficiency=float(np.max(np.abs(matrix.sum(axis=0) - 1.0))),
     )
 
 

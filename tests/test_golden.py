@@ -40,8 +40,9 @@ MANIFEST = Path(__file__).with_name("golden.json")
 BLAS_ENV = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 VERIFY_N = 200
-#: the verify calls the benchmark runs besides its grids: three defects or
-#: tolerance misses (exit 1), one refusal (exit 2) and a grown window
+#: the verify calls the benchmark runs besides its grids: one defect (exit
+#: 1), an N = 800 pass, two refusals (exit 2: an underflowed pi, and a
+#: Meixner recipe that no window certifies) and the largest window
 VERIFY_FIXED = [
     (Family.KRAWTCHOUK, ConvType.I, (0.3, 0.5), 800),
     (Family.HAHN, ConvType.II, (1.0, 0.5, 1.0), 800),

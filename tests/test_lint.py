@@ -2,8 +2,10 @@
 the package names a ``Family`` member or branches on ``family is``.  Row
 blocks have one size and one helper: ``families._BLOCK_ROWS`` is the only
 block-row constant, and rows are stepped by ``families._row_blocks``, not
-by a hand-written ``for ... in range(0, n, ROWS)`` loop."""
+by a hand-written ``for ... in range(0, n, ROWS)`` loop.  No module has a
+``while`` loop: truncation windows are sized, not grown."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -47,3 +49,9 @@ def test_one_block_row_constant():
 @pytest.mark.parametrize("name", ALL_MODULES)
 def test_rows_are_stepped_by_the_helper(name):
     assert _hits(name, HAND_ROW_LOOP) == []
+
+
+@pytest.mark.parametrize("name", ALL_MODULES)
+def test_no_while_loop(name):
+    tree = ast.parse((SRC / name).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.While)] == []

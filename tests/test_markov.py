@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askeychain import families, markov
+from askeychain import cli, families, markov
 from askeychain.errors import DomainError
 from askeychain.families import (
     ConvolutionRecipe,
@@ -172,24 +173,27 @@ class TestVectorizedAgainstReference:
 WINDOW_EPS = (1e-12, 1e-11)
 #: certified window sizes (points) at each tail_eps of WINDOW_EPS
 WINDOW_POINTS = {
-    (Family.CHARLIER, ConvType.I, (0.4, 0.8)): (41, 40),
+    (Family.CHARLIER, ConvType.I, (0.4, 0.8)): (38, 35),
     (Family.CHARLIER, ConvType.I, (0.2, 0.5)): (21, 20),
-    (Family.CHARLIER, ConvType.I, (0.6, 1.2)): (73, 72),
-    (Family.CHARLIER, ConvType.III, (1.0, 0.4)): (37, 36),
-    (Family.CHARLIER, ConvType.III, (0.5, 0.5)): (44, 43),
-    (Family.CHARLIER, ConvType.III, (2.0, 0.3)): (30, 29),
-    (Family.MEIXNER, ConvType.I, (1.0, 6.0, 0.2)): (364, 283),
-    (Family.MEIXNER, ConvType.I, (0.5, 7.0, 0.25)): (214, 159),
-    (Family.MEIXNER, ConvType.I, (2.0, 7.0, 0.25)): (353, 267),
-    (Family.MEIXNER, ConvType.II, (1.0, 6.0, 0.2)): (364, 283),
-    (Family.MEIXNER, ConvType.II, (0.5, 7.0, 0.25)): (214, 159),
-    (Family.MEIXNER, ConvType.II, (2.0, 7.0, 0.25)): (353, 267),
-    (Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0)): (367, 227),
-    (Family.MEIXNER, ConvType.III, (7.0, 0.25, 0.5)): (246, 151),
-    (Family.MEIXNER, ConvType.III, (6.0, 0.25, 2.0)): (510, 409),
-    (Family.CHARLIER, ConvType.I, (0.9, 20.0)): (887, 919),
-    (Family.MEIXNER, ConvType.I, (1.0, 1.0, 0.2)): (439, 439),
+    (Family.CHARLIER, ConvType.I, (0.6, 1.2)): (69, 64),
+    (Family.CHARLIER, ConvType.III, (1.0, 0.4)): (33, 30),
+    (Family.CHARLIER, ConvType.III, (0.5, 0.5)): (40, 37),
+    (Family.CHARLIER, ConvType.III, (2.0, 0.3)): (28, 26),
+    (Family.MEIXNER, ConvType.I, (1.0, 6.0, 0.2)): (342, 232),
+    (Family.MEIXNER, ConvType.I, (0.5, 7.0, 0.25)): (206, 148),
+    (Family.MEIXNER, ConvType.I, (2.0, 7.0, 0.25)): (345, 247),
+    (Family.MEIXNER, ConvType.II, (1.0, 6.0, 0.2)): (342, 232),
+    (Family.MEIXNER, ConvType.II, (0.5, 7.0, 0.25)): (206, 148),
+    (Family.MEIXNER, ConvType.II, (2.0, 7.0, 0.25)): (345, 247),
+    (Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0)): (337, 227),
+    (Family.MEIXNER, ConvType.III, (7.0, 0.25, 0.5)): (199, 141),
+    # held at 510 points by the -700 guard on ln pi
+    (Family.MEIXNER, ConvType.III, (6.0, 0.25, 2.0)): (510, 366),
+    (Family.CHARLIER, ConvType.I, (0.9, 20.0)): (821, 779),
 }
+#: recipes whose largest window misses the truncated kernel tolerance
+#: (their last columns read 5.7e-4 and 1.3e-2 from 1)
+UNCERTIFIED = ["meixner type=i a=1 b=1 c=0.2", "meixner type=i a=0.5 b=0.5 c=0.8"]
 
 
 def certified_cutoff(spec: FamilySpec, eps: float) -> int:
@@ -300,8 +304,8 @@ class TestTruncation:
         bounds = stationary_tail_bounds(r.stationary_spec(None))[1]
         deficiency = float(np.max(np.abs(kern.matrix.sum(axis=0) - 1.0)))
         assert list(kern.lattice_dict().items()) == [
-            ("kind", "truncated"), ("npoints", 41), ("tail_eps", 1e-12),
-            ("tail_bound", float(bounds[40])), ("col_deficiency", deficiency),
+            ("kind", "truncated"), ("npoints", 38), ("tail_eps", 1e-12),
+            ("tail_bound", float(bounds[37])), ("col_deficiency", deficiency),
         ]
 
     def test_lattice_kind_is_the_recipes(self, kernel_cache):
@@ -315,7 +319,7 @@ class TestTruncation:
     @pytest.mark.parametrize("key", list(WINDOW_POINTS), ids=lambda k: f"{k[0].value}-{k[1].value}-{k[2]}")
     def test_window_sizes_pinned(self, kernel_cache, key, eps):
         if eps > markov.MAX_TAIL_EPS:
-            # a growth target of 10 eps would miss the 1e-10 kernel tolerance
+            # a sizing target of 10 eps would miss the 1e-10 kernel tolerance
             with pytest.raises(DomainError, match="tail_eps must lie"):
                 build_kernel(ConvolutionRecipe(*key), tail_eps=eps)
             return
@@ -329,17 +333,55 @@ class TestTruncation:
     @pytest.mark.parametrize("recipe", [r for r, N in grid_recipes() if N is None],
                              ids=ConvolutionRecipe.to_string)
     def test_grid_passes_verify_at_largest_eps(self, kernel_cache, recipe):
-        # the growth target at the largest accepted tail_eps meets the tolerance
+        # the sizing target at the largest accepted tail_eps meets the tolerance
         kern = kernel_cache(recipe, None, tail_eps=markov.MAX_TAIL_EPS)
         failed = [c.name for c in verification_report(SpectralSystem(kern))
                   if not c.passed]
         assert not failed
 
+    @pytest.mark.parametrize("key", list(WINDOW_POINTS), ids=lambda k: f"{k[0].value}-{k[1].value}-{k[2]}")
+    def test_windows_do_not_grow_with_tail_eps(self, kernel_cache, key):
+        # a window sized from its target shrinks as the target loosens
+        sizes = [kernel_cache(ConvolutionRecipe(*key), None, tail_eps=eps).size
+                 for eps in (1e-14, 1e-12, 1e-11)]
+        assert sizes == sorted(sizes, reverse=True)
+
+    @pytest.mark.parametrize("eps", WINDOW_EPS)
+    @pytest.mark.parametrize("recipe", [r for r, N in grid_recipes() if N is None]
+                             + [ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.9, 20.0))],
+                             ids=ConvolutionRecipe.to_string)
+    def test_sizing_bound_referees_the_built_window(self, kernel_cache, recipe, eps):
+        # the bound holds for the built last column, up to the rounding of
+        # its entries (1.1e-15 and 1.3e-15 on the 821- and 779-point
+        # Charlier i (0.9, 20) windows, whose bound lies within 1e-12
+        # relative of a 40-digit sum), and the window one point shorter
+        # misses the target, so the window is the smallest one
+        kern = kernel_cache(recipe, None, tail_eps=eps)
+        M = kern.size - 1
+        deficit = markov._last_column_deficit(recipe)
+        assert deficit(M) >= abs(1.0 - kern.matrix[:, -1].sum()) - 2e-15
+        if M > certified_cutoff(recipe.stationary_spec(None), eps):
+            shorter = markov._build_matrix(recipe, M)
+            assert abs(1.0 - shorter[:, -1].sum()) > markov.COL_TARGET_FACTOR * eps
+
+    @pytest.mark.parametrize("text", UNCERTIFIED)
+    def test_uncertified_window_is_refused_before_any_build(self, monkeypatch, capsys, text):
+        def refuse(*args):
+            raise AssertionError("matrix built for an uncertified window")
+
+        monkeypatch.setattr(markov, "_build_matrix", refuse)
+        start = time.perf_counter()
+        assert cli.main(["verify", "--recipe", text]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "kernel tolerance" in capsys.readouterr().err
+
     def test_one_measure_row_per_window_build(self, monkeypatch):
-        # the certificate, window, growth guard, pi and tail bound all come
-        # from one ln pi row; each window build evaluates its two factor
-        # grids, and the row fixing the type iii z range is read once per
-        # recipe (cleared here so the count does not depend on test order)
+        # the certificate, window, range guard, pi and tail bound all come
+        # from one ln pi row; the sizing reads one row of each factor and
+        # one grid per bound it evaluates, about log2 of the search range,
+        # and the one window build evaluates its two factor grids (the
+        # cached z range is cleared so the count does not depend on test
+        # order)
         markov._type_iii_z_extension.cache_clear()
         calls = []
         grid = families.log_measure_grid
@@ -354,9 +396,8 @@ class TestTruncation:
         build = markov._build_matrix
         monkeypatch.setattr(markov, "_build_matrix", lambda r, n: sizes.append(n) or build(r, n))
         kern = build_kernel(ConvolutionRecipe(Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0)))
-        assert sizes[-1] == kern.size == 367
-        assert len(sizes) > 1
-        assert len(calls) <= 2 * len(sizes) + 2
+        assert sizes == [kern.size] == [337]
+        assert len(calls) <= 3 + math.ceil(math.log2(markov.MAX_WINDOW_POINTS)) + 1 + 2
 
 
 class TestVerifyKernel:

@@ -6,7 +6,8 @@ form's x-dependent factors); they are pinned against 40-digit log-gamma
 (q-Pochhammer for q-Hahn, also at q = 0.999999) closed forms up to N = 800
 and, on the semi-infinite lattices, out to ~2000 points, where log-gamma
 differences in double precision lose ~1e-12.  Every finite row sums to 1
-within 8 eps.
+within 8 eps.  The window sizing's last-column deficit bound, a sum over
+the factor measures, is pinned against the same sum at 40 digits.
 
 The matched-recurrence construction of the orthonormal basis is the one
 piece whose accuracy is not obvious from structure alone, so it is pinned
@@ -35,6 +36,7 @@ import pytest
 from conftest import FINITE_GRID, lowest_filling
 from mpmath import mp, mpf
 
+from askeychain import markov
 from askeychain.families import (
     ConvolutionRecipe,
     ConvType,
@@ -140,6 +142,40 @@ def test_every_measure_row_sums_to_one(spec):
     sizes = np.arange(nmax + 1)
     rows = np.exp(log_measure_grid(spec.family, spec.params, sizes[None, :], sizes[:, None]))
     assert max(abs(math.fsum(row) - 1.0) for row in rows) <= 8 * np.finfo(float).eps
+
+
+def _mp_last_column_deficit(recipe, M):
+    """The last column's deficit on the window ending at M, summed at the
+    working precision from the defining convolution: factor tails are
+    summed out to where their terms lie below 40 digits."""
+    factor2, factor1 = recipe.factors
+
+    def pi(factor, x, n=None):
+        return mp.exp(_mp_log_measure(factor.family, factor.params, n, x))
+
+    semi = factor2 if recipe.conv_type is ConvType.I else factor1
+    terms = [pi(semi, x) for x in range(M + 700)]
+    tail = [mp.fsum(terms[k + 1 :]) for k in range(M + 1)]
+    if recipe.conv_type is ConvType.I:
+        return mp.fsum(pi(factor1, z, M) * tail[M - z] for z in range(M + 1))
+    zext = markov._type_iii_z_extension(factor1)
+    return tail[zext] + mp.fsum(pi(factor1, z - M) * mp.fsum(pi(factor2, x, z) for x in range(M + 1, z + 1))
+                                for z in range(M + 1, M + zext + 1))
+
+
+@pytest.mark.parametrize("recipe", [
+    ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.4, 0.8)),
+    ConvolutionRecipe(Family.MEIXNER, ConvType.I, (1.0, 6.0, 0.2)),
+    ConvolutionRecipe(Family.CHARLIER, ConvType.III, (1.0, 0.4)),
+    ConvolutionRecipe(Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0)),
+], ids=ConvolutionRecipe.to_string)
+def test_window_deficit_bound_matches_40_digit_sum(recipe):
+    # at the default window's end: measured within 8.6e-16 relative; the
+    # built matrix's last column carries up to 1e-4 of it in rounding
+    M = markov.build_kernel(recipe).size - 1
+    mp.dps = 40
+    ref = _mp_last_column_deficit(recipe, M)
+    assert abs(markov._last_column_deficit(recipe)(M) - ref) <= 1e-14 * ref
 
 
 def _mp_qpoch(w, q, n):
