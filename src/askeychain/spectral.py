@@ -5,9 +5,9 @@ matrix H(x,y) = K(x,y) sqrt(pi(y)/pi(x)) with the same spectrum, the
 Perron-Frobenius vector sqrt(pi), and eigenvalues in (-1, 1].  For the
 convolution kernels the full eigensystem is known in closed form: the
 eigenvalues kappa(n) and the orthonormal eigenvectors phi_n(x) = d_n
-sqrt(pi(x)) P_n(x).  ``SpectralSystem(kernel)`` computes each fact - H with
-the asymmetry of the unsymmetrized transform, kappa(n), phi - on its first
-read and keeps it, so a caller pays only for what it reads, and
+sqrt(pi(x)) P_n(x).  ``SpectralSystem(kernel)`` keeps kappa(n) and phi from
+their first read, and rebuilds H (one pass over K) on each read, so that it
+is never held beside phi; a caller pays only for what it reads, and
 ``verification_report`` takes the system alone.  ``spectrum_comparison``
 checks kappa(n) against ``np.linalg.eigvalsh(H)``, a dense backward-stable
 eigensolve and the only one the library runs (H and K share their spectrum);
@@ -53,23 +53,28 @@ def _hamiltonian(kernel: ConvolutionKernel) -> tuple[np.ndarray, float]:
     the max entrywise |H - H^T| of the raw transform it came from.
 
     The kernel must satisfy detailed balance (within tolerance), otherwise
-    the result is not meaningfully symmetric.  Built in place: besides the
-    result, one matrix of its size is held.
+    the result is not meaningfully symmetric.  Built in one buffer and
+    symmetrized in place a block row (from the diagonal on) and its mirror
+    at a time; a + b and |a - b| do not depend on the order of a and b, so
+    these are the bits of (h + h.T) * 0.5 and max |h - h.T| taken whole.
     """
     s = np.sqrt(kernel.pi)
     h = np.divide(s[None, :], s[:, None])
     np.multiply(kernel.matrix, h, out=h)  # K * (s_y / s_x), as one product
-    out = np.subtract(h, h.T)
-    asymmetry = float(np.max(np.abs(out, out=out)))
-    np.add(h, h.T, out=out)
-    out *= 0.5
-    return out, asymmetry
+    asymmetry = []
+    for blk in _row_blocks(len(h)):
+        upper, mirror = h[blk, blk.start:], h[blk.start:, blk].T
+        d = np.subtract(upper, mirror)
+        asymmetry.append(np.max(np.abs(d, out=d)))
+        upper[...] = mirror[...] = np.multiply(np.add(upper, mirror, out=d), 0.5, out=d)
+    return h, float(np.max(asymmetry))
 
 
 @dataclass(frozen=True)
 class SpectralSystem:
-    """Symmetric Hamiltonian with its closed-form eigensystem, each fact
-    computed from ``kernel`` on its first read and kept.
+    """Symmetric Hamiltonian with its closed-form eigensystem, computed from
+    ``kernel``: kappa(n) and phi on their first read and kept, H and its
+    asymmetry on each read, so verify holds K and at most two arrays its size.
 
     ``phi[:, n]`` is the orthonormal eigenvector for ``kappas[n]``; column 0
     is sqrt(pi) with eigenvalue 1.
@@ -81,7 +86,7 @@ class SpectralSystem:
         if np.any(self.kernel.pi <= 0.0):
             raise DomainError("stationary distribution must be strictly positive")
 
-    @cached_property
+    @property
     def _symmetrized(self) -> tuple[np.ndarray, float]:
         return _hamiltonian(self.kernel)
 
@@ -141,15 +146,18 @@ def spectrum_comparison(system: SpectralSystem) -> float:
 def eigen_residuals(system: SpectralSystem) -> np.ndarray:
     """||H phi_n - kappa(n) phi_n||_inf per mode, scaled by ||H||_inf.
 
-    H phi stays one product (blocks of it would move its bits); phi kappa
-    is subtracted from it a block of rows at a time."""
+    H is built once phi's work array is gone; ||H||_inf and H phi - phi
+    kappa are taken a block of rows and of columns at a time.  The BLAS may
+    sum a product's trailing columns on a path of its own, so the last
+    block's can differ from the whole product's in the last place."""
     phi, kappas = system.phi, system.kappas
-    r = system.hamiltonian @ phi
-    for blk in _row_blocks(len(r)):
-        r[blk] -= phi[blk] * kappas
-    worst = np.max(np.abs(r, out=r), axis=0)
-    # r's buffer takes |H| next
-    hnorm = float(np.max(np.sum(np.abs(system.hamiltonian, out=r), axis=1)))
+    h = system.hamiltonian
+    hnorm = float(np.max([np.sum(np.abs(h[blk]), axis=1).max() for blk in _row_blocks(len(h))]))
+    worst = np.empty(phi.shape[1])
+    for blk in _row_blocks(phi.shape[1]):
+        r = h @ phi[:, blk]
+        r -= phi[:, blk] * kappas[blk]
+        worst[blk] = np.max(np.abs(r, out=r), axis=0)
     return worst / hnorm
 
 

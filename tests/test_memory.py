@@ -3,12 +3,14 @@
 (``families.orthonormal_columns``) hold temporaries of their output's size
 only, so their traced peak stays within a fixed multiple of the output's
 ``nbytes``, and a whole truncated ``build_kernel`` within the same
-multiple; the verify checks work in the buffer of the product they check,
-and a whole ``verification_report`` holds H, phi and one work array besides
-K; the export builders hold the text and its rows.  Whole ``np.indices``
-grids read 9 to 14 here; the budgets are the measured multiples plus
-headroom.  One guard reads a CLI ``verify`` child's
-peak RSS the way the benchmark does.
+multiple; H is built in its own buffer; the verify checks work in the
+buffer of the product they check, or a block of columns at a time, and a
+whole ``verification_report`` holds at most two arrays of K's size besides
+K: H is rebuilt on each read rather than kept, so it is never held beside
+phi and the basis's work array.  The export builders hold the text and its
+rows.  Whole ``np.indices`` grids read 9 to 14 here; the budgets are the
+measured multiples plus headroom.  One guard reads the peak RSS of CLI
+``verify`` children the way the benchmark does.
 """
 
 import math
@@ -24,6 +26,8 @@ import pytest
 from askeychain import export, markov, spectral
 from askeychain import families as F
 from askeychain.families import ConvolutionRecipe, ConvType, Family, FamilySpec, parse_recipe
+
+from conftest import assert_residuals_keep_the_bits
 
 #: measured 3.6 (types i, ii), 4.4 (iii) on the finite families, q-Hahn
 #: included, 3.3 and 3.6 on the Meixner windows; a gather index of the
@@ -44,21 +48,29 @@ IDENTITY_DEFECT_BUDGET = 1.1
 #: the flux matrix and its skew part: measured 2.2 over K's nbytes; with the
 #: skew part's abs beside them it read 3.0
 VERIFY_KERNEL_BUDGET = 2.3
-#: a whole verification_report over K's nbytes, K itself not counted: H,
-#: phi and the basis's work array (3.79 on Hahn iii N = 200) or the
-#: residual product (3.16 on the Meixner iii window); with a second
-#: recurrence pass in place of the work array the first read 5.07, and with
-#: dense log scales, a gather index of the grid's size and phi**2 whole they
-#: read 5.86 and 4.07
-FINITE_REPORT_BUDGET = 4.1
-WINDOW_REPORT_BUDGET = 3.4
+#: H and a block row of it: measured 1.57 at N = 200 and 1.10 on the
+#: 821-point Charlier i (0.9, 20) window; with H - H^T and H + H^T taken
+#: whole it read 2.21 and 2.01
+HAMILTONIAN_BUDGET = 1.8
+#: a whole verification_report over K's nbytes, K itself not counted: phi
+#: and the basis's work array, then phi and H (2.81 on Hahn iii N = 200), or
+#: phi and the residual's column blocks (2.35 on the Meixner iii window);
+#: with H kept beside phi and the residual product whole they read 3.81
+#: and 3.18, with a second recurrence pass in place of the work array the
+#: first read 5.07, and with dense log scales, a gather index of the grid's
+#: size and phi**2 whole they read 5.86 and 4.07
+FINITE_REPORT_BUDGET = 3.1
+WINDOW_REPORT_BUDGET = 2.7
 #: peak RSS of a CLI ``verify`` child above that of a child that only
-#: imports the CLI, over the lattice matrix's nbytes: measured 5.28 on Hahn
-#: iii N = 800 (K, H, phi and one work array, the basis's pivots included,
-#: and the allocator's slack); with a whole second recurrence pass in place
-#: of the work array it read 5.72, and a gather index of the grid's size,
+#: imports the CLI, over the lattice matrix's nbytes: measured 4.93 on Hahn
+#: iii N = 800, where the kernel build is the floor, and 4.26 on the
+#: 821-point Charlier i (0.9, 20) window (K, phi and H, with the
+#: allocator's slack).  With H kept beside phi and the basis's pivots they
+#: read 5.30 and 5.20; with a whole second recurrence pass in place of the
+#: work array the first read 5.72, and a gather index of the grid's size,
 #: whole measure-table temporaries, dense log scales and phi**2 whole 7.0
-VERIFY_RSS_BUDGET = 5.8
+VERIFY_RSS_BUDGET = 5.2
+WINDOW_VERIFY_RSS_BUDGET = 4.6
 #: the row strings and their join: measured 2.0 over the text's length; the
 #: per-float generator read 3.0 (CSV), json.dumps 4.5 (JSON)
 EXPORT_BUDGET = 2.25
@@ -170,6 +182,14 @@ def test_verify_kernel_holds_the_flux_and_its_skew_part(hahn200):
     assert peak / kernel.matrix.nbytes <= VERIFY_KERNEL_BUDGET
 
 
+@pytest.mark.parametrize("text", ["hahn type=iii a=1 b=2 c=1 N=200", "charlier type=i a=0.9 b=20"])
+def test_hamiltonian_holds_one_buffer(text):
+    recipe, N = parse_recipe(text)
+    kernel = markov.build_kernel(recipe, N=N)
+    _, peak = traced_peak(spectral._hamiltonian, kernel)
+    assert peak / kernel.matrix.nbytes <= HAMILTONIAN_BUDGET
+
+
 @pytest.mark.parametrize("text", [
     "hahn type=iii a=1 b=2 c=1 N=60", "krawtchouk type=ii a=0.2 b=0.6 N=40",
     "charlier type=iii a=1.0 b=0.4", "meixner type=i a=1 b=6 c=0.2",
@@ -177,10 +197,10 @@ def test_verify_kernel_holds_the_flux_and_its_skew_part(hahn200):
 def test_checks_in_place_keep_the_bits(text):
     # every printed value reads the bits of the expressions with g - I,
     # flux - flux.T, K - I + 1, H phi - phi kappa and phi**2 in buffers of
-    # their own
+    # their own (H phi - phi kappa as conftest's helper states)
     recipe, N = parse_recipe(text)
     system = spectral.SpectralSystem(markov.build_kernel(recipe, N=N))
-    phi, kernel, h = system.phi, system.kernel, system.hamiltonian
+    phi, kernel = system.phi, system.kernel
     eye = np.eye(len(phi))
     assert spectral.orthonormality_defect(phi) == float(np.max(np.abs(phi.T @ phi - eye)))
     assert spectral.completeness_defect(phi) == float(np.max(np.abs(phi @ phi.T - eye)))
@@ -190,9 +210,7 @@ def test_checks_in_place_keep_the_bits(text):
     v = np.linalg.solve(kernel.matrix - eye + 1.0, np.ones(len(eye)))
     want = float(np.max(np.abs(v / v.sum() - kernel.pi)))
     assert markov.perron_frobenius_residual(kernel) == want
-    r = np.max(np.abs(h @ phi - phi * system.kappas[None, :]), axis=0)
-    want = r / float(np.max(np.sum(np.abs(h), axis=1)))
-    assert spectral.eigen_residuals(system).tobytes() == want.tobytes()
+    assert_residuals_keep_the_bits(system)
     want = np.abs(1.0 - np.sum(phi**2, axis=0))
     assert system.mode_norm_defects().tobytes() == want.tobytes()
 
@@ -209,12 +227,16 @@ def test_verification_report_holds_its_floor(text, budget):
     assert peak / kernel.matrix.nbytes <= budget
 
 
-def test_cli_verify_rss_stays_near_its_floor():
-    size = 801
+@pytest.mark.parametrize("text, budget", [
+    ("hahn type=iii a=1 b=2 c=1 N=800", VERIFY_RSS_BUDGET),
+    ("charlier type=i a=0.9 b=20", WINDOW_VERIFY_RSS_BUDGET),
+])
+def test_cli_verify_rss_stays_near_its_floor(text, budget):
+    recipe, N = parse_recipe(text)
+    size = markov.build_kernel(recipe, N=N).size
     base = child_maxrss_kib("-c", "import askeychain.cli")
-    peak = child_maxrss_kib("-m", "askeychain.cli", "verify", "--recipe",
-                            f"hahn type=iii a=1 b=2 c=1 N={size - 1}")
-    assert (peak - base) * 1024 / (8 * size * size) <= VERIFY_RSS_BUDGET
+    peak = child_maxrss_kib("-m", "askeychain.cli", "verify", "--recipe", text)
+    assert (peak - base) * 1024 / (8 * size * size) <= budget
 
 
 @pytest.mark.parametrize("builder, payload_of", [
