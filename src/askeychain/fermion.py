@@ -30,6 +30,25 @@ at half filling.  A truncated window's columns are not orthonormal, so its
 state is not pure; it keeps the one-sided sweep, whose entry k reads
 Q[:k], at sum_k min(k, m)^3.  The eigensolves are the floor.
 
+The solves of the Gram phase (k > m), 80-92% of the eigensolve flops on
+finite lattices at 1/4 filling and on truncated windows, run on a thread
+pool.  numpy 2.4.6's ``eigvalsh`` holds the GIL unless (matrices in the
+stack) x (order) > 500, so each Gram matrix, still built by the same
+rank-one update, is copied into a stack of floor(500/m)+1 of them, and
+each stack is one call.  Every matrix reaches the LAPACK call it reaches
+alone, so the profile keeps its bits.  The pool (``concurrent.futures``,
+imported on first use) has one worker per CPU of the process's affinity
+mask besides the calling thread, which meanwhile solves the leading
+blocks (those hold the GIL) and, once they are done, stacks of its own;
+at most workers + 1 stacks are alive.  With one CPU there is no pool and
+the serial loop runs; a Gram run shorter than one stack (a finite lattice
+at half filling) is serial too.  A forked child makes a pool of its own.
+The pool assumes one BLAS thread per solve: with two OpenBLAS threads on
+two cores the pooled sweep measured 3-54% slower than the serial one,
+which was itself slower than with one BLAS thread, so set
+``OPENBLAS_NUM_THREADS=1`` (or ``OMP_NUM_THREADS=1``) as the benchmark and
+the golden tests do.
+
 The pipeline needs only the ground state, so the subset sums are not a
 library function.  They live with the tests (``tests/oracles.py``, as
 ``many_body_energies``), beside the brute-force referee for all of the
@@ -38,8 +57,10 @@ above, the explicit 2^M-dimensional Jordan-Wigner construction.
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,6 +164,60 @@ def block_entropy(corr: CorrelationMatrix, block: tuple[int, int]) -> float:
     return _binary_entropy(np.linalg.eigvalsh(gram))
 
 
+#: numpy 2.4.6's ``eigvalsh`` releases the GIL for a stack of matrices only
+#: when (matrices in the stack) x (order) exceeds this
+_GIL_FREE_SIZE = 500
+
+#: the executor of the Gram stacks, made on first use
+_POOL: list = []
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the executor but not its threads, so a stack
+    # submitted there would never run: the child makes its own
+    os.register_at_fork(after_in_child=lambda: _POOL.clear())
+
+
+def _worker_count() -> int:
+    """Worker threads for the Gram stacks: one per CPU of this process's
+    affinity mask besides the calling thread, so none on one CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1
+
+
+def _executor(workers: int):
+    if not _POOL:
+        from concurrent.futures import ThreadPoolExecutor  # only a threaded sweep pays for it
+
+        _POOL.append(ThreadPoolExecutor(workers, thread_name_prefix="askeychain-gram"))
+    return _POOL[0]
+
+
+def _stack_size(m: int) -> int:
+    """The fewest matrices of order m whose stack ``eigvalsh`` solves
+    without the GIL."""
+    return _GIL_FREE_SIZE // m + 1
+
+
+def _gram_stacks(q: np.ndarray, gram: np.ndarray, kmax: int):
+    """(first, stack) for each run of the Gram matrices of the entries k > m,
+    in order: ``gram`` = Q[:m]^T Q[:m] gains q_k q_k^T for entry k + 1, the
+    rank-one updates of the serial sweep, and ``stack`` holds copies of
+    _stack_size(m) successive ones (the last stack also the remainder), the
+    i-th that of entry first + i.  A stack is built when the generator is
+    advanced."""
+    m = q.shape[1]
+    count = _stack_size(m)
+    starts = range(m, kmax - count + 1, count)
+    for start, stop in zip(starts, [*starts[1:], kmax]):
+        rows = q[start:stop]
+        stack = np.empty((len(rows), m, m))
+        for i, row in enumerate(rows):
+            gram += np.outer(row, row)
+            stack[i] = gram
+        yield start + 1, stack
+        del stack  # not held while the next one is built
+
+
 def _left_sweep(q: np.ndarray, kmax: int) -> np.ndarray:
     """S(Q[:k]) for k = 0..kmax, the entropies of the leading row blocks.
 
@@ -151,11 +226,21 @@ def _left_sweep(q: np.ndarray, kmax: int) -> np.ndarray:
     Q[:k]^T Q[:k] starts from Q[:m]^T Q[:m] and gains the rank-one term
     q q^T of each new row q: O(m^2) per site, where a new product per block
     would cost O(k m^2).  Entry k reads only the rows Q[:k].
+
+    With more than one CPU the Gram matrices are solved in stacks on the
+    pool (``_pooled_gram_solves``) while this thread solves the leading
+    blocks; every matrix reaches the same LAPACK call either way.
     """
     m = q.shape[1]
     out = np.zeros(kmax + 1)
     lead = q[: min(m, kmax)]
     block = lead @ lead.T
+    # the pool takes whole stacks only; a shorter Gram run stays serial
+    workers = _worker_count() if m and kmax - m >= _stack_size(m) else 0
+    if workers:
+        stacks = _gram_stacks(q, lead.T @ lead, kmax)
+        _pooled_gram_solves(_executor(workers), workers, stacks, block, out)
+        return out
     for k in range(1, lead.shape[0] + 1):
         out[k] = _binary_entropy(np.linalg.eigvalsh(block[:k, :k]))
     if kmax > m:
@@ -164,6 +249,55 @@ def _left_sweep(q: np.ndarray, kmax: int) -> np.ndarray:
             gram += np.outer(q[k], q[k])
             out[k + 1] = _binary_entropy(np.linalg.eigvalsh(gram))
     return out
+
+
+def _pooled_gram_solves(executor, workers: int, stacks, block: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` from the leading blocks of ``block`` (entries 1..len(block))
+    and the Gram ``stacks``, at most workers + 1 stacks alive at a time.
+
+    A stack goes to the pool while a worker is free.  While leading blocks
+    remain, one more stack waits in the pool's queue and this thread solves
+    leading blocks, which hold the GIL for their whole solve, until the
+    oldest stack is done; once they are gone it solves a stack itself when
+    the pool is busy.
+    """
+    pending: collections.deque = collections.deque()  # (first entry, future), oldest first
+    leading = iter(range(1, len(block) + 1))
+    leads_left = True
+
+    def write(first: int, lams: np.ndarray) -> None:
+        for i, row in enumerate(lams):
+            out[first + i] = _binary_entropy(row)
+
+    def retire(until: int) -> None:
+        # write the finished stacks at the front, and wait for the oldest
+        # ones until at most ``until`` remain on the pool
+        for _ in range(len(pending)):
+            if len(pending) <= until and not pending[0][1].done():
+                return
+            first, future = pending.popleft()
+            write(first, future.result())
+
+    for first, stack in stacks:
+        retire(workers)
+        if len(pending) < workers or leads_left:
+            pending.append((first, executor.submit(np.linalg.eigvalsh, stack)))
+        else:
+            write(first, np.linalg.eigvalsh(stack))
+        del stack  # not held while the next one is built
+        if len(pending) > workers:
+            # one stack waits in the queue: solve leading blocks until the
+            # oldest stack is done, or wait for it once they are gone
+            leads_left = False
+            for k in leading:
+                out[k] = _binary_entropy(np.linalg.eigvalsh(block[:k, :k]))
+                if pending[0][1].done():
+                    leads_left = True
+                    break
+            retire(workers)
+    for k in leading:
+        out[k] = _binary_entropy(np.linalg.eigvalsh(block[:k, :k]))
+    retire(0)
 
 
 def entropy_profile(corr: CorrelationMatrix) -> np.ndarray:

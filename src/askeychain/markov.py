@@ -17,8 +17,10 @@ per-column convolution.  A grid is gathered from its measure table in
 blocks of rows, so no gather index of the kernel's size is held: a build
 holds at most the factor grids, an index difference and the table being
 built, three to five arrays of the kernel's size
-(``tests/test_memory.py`` bounds its traced peak), and a truncated
-window's matrix is built once.
+(``tests/test_memory.py`` bounds its traced peak).  ``build_kernel``
+builds no matrix: a kernel builds its own, once, on the first read of
+``matrix``, so the entropy path, which reads only pi, kappa(n) and phi,
+never pays for it.
 Columns are mathematically independent, so construction parallelizes
 trivially and the finished kernel is immutable.  The direct per-entry sums
 these builders are tested against live with the tests (``tests/oracles.py``).
@@ -66,23 +68,34 @@ class ConvolutionKernel:
     """Dense column-stochastic kernel with its stationary distribution on the
     lattice points 0..size-1: all of {0..N}, or a certified truncation.
 
+    The size is pi's.  ``matrix`` is built from the recipe on its first read
+    (one ``_build_matrix`` call) and kept, so a caller that reads only pi,
+    as kappa(n), phi and the fermion layer do, builds no N x N matrix.
     Finiteness is the recipe's (``ConvolutionRecipe.is_finite``); a truncated
     window carries its certificate: ``tail_bound`` bounds sum_{x>M} pi(x) for
-    ``tail_eps`` (ratio bound, not summation), and ``col_deficiency`` records
-    the worst column-sum deficit actually measured when the window was fixed.
-    All three are None on finite lattices.
+    ``tail_eps`` (ratio bound, not summation), and ``col_deficiency``, read
+    off the matrix on its first read, is its worst column-sum deficit.  All
+    three are None on finite lattices.
     """
 
-    matrix: np.ndarray
     pi: np.ndarray
     recipe: ConvolutionRecipe
     tail_eps: float | None = None
     tail_bound: float | None = None
-    col_deficiency: float | None = None
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return _build_matrix(self.recipe, self.size)
+
+    @functools.cached_property
+    def col_deficiency(self) -> float | None:
+        if self.recipe.is_finite:
+            return None
+        return float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0)))
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.pi)
 
     def lattice_dict(self) -> dict:
         """The envelope's ``lattice`` field; the kind is the recipe's."""
@@ -216,8 +229,9 @@ def build_kernel(
     stationary-tail cutoff M0 for ``tail_eps`` (default 1e-12) to the last
     end Mmax past it where ln pi stays above -700, whose last-column deficit
     bound meets COL_TARGET_FACTOR * tail_eps, else Mmax; a window whose
-    bound then exceeds TRUNCATED_KERNEL_TOL is refused.  The built matrix's
-    worst column-sum deficit is recorded on the kernel.  ``tail_eps`` must
+    bound then exceeds TRUNCATED_KERNEL_TOL is refused.  Every refusal
+    comes before the kernel is returned; the kernel builds its matrix on
+    the first read of ``matrix``.  ``tail_eps`` must
     lie in (0, MAX_TAIL_EPS] = (0, 1e-11].  The lattice size rule is
     ``FamilySpec``'s: an N on a semi-infinite recipe, or none on a finite
     one, is refused before any matrix is built.  A lattice, finite or
@@ -232,8 +246,7 @@ def build_kernel(
         if N + 1 > MAX_WINDOW_POINTS:
             lattice = f"{recipe.family.value} lattice of {N + 1} points"
             raise DomainError(f"{lattice} exceeds the {MAX_WINDOW_POINTS}-point cap")
-        matrix = _build_matrix(recipe, N + 1)
-        return ConvolutionKernel(matrix, measure_vector(spec), recipe)
+        return ConvolutionKernel(measure_vector(spec), recipe)
     tail_eps = DEFAULT_TAIL_EPS if tail_eps is None else tail_eps
     if not 0.0 < tail_eps <= MAX_TAIL_EPS:
         raise DomainError(f"tail_eps must lie in (0, {MAX_TAIL_EPS:g}], got {tail_eps}")
@@ -248,15 +261,8 @@ def build_kernel(
     if (worst := deficit(M)) > TRUNCATED_KERNEL_TOL:
         raise DomainError(f"{window} of {M + 1} points leaves a column-sum deficit up to "
                           f"{worst:.3g}, above the {TRUNCATED_KERNEL_TOL:g} kernel tolerance")
-    matrix = _build_matrix(recipe, M + 1)
-    return ConvolutionKernel(
-        matrix,
-        np.exp(log_pi[: M + 1]),
-        recipe,
-        tail_eps=tail_eps,
-        tail_bound=float(bounds[M]),
-        col_deficiency=float(np.max(np.abs(matrix.sum(axis=0) - 1.0))),
-    )
+    return ConvolutionKernel(np.exp(log_pi[: M + 1]), recipe, tail_eps=tail_eps,
+                             tail_bound=float(bounds[M]))
 
 
 # ---------------------------------------------------------------------------

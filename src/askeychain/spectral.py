@@ -8,8 +8,10 @@ eigenvalues kappa(n) and the orthonormal eigenvectors phi_n(x) = d_n
 sqrt(pi(x)) P_n(x).  ``SpectralSystem(kernel)`` keeps kappa(n) and phi from
 their first read, and rebuilds H (one pass over K) on each read, so that it
 is never held beside phi; a caller pays only for what it reads, and
-``verification_report`` takes the system alone.  ``spectrum_comparison``
-checks kappa(n) against ``np.linalg.eigvalsh(H)``, a dense backward-stable
+``verification_report`` takes the system alone.  K itself is built on
+its first read (``ConvolutionKernel.matrix``), so a caller that reads only
+kappa(n) and phi, as the fermion layer does, builds no K and no H.
+``spectrum_comparison`` checks kappa(n) against ``np.linalg.eigvalsh(H)``, a dense backward-stable
 eigensolve and the only one the library runs (H and K share their spectrum);
 the kernel-side statements (P_n left and pi P_n right eigenvectors of K) are
 checked by the residual referees in ``tests/oracles.py``.

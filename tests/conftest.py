@@ -10,6 +10,7 @@ few hundred points.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from askeychain import (
     SpectralSystem,
     build_kernel,
     families,
-    markov,
+    fermion,
     measure_vector,
     orthonormal_columns,
 )
@@ -94,12 +95,27 @@ def window_system(recipe, size):
     """The spectral system of the raw ``size``-point window 0..size-1 of a
     semi-infinite chain.  The library serves these chains only on certified
     windows; the Gram, sweep and Jordan-Wigner cases need small ones, which
-    carry no certificate and are built here from the library's own matrix
-    builder and stationary row."""
+    carry no certificate and are built here from the library's stationary
+    row; the kernel builds its matrix with the library's own builder."""
     spec = recipe.stationary_spec(None)
-    matrix = markov._build_matrix(recipe, size)
-    kernel = ConvolutionKernel(matrix, measure_vector(spec, size), recipe)
-    return SpectralSystem(kernel)
+    return SpectralSystem(ConvolutionKernel(measure_vector(spec, size), recipe))
+
+
+def with_matrix(kernel, matrix):
+    """``kernel`` with ``matrix`` in place of the one its recipe builds: the
+    matrix goes in the slot that the first read of ``kernel.matrix`` fills."""
+    out = dataclasses.replace(kernel)
+    object.__setattr__(out, "matrix", matrix)
+    return out
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """At least one worker thread for the entropy sweep's Gram stacks, on
+    any machine; returns the worker count."""
+    workers = max(fermion._worker_count(), 1)
+    monkeypatch.setattr(fermion, "_worker_count", lambda: workers)
+    return workers
 
 
 #: the measured deviation of a one-column last block, 2.9e-26 (9 units in

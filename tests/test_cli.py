@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import errno
 import importlib.util
 import json
@@ -14,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import with_matrix
 from oracles import parse_matrix_csv
 
 import askeychain as ak
@@ -49,7 +49,7 @@ def faulty(kernel):
     x, y, delta = FAULT
     matrix = kernel.matrix.copy()
     matrix[x, y] += delta
-    return dataclasses.replace(kernel, matrix=matrix)
+    return with_matrix(kernel, matrix)
 
 
 def inject_fault(monkeypatch):

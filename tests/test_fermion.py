@@ -1,3 +1,12 @@
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,8 +21,16 @@ from oracles import (
     reduced_density_entropy,
 )
 
+from askeychain import fermion, markov
 from askeychain.errors import DomainError
-from askeychain.families import ConvolutionRecipe, ConvType, Family
+from askeychain.families import (
+    ConvolutionRecipe,
+    ConvType,
+    Family,
+    kappa_vector,
+    orthonormal_columns,
+    parse_recipe,
+)
 from askeychain.fermion import (
     CorrelationMatrix,
     FreeFermionModel,
@@ -40,6 +57,37 @@ GRAM_RECIPES = [
     for (fam, t), plist in {**FINITE_GRID, **TRUNCATED_GRID}.items()
     for params in plist
 ]
+
+
+def _child_env():
+    env = {**os.environ, "PYTHONPATH": str(Path(fermion.__file__).parents[1])}
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    return env
+
+
+#: every finite pinned tuple at N = 400 and every truncated one on its
+#: certified window
+THREADED_CASES = [
+    pytest.param(fam, t, params, N, id=f"{fam.value}-{t.value}-{params}")
+    for grid, N in ((FINITE_GRID, 400), (TRUNCATED_GRID, None))
+    for (fam, t), plist in grid.items()
+    for params in plist
+]
+
+
+def _lowest_modes(recipe, N, fill_div):
+    """The correlation matrix that fills the lowest-kappa 1/fill_div of the
+    modes, as the benchmark fills them, read off the basis and kappa(n)
+    directly: the q-Hahn i tuples' pi underflows at N = 400 (defect 2), so
+    they have no spectral system there, but their basis is orthonormal."""
+    if recipe.is_finite:
+        phi = orthonormal_columns(recipe.stationary_spec(N))
+        kappas = kappa_vector(recipe, N)
+    else:
+        system = analytic_eigensystem(recipe)
+        phi, kappas = system.phi, system.kappas
+    order = np.argsort(kappas, kind="stable")[: len(kappas) // fill_div]
+    return CorrelationMatrix(phi[:, np.sort(order)], recipe.is_finite)
 
 
 class TestManyBodyEnergies:
@@ -397,10 +445,12 @@ class TestSweep:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("pure", [True, False])
-    def test_eigenproblem_orders(self, monkeypatch, pure):
+    def test_eigenproblem_orders(self, monkeypatch, pooled, pure):
         # every eigensolve of a finite 401-site profile at half filling has
         # order min(k, n - k, m), and their cubes sum to at most 0.45 of the
-        # left sweep's; a truncated window keeps the orders min(k, m)
+        # left sweep's; a truncated window keeps the orders min(k, m).  Each
+        # matrix of a stack counts by its order, and a stack on the pool
+        # runs beside the leading blocks, so the orders are compared sorted
         if pure:
             sys_ = _system(Family.KRAWTCHOUK, ConvType.II, (0.2, 0.6), 400)
         else:
@@ -413,14 +463,147 @@ class TestSweep:
         eigvalsh = np.linalg.eigvalsh
 
         def counting(a):
-            orders.append(a.shape[0])
+            orders.extend([a.shape[-1]] * (len(a) if a.ndim == 3 else 1))
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         entropy_profile(corr)
         left = [min(k, m) for k in range(1, n + 1)]
         if not pure:
-            assert orders == left
+            assert sorted(orders) == left
             return
         assert sorted(orders) == sorted(min(k, n - k, m) for k in range(1, n))
         assert sum(o**3 for o in orders) <= 0.45 * sum(o**3 for o in left)
+
+    @pytest.mark.parametrize("fill_div", [4, 2])
+    @pytest.mark.parametrize("family,conv_type,params,N", THREADED_CASES)
+    def test_threaded_profile_keeps_the_bits(self, monkeypatch, pooled, family, conv_type,
+                                             params, N, fill_div):
+        # every matrix reaches the LAPACK call of the serial sweep, alone or
+        # in a stack, so the profile on the pool is the serial one byte for
+        # byte.  A profile with no whole Gram stack (a finite lattice at half
+        # filling) never asks for workers: it is the serial sweep itself
+        corr = _lowest_modes(ConvolutionRecipe(family, conv_type, params), N, fill_div)
+        asked = []
+        monkeypatch.setattr(fermion, "_worker_count", lambda: asked.append(pooled) or pooled)
+        threaded = entropy_profile(corr)
+        if not asked:
+            return
+        monkeypatch.setattr(fermion, "_worker_count", lambda: 0)
+        assert threaded.tobytes() == entropy_profile(corr).tobytes()
+
+    @pytest.mark.parametrize("family,conv_type,params,N,fill_div", [
+        (Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0), None, 4),  # 42 stacks of 6 (m = 84)
+        (Family.HAHN, ConvType.I, (1.0, 2.0, 3.0), 200, 4),  # 4 of 11 per side, the last 17 long
+        (Family.HAHN, ConvType.I, (1.0, 2.0, 3.0), 200, 2),  # no Gram run
+        (Family.CHARLIER, ConvType.I, (0.4, 0.8), None, 2),  # a Gram run of 19, short of 27
+    ])
+    def test_every_stack_releases_the_gil(self, monkeypatch, pooled, family, conv_type, params,
+                                          N, fill_div):
+        # numpy 2.4.6's eigvalsh releases the GIL for a stack only when
+        # (matrices) x (order) > 500; a Gram run too short for one stack is
+        # solved a matrix at a time, as the serial sweep solves it
+        corr = _lowest_modes(ConvolutionRecipe(family, conv_type, params), N, fill_div)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        entropy_profile(corr)
+        stacks = [shape for shape in shapes if len(shape) == 3]
+        n, m = corr.modes.shape
+        sweeps = (n // 2, n - n // 2 - 1) if corr.pure else (n,)
+        assert bool(stacks) == any(kmax - m >= fermion._stack_size(m) for kmax in sweeps)
+        assert all(count * order > 500 for count, order, _ in stacks)
+
+    def test_more_workers_than_cores_keep_the_bits(self, monkeypatch):
+        # a stress run: twice as many workers as cores plus one, and the
+        # interpreter switching threads every microsecond; each stack's
+        # result still lands on its own entries, and the sweep finishes
+        corr = _lowest_modes(ConvolutionRecipe(Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0)),
+                             None, 4)
+        monkeypatch.setattr(fermion, "_worker_count", lambda: 0)
+        want = entropy_profile(corr)
+        workers = 2 * (os.cpu_count() or 1) + 1
+        monkeypatch.setattr(fermion, "_worker_count", lambda: workers)
+        monkeypatch.setattr(fermion, "_POOL", [])
+        got = []
+        runner = threading.Thread(target=lambda: got.append(entropy_profile(corr)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            for executor in fermion._POOL:
+                executor.shutdown(wait=not runner.is_alive())
+        assert not runner.is_alive()
+        assert got[0].tobytes() == want.tobytes()
+
+    def test_one_cpu_starts_no_thread(self):
+        # a child confined to one CPU sweeps a Gram run serially: no worker
+        # thread, and no concurrent.futures import
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        # a quarter filling of 201 sites: 50 Gram matrices, in stacks of 11
+        code = (
+            "import os, sys, threading\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from askeychain import *\n"
+            "s = analytic_eigensystem(*parse_recipe('hahn type=i a=1 b=2 c=3 N=200'))\n"
+            "model = FreeFermionModel(s, filled_modes=frozenset(range(50)))\n"
+            "entropy_profile(correlation_matrix(model))\n"
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.split() == ["1", "False"]
+
+    def test_forked_child_sweeps_on_its_own_pool(self, pooled):
+        # an executor inherited across fork has no threads, so a child that
+        # used it would never see its stacks solved
+        corr = _lowest_modes(ConvolutionRecipe(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0)), 200, 4)
+        want = entropy_profile(corr)
+        assert fermion._POOL
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork beside threads
+            pid = os.fork()
+        if pid == 0:
+            code = 4  # the child's sweep raised
+            try:
+                code = 0 if entropy_profile(corr).tobytes() == want.tobytes() else 3
+            finally:
+                os._exit(code)
+        for _ in range(600):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.1)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's sweep did not finish in 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestEntropyPathBuildsNoKernel:
+    @pytest.mark.parametrize("text", ["hahn type=i a=1 b=2 c=3 N=60", "meixner type=iii a=6 b=0.2 c=1"])
+    def test_pipeline_runs_with_the_matrix_builder_refused(self, monkeypatch, text):
+        # the benchmark's entropy op: kappa(n), phi, the filling, C, the
+        # profile and one block read pi and the basis, never K
+        def refuse(*args):
+            raise AssertionError("kernel matrix built on the entropy path")
+
+        monkeypatch.setattr(markov, "_build_matrix", refuse)
+        recipe, N = parse_recipe(text)
+        system = analytic_eigensystem(recipe, N=N)
+        corr = correlation_matrix(lowest_filling(system, system.size // 4))
+        n = corr.size
+        profile = entropy_profile(corr)
+        assert profile.shape == (n + 1,)
+        assert block_entropy(corr, (n // 4, n - n // 4)) >= 0.0
+        assert "matrix" not in vars(system.kernel)

@@ -3,10 +3,15 @@ the package names a ``Family`` member or branches on ``family is``.  Row
 blocks have one size and one helper: ``families._BLOCK_ROWS`` is the only
 block-row constant, and rows are stepped by ``families._row_blocks``, not
 by a hand-written ``for ... in range(0, n, ROWS)`` loop.  No module has a
-``while`` loop: truncation windows are sized, not grown."""
+``while`` loop: truncation windows are sized, not grown.  Importing the
+CLI does not import ``concurrent.futures``: the entropy sweep's thread
+pool imports it on first use."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +60,11 @@ def test_rows_are_stepped_by_the_helper(name):
 def test_no_while_loop(name):
     tree = ast.parse((SRC / name).read_text())
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.While)] == []
+
+
+def test_cli_import_leaves_out_the_pool_module():
+    code = "import sys, askeychain.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["False"]

@@ -26,7 +26,7 @@ from askeychain.markov import (
 )
 from askeychain.spectral import SpectralSystem, analytic_eigensystem, verification_report
 
-from conftest import FINITE_GRID, TRUNCATED_GRID, grid_recipes
+from conftest import FINITE_GRID, TRUNCATED_GRID, grid_recipes, with_matrix
 from oracles import eigvals_moduli_excess, kernel_entry, measure_direct, perron_frobenius_vector
 
 
@@ -311,7 +311,7 @@ class TestTruncation:
     def test_lattice_kind_is_the_recipes(self, kernel_cache):
         # a semi-infinite window built without its certificate is still truncated
         kern = kernel_cache(ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.4, 0.8)), None)
-        bare = ConvolutionKernel(kern.matrix, kern.pi, kern.recipe)
+        bare = ConvolutionKernel(kern.pi, kern.recipe)
         assert bare.lattice_dict()["kind"] == "truncated"
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-6, 1e-11],
@@ -396,6 +396,8 @@ class TestTruncation:
         build = markov._build_matrix
         monkeypatch.setattr(markov, "_build_matrix", lambda r, n: sizes.append(n) or build(r, n))
         kern = build_kernel(ConvolutionRecipe(Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0)))
+        assert sizes == []  # the kernel builds its matrix on its first read
+        assert kern.matrix.shape == (337, 337)
         assert sizes == [kern.size] == [337]
         assert len(calls) <= 3 + math.ceil(math.log2(markov.MAX_WINDOW_POINTS)) + 1 + 2
 
@@ -408,7 +410,7 @@ class TestVerifyKernel:
 
     def test_identity_with_uniform_pi_passes(self):
         r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.5, 0.5))
-        kern = ConvolutionKernel(np.eye(4), np.full(4, 0.25), r)
+        kern = with_matrix(ConvolutionKernel(np.full(4, 0.25), r), np.eye(4))
         rep = verify_kernel(kern)
         assert rep.passed
         assert rep.max_stochastic_violation == 0.0
@@ -421,7 +423,7 @@ class TestVerifyKernel:
         kern = build_kernel(r, N=5)
         bad = kern.matrix.copy()
         bad[2, 3] += 1e-6
-        rep = verify_kernel(ConvolutionKernel(bad, kern.pi, r))
+        rep = verify_kernel(with_matrix(kern, bad))
         assert not rep.passed
         assert rep.max_stochastic_violation == pytest.approx(1e-6, rel=1e-6)
 
@@ -481,7 +483,8 @@ class TestCertificates:
             kern = kernel_cache(recipe, N)
             # the residual against the referee's vector in place of pi
             ref = perron_frobenius_vector(kern.matrix)
-            assert perron_frobenius_residual(replace(kern, pi=ref)) <= 1e-12, recipe.to_string(N)
+            residual = perron_frobenius_residual(with_matrix(replace(kern, pi=ref), kern.matrix))
+            assert residual <= 1e-12, recipe.to_string(N)
 
     def test_moduli_bound_is_at_least_eigvals_referee(self, kernel_cache):
         rng = np.random.default_rng(1)
@@ -494,7 +497,7 @@ class TestCertificates:
             # the true spectral radius (2.4e-15 on the 41-point Charlier i window)
             slack = kern.size * np.finfo(float).eps
             for matrix in (kern.matrix, bumped, noisy):
-                bound = eigenvalue_moduli_excess(replace(kern, matrix=matrix))
+                bound = eigenvalue_moduli_excess(with_matrix(kern, matrix))
                 assert bound >= eigvals_moduli_excess(matrix) - slack, recipe.to_string(N)
 
     def test_entry_moved_up_fails_moduli_line(self, kernel_cache):
@@ -504,7 +507,7 @@ class TestCertificates:
             for x, y in [(0, 0), (n // 2, n // 2), (n - 1, 0), (0, n - 1)]:
                 bad = kern.matrix.copy()
                 bad[x, y] += 1e-9
-                excess = eigenvalue_moduli_excess(replace(kern, matrix=bad))
+                excess = eigenvalue_moduli_excess(with_matrix(kern, bad))
                 assert excess > 1e-12, (recipe.to_string(N), x, y)
 
     @pytest.mark.parametrize("recipe, N", [
@@ -520,7 +523,7 @@ class TestCertificates:
         d = bad[0, y] + 1e-9
         bad[0, y] -= d
         bad[y, y] += d
-        bad_kern = replace(kern, matrix=bad)
+        bad_kern = with_matrix(kern, bad)
         checks = {c.name: c for c in verification_report(
             SpectralSystem(bad_kern))}
         assert checks["column-stochasticity"].passed
@@ -530,7 +533,7 @@ class TestCertificates:
     def test_identity_kernel_fails_perron_frobenius_without_raising(self):
         # eigenvalue 1 of multiplicity 4: K - I + 1 1^T is singular
         r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.5, 0.5))
-        kern = ConvolutionKernel(np.eye(4), np.full(4, 0.25), r)
+        kern = with_matrix(ConvolutionKernel(np.full(4, 0.25), r), np.eye(4))
         checks = {c.name: c for c in verification_report(SpectralSystem(kern))}
         assert not checks["perron-frobenius-match"].passed
         assert checks["perron-frobenius-match"].measured == math.inf

@@ -8,7 +8,8 @@ buffer of the product they check, or a block of columns at a time, and a
 whole ``verification_report`` holds at most two arrays of K's size besides
 K: H is rebuilt on each read rather than kept, so it is never held beside
 phi and the basis's work array.  The export builders hold the text and its
-rows.  Whole ``np.indices`` grids read 9 to 14 here; the budgets are the
+rows.  The entropy sweep holds its serial floor plus at most workers + 1
+stacks of Gram matrices.  Whole ``np.indices`` grids read 9 to 14 here; the budgets are the
 measured multiples plus headroom.  One guard reads the peak RSS of CLI
 ``verify`` children the way the benchmark does.
 """
@@ -23,11 +24,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from askeychain import export, markov, spectral
+from askeychain import export, fermion, markov, spectral
 from askeychain import families as F
 from askeychain.families import ConvolutionRecipe, ConvType, Family, FamilySpec, parse_recipe
 
-from conftest import assert_residuals_keep_the_bits
+from conftest import assert_residuals_keep_the_bits, lowest_filling
 
 #: measured 3.6 (types i, ii), 4.4 (iii) on the finite families, q-Hahn
 #: included, 3.3 and 3.6 on the Meixner windows; a gather index of the
@@ -71,6 +72,11 @@ WINDOW_REPORT_BUDGET = 2.7
 #: whole measure-table temporaries, dense log scales and phi**2 whole 7.0
 VERIFY_RSS_BUDGET = 5.2
 WINDOW_VERIFY_RSS_BUDGET = 4.6
+#: the serial entropy sweep over one m x m Gram matrix: the leading block
+#: product, the Gram matrix and its rank-one term, measured 3.27 on the
+#: Meixner iii (6, 0.25, 2) window at half filling (m = 255); on the pool
+#: it read 3.27 plus two matrices per stack for 2, 3 and 4 stacks alive
+SWEEP_FLOOR = 3.5
 #: the row strings and their join: measured 2.0 over the text's length; the
 #: per-float generator read 3.0 (CSV), json.dumps 4.5 (JSON)
 EXPORT_BUDGET = 2.25
@@ -135,10 +141,16 @@ def test_kernel_build_holds_output_sized_temporaries(recipe, size):
     ConvolutionRecipe(Family.CHARLIER, ConvType.I, (0.9, 20.0)),
 ], ids=ConvolutionRecipe.to_string)
 def test_window_sizing_holds_no_candidate_matrices(recipe):
-    # the window is sized from O(M) sums and its matrix built once, so a
-    # whole truncated build holds what that one build holds: measured 3.36
-    # and 3.11, against 3.28 and 3.10 for the one build alone
-    kernel, peak = traced_peak(markov.build_kernel, recipe)
+    # the window is sized from O(M) sums and its matrix built once, on its
+    # first read, so a whole truncated build holds what that one build
+    # holds: measured 3.36 and 3.11, against 3.28 and 3.10 for the one
+    # build alone
+    def built(recipe):
+        kernel = markov.build_kernel(recipe)
+        assert kernel.matrix.size  # the build, inside the trace
+        return kernel
+
+    kernel, peak = traced_peak(built, recipe)
     assert peak / kernel.matrix.nbytes <= BUILD_BUDGET
 
 
@@ -220,11 +232,31 @@ def test_checks_in_place_keep_the_bits(text):
     ("meixner type=iii a=6 b=0.2 c=1", WINDOW_REPORT_BUDGET),
 ])
 def test_verification_report_holds_its_floor(text, budget):
-    # a fresh system per call, so H and phi are built inside the trace
+    # a fresh system per call, so H and phi are built inside the trace; K
+    # is built before it, as the CLI's kernel check builds it
     recipe, N = parse_recipe(text)
     kernel = markov.build_kernel(recipe, N=N)
+    assert kernel.matrix.size
     _, peak = traced_peak(lambda k: spectral.verification_report(spectral.SpectralSystem(k)), kernel)
     assert peak / kernel.matrix.nbytes <= budget
+
+
+def test_entropy_sweep_holds_workers_plus_one_stacks(pooled):
+    # the pool gets a stack while a worker is free, plus one queued while
+    # leading blocks remain, and the next is built only once at most
+    # ``workers`` are on the pool: at most workers + 1 stacks alive, the
+    # last of a sweep up to 2 count - 1 matrices long
+    system = spectral.analytic_eigensystem(*parse_recipe("meixner type=iii a=6 b=0.25 c=2"))
+    corr = fermion.correlation_matrix(lowest_filling(system, system.size // 2))
+    m = corr.modes.shape[1]
+    stacks = (pooled + 2) * fermion._stack_size(m) - 1
+    tracemalloc.start()
+    try:
+        fermion.entropy_profile(corr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * m * m) <= SWEEP_FLOOR + stacks
 
 
 @pytest.mark.parametrize("text, budget", [

@@ -29,13 +29,14 @@ from conftest import (
     basis_polynomials,
     grid_recipes,
     window_system,
+    with_matrix,
 )
 from oracles import left_eigen_residual, right_eigen_residual
 
 
 def _dummy_kernel(matrix, pi):
     r = ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, (0.5, 0.5))
-    return ConvolutionKernel(matrix, pi, r)
+    return with_matrix(ConvolutionKernel(pi, r), matrix)
 
 
 class TestClassicalHamiltonian:
