@@ -38,16 +38,16 @@ rank-one update, is copied into a stack of floor(500/m)+1 of them, and
 each stack is one call.  Every matrix reaches the LAPACK call it reaches
 alone, so the profile keeps its bits.  The pool (``concurrent.futures``,
 imported on first use) has one worker per CPU of the process's affinity
-mask besides the calling thread, which meanwhile solves the leading
-blocks (those hold the GIL) and, once they are done, stacks of its own;
-at most workers + 1 stacks are alive.  With one CPU there is no pool and
-the serial loop runs; a Gram run shorter than one stack (a finite lattice
-at half filling) is serial too.  A forked child makes a pool of its own.
-The pool assumes one BLAS thread per solve: with two OpenBLAS threads on
-two cores the pooled sweep measured 3-54% slower than the serial one,
-which was itself slower than with one BLAS thread, so set
-``OPENBLAS_NUM_THREADS=1`` (or ``OMP_NUM_THREADS=1``) as the benchmark and
-the golden tests do.
+mask.  The calling thread sends it the first workers + 1 stacks, solves
+the leading blocks (those hold the GIL) meanwhile, and then retires the
+oldest stack before it builds the next, so at most workers + 1 stacks are
+alive.  The pool assumes one BLAS thread per solve: with two OpenBLAS
+threads on two cores the pooled sweep measured 3-54% slower than the
+serial one, so it runs only where ``OPENBLAS_NUM_THREADS`` (or, unset,
+``OMP_NUM_THREADS``) is 1, as the benchmark and the golden tests set it.
+Otherwise, with one CPU, and on a Gram run shorter than one stack (a
+finite lattice at half filling), this thread solves the same stacks
+itself and no thread starts.  A forked child makes a pool of its own.
 
 The pipeline needs only the ground state, so the subset sums are not a
 library function.  They live with the tests (``tests/oracles.py``, as
@@ -58,6 +58,7 @@ above, the explicit 2^M-dimensional Jordan-Wigner construction.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import numbers
 import os
@@ -176,12 +177,23 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=lambda: _POOL.clear())
 
 
+#: the environment variables OpenBLAS reads its thread count from, the
+#: first one set winning
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _worker_count() -> int:
     """Worker threads for the Gram stacks: one per CPU of this process's
-    affinity mask besides the calling thread, so none on one CPU."""
+    affinity mask, and none on one CPU or unless the environment pins the
+    BLAS to one thread."""
+    blas = next((os.environ[var] for var in _BLAS_THREAD_VARS if os.environ.get(var)), None)
+    if blas != "1":
+        return 0
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) - 1
-    return (os.cpu_count() or 1) - 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return cpus if cpus > 1 else 0
 
 
 def _executor(workers: int):
@@ -200,14 +212,14 @@ def _stack_size(m: int) -> int:
 
 def _gram_stacks(q: np.ndarray, gram: np.ndarray, kmax: int):
     """(first, stack) for each run of the Gram matrices of the entries k > m,
-    in order: ``gram`` = Q[:m]^T Q[:m] gains q_k q_k^T for entry k + 1, the
-    rank-one updates of the serial sweep, and ``stack`` holds copies of
-    _stack_size(m) successive ones (the last stack also the remainder), the
-    i-th that of entry first + i.  A stack is built when the generator is
-    advanced."""
+    in order: ``gram`` = Q[:m]^T Q[:m] gains q_k q_k^T for entry k + 1, one
+    rank-one update per site, and ``stack`` holds copies of _stack_size(m)
+    successive ones (the last stack also the remainder, and a shorter run
+    is one short stack), the i-th that of entry first + i.  A stack is
+    built when the generator is advanced."""
     m = q.shape[1]
     count = _stack_size(m)
-    starts = range(m, kmax - count + 1, count)
+    starts = range(m, max(kmax - count, m) + 1, count) if kmax > m else range(0)
     for start, stop in zip(starts, [*starts[1:], kmax]):
         rows = q[start:stop]
         stack = np.empty((len(rows), m, m))
@@ -216,6 +228,11 @@ def _gram_stacks(q: np.ndarray, gram: np.ndarray, kmax: int):
             stack[i] = gram
         yield start + 1, stack
         del stack  # not held while the next one is built
+
+
+def _write_stack(out: np.ndarray, first: int, lams: np.ndarray) -> None:
+    for i, row in enumerate(lams):
+        out[first + i] = _binary_entropy(row)
 
 
 def _left_sweep(q: np.ndarray, kmax: int) -> np.ndarray:
@@ -227,77 +244,45 @@ def _left_sweep(q: np.ndarray, kmax: int) -> np.ndarray:
     q q^T of each new row q: O(m^2) per site, where a new product per block
     would cost O(k m^2).  Entry k reads only the rows Q[:k].
 
-    With more than one CPU the Gram matrices are solved in stacks on the
-    pool (``_pooled_gram_solves``) while this thread solves the leading
-    blocks; every matrix reaches the same LAPACK call either way.
+    The Gram matrices are solved in stacks (``_gram_stacks``).  With no
+    workers this thread solves the leading blocks and then each stack.
+    With workers the first workers + 1 stacks go to the pool before the
+    leading blocks, which hold the GIL, are solved here; then this thread
+    waits for the oldest stack and submits the next, so at most workers + 1
+    stacks are alive.  Every matrix reaches the same LAPACK call either way.
     """
     m = q.shape[1]
     out = np.zeros(kmax + 1)
+    if not m:
+        return out  # no filled mode: every entropy is 0
     lead = q[: min(m, kmax)]
     block = lead @ lead.T
-    # the pool takes whole stacks only; a shorter Gram run stays serial
-    workers = _worker_count() if m and kmax - m >= _stack_size(m) else 0
-    if workers:
-        stacks = _gram_stacks(q, lead.T @ lead, kmax)
-        _pooled_gram_solves(_executor(workers), workers, stacks, block, out)
-        return out
-    for k in range(1, lead.shape[0] + 1):
-        out[k] = _binary_entropy(np.linalg.eigvalsh(block[:k, :k]))
-    if kmax > m:
-        gram = lead.T @ lead
-        for k in range(m, kmax):
-            gram += np.outer(q[k], q[k])
-            out[k + 1] = _binary_entropy(np.linalg.eigvalsh(gram))
-    return out
-
-
-def _pooled_gram_solves(executor, workers: int, stacks, block: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` from the leading blocks of ``block`` (entries 1..len(block))
-    and the Gram ``stacks``, at most workers + 1 stacks alive at a time.
-
-    A stack goes to the pool while a worker is free.  While leading blocks
-    remain, one more stack waits in the pool's queue and this thread solves
-    leading blocks, which hold the GIL for their whole solve, until the
-    oldest stack is done; once they are gone it solves a stack itself when
-    the pool is busy.
-    """
+    stacks = _gram_stacks(q, lead.T @ lead, kmax)
+    # the pool takes whole stacks only; a shorter Gram run is solved here
+    workers = _worker_count() if kmax - m >= _stack_size(m) else 0
     pending: collections.deque = collections.deque()  # (first entry, future), oldest first
-    leading = iter(range(1, len(block) + 1))
-    leads_left = True
-
-    def write(first: int, lams: np.ndarray) -> None:
-        for i, row in enumerate(lams):
-            out[first + i] = _binary_entropy(row)
 
     def retire(until: int) -> None:
-        # write the finished stacks at the front, and wait for the oldest
-        # ones until at most ``until`` remain on the pool
-        for _ in range(len(pending)):
-            if len(pending) <= until and not pending[0][1].done():
-                return
+        for _ in range(len(pending) - until):
             first, future = pending.popleft()
-            write(first, future.result())
+            _write_stack(out, first, future.result())
 
-    for first, stack in stacks:
-        retire(workers)
-        if len(pending) < workers or leads_left:
-            pending.append((first, executor.submit(np.linalg.eigvalsh, stack)))
-        else:
-            write(first, np.linalg.eigvalsh(stack))
-        del stack  # not held while the next one is built
-        if len(pending) > workers:
-            # one stack waits in the queue: solve leading blocks until the
-            # oldest stack is done, or wait for it once they are gone
-            leads_left = False
-            for k in leading:
-                out[k] = _binary_entropy(np.linalg.eigvalsh(block[:k, :k]))
-                if pending[0][1].done():
-                    leads_left = True
-                    break
-            retire(workers)
-    for k in leading:
+    if workers:
+        executor = _executor(workers)
+        pending.extend((first, executor.submit(np.linalg.eigvalsh, stack))
+                       for first, stack in itertools.islice(stacks, workers + 1))
+    for k in range(1, len(block) + 1):
         out[k] = _binary_entropy(np.linalg.eigvalsh(block[:k, :k]))
+    retire(workers)
+    for first, stack in stacks:
+        if workers:
+            pending.append((first, executor.submit(np.linalg.eigvalsh, stack)))
+            retire(workers)
+        else:
+            _write_stack(out, first, np.linalg.eigvalsh(stack))
+        del stack  # not held while the next one is built
     retire(0)
+    return out
 
 
 def entropy_profile(corr: CorrelationMatrix) -> np.ndarray:

@@ -111,9 +111,9 @@ def with_matrix(kernel, matrix):
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """At least one worker thread for the entropy sweep's Gram stacks, on
-    any machine; returns the worker count."""
-    workers = max(fermion._worker_count(), 1)
+    """At least two worker threads for the entropy sweep's Gram stacks, on
+    any machine and in any environment; returns the worker count."""
+    workers = max(fermion._worker_count(), 2)
     monkeypatch.setattr(fermion, "_worker_count", lambda: workers)
     return workers
 

@@ -444,13 +444,10 @@ class TestSweep:
         got = entropy_profile(CorrelationMatrix(spoiled, corr.pure))[entries]
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("pure", [True, False])
-    def test_eigenproblem_orders(self, monkeypatch, pooled, pure):
-        # every eigensolve of a finite 401-site profile at half filling has
-        # order min(k, n - k, m), and their cubes sum to at most 0.45 of the
-        # left sweep's; a truncated window keeps the orders min(k, m).  Each
-        # matrix of a stack counts by its order, and a stack on the pool
-        # runs beside the leading blocks, so the orders are compared sorted
+    @staticmethod
+    def _eigenproblem_orders(monkeypatch, pure):
+        """The order of each matrix solved in a half-filling profile, a
+        stack's matrices counted one by one, with (n, m)."""
         if pure:
             sys_ = _system(Family.KRAWTCHOUK, ConvType.II, (0.2, 0.6), 400)
         else:
@@ -468,12 +465,32 @@ class TestSweep:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         entropy_profile(corr)
+        return orders, n, m
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_eigenproblem_orders(self, monkeypatch, pure):
+        # every eigensolve of a finite 401-site profile at half filling has
+        # order min(k, n - k, m), and their cubes sum to at most 0.45 of the
+        # left sweep's; a truncated window keeps the orders min(k, m), in
+        # entry order with the pool off
+        monkeypatch.setattr(fermion, "_worker_count", lambda: 0)
+        orders, n, m = self._eigenproblem_orders(monkeypatch, pure)
         left = [min(k, m) for k in range(1, n + 1)]
         if not pure:
-            assert sorted(orders) == left
+            assert orders == left
             return
         assert sorted(orders) == sorted(min(k, n - k, m) for k in range(1, n))
         assert sum(o**3 for o in orders) <= 0.45 * sum(o**3 for o in left)
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_pooled_eigenproblem_orders(self, monkeypatch, pooled, pure):
+        # the same orders on the pool, whose stacks run beside the leading
+        # blocks, so they are compared sorted
+        orders, n, m = self._eigenproblem_orders(monkeypatch, pure)
+        if not pure:
+            assert sorted(orders) == [min(k, m) for k in range(1, n + 1)]
+            return
+        assert sorted(orders) == sorted(min(k, n - k, m) for k in range(1, n))
 
     @pytest.mark.parametrize("fill_div", [4, 2])
     @pytest.mark.parametrize("family,conv_type,params,N", THREADED_CASES)
@@ -496,28 +513,33 @@ class TestSweep:
         (Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0), None, 4),  # 42 stacks of 6 (m = 84)
         (Family.HAHN, ConvType.I, (1.0, 2.0, 3.0), 200, 4),  # 4 of 11 per side, the last 17 long
         (Family.HAHN, ConvType.I, (1.0, 2.0, 3.0), 200, 2),  # no Gram run
-        (Family.CHARLIER, ConvType.I, (0.4, 0.8), None, 2),  # a Gram run of 19, short of 27
+        (Family.CHARLIER, ConvType.I, (0.4, 0.8), None, 2),  # one short run of 19, short of 27
     ])
     def test_every_stack_releases_the_gil(self, monkeypatch, pooled, family, conv_type, params,
                                           N, fill_div):
         # numpy 2.4.6's eigvalsh releases the GIL for a stack only when
-        # (matrices) x (order) > 500; a Gram run too short for one stack is
-        # solved a matrix at a time, as the serial sweep solves it
+        # (matrices) x (order) > 500.  Every stack on the pool passes it; the
+        # only stack that does not is a whole Gram run shorter than one
+        # stack, which is solved on the calling thread
         corr = _lowest_modes(ConvolutionRecipe(family, conv_type, params), N, fill_div)
-        shapes = []
+        calls = []
         eigvalsh = np.linalg.eigvalsh
 
         def recording(a):
-            shapes.append(a.shape)
+            calls.append((a.shape, threading.current_thread().name.startswith("askeychain-gram")))
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         entropy_profile(corr)
-        stacks = [shape for shape in shapes if len(shape) == 3]
         n, m = corr.modes.shape
+        count = fermion._stack_size(m)
         sweeps = (n // 2, n - n // 2 - 1) if corr.pure else (n,)
-        assert bool(stacks) == any(kmax - m >= fermion._stack_size(m) for kmax in sweeps)
-        assert all(count * order > 500 for count, order, _ in stacks)
+        runs = [kmax - m for kmax in sweeps if kmax > m]
+        stacks = [(shape, on_pool) for shape, on_pool in calls if len(shape) == 3]
+        assert any(on_pool for _, on_pool in stacks) == any(run >= count for run in runs)
+        assert all(size * order > 500 for (size, order, _), on_pool in stacks if on_pool)
+        held = [(size, on_pool) for (size, order, _), on_pool in stacks if size * order <= 500]
+        assert held == [(run, False) for run in runs if run < count]
 
     def test_more_workers_than_cores_keep_the_bits(self, monkeypatch):
         # a stress run: twice as many workers as cores plus one, and the
@@ -544,24 +566,50 @@ class TestSweep:
         assert not runner.is_alive()
         assert got[0].tobytes() == want.tobytes()
 
-    def test_one_cpu_starts_no_thread(self):
-        # a child confined to one CPU sweeps a Gram run serially: no worker
-        # thread, and no concurrent.futures import
+    @pytest.mark.parametrize("pin_cpu, blas_env", [(True, True), (False, False)],
+                             ids=["one-cpu", "blas-unpinned"])
+    def test_serial_child_starts_no_thread(self, pin_cpu, blas_env):
+        # a child confined to one CPU, or whose environment leaves the BLAS
+        # thread count open, sweeps a Gram run serially: no worker thread,
+        # and no concurrent.futures import
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("no CPU affinity on this platform")
+        env = _child_env()
+        if not blas_env:
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                del env[var]
         # a quarter filling of 201 sites: 50 Gram matrices, in stacks of 11
         code = (
             "import os, sys, threading\n"
-            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            f"if {pin_cpu}: os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})\n"
             "from askeychain import *\n"
             "s = analytic_eigensystem(*parse_recipe('hahn type=i a=1 b=2 c=3 N=200'))\n"
             "model = FreeFermionModel(s, filled_modes=frozenset(range(50)))\n"
             "entropy_profile(correlation_matrix(model))\n"
             "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
         )
-        out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=60).stdout
         assert out.split() == ["1", "False"]
+
+    @pytest.mark.parametrize("env, cpus, workers", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 2),
+        ({"OMP_NUM_THREADS": "1"}, {0, 1, 2}, 3),
+        ({"OPENBLAS_NUM_THREADS": "1"}, {0}, 0),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, 0),
+        ({"OMP_NUM_THREADS": "4"}, {0, 1}, 0),
+        ({}, {0, 1}, 0),
+    ])
+    def test_pool_needs_one_blas_thread(self, monkeypatch, env, cpus, workers):
+        # a solve on several BLAS threads beside the pool ran slower than the
+        # serial sweep, so the pool runs only where the environment pins
+        # OpenBLAS (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS) to one thread
+        for var in fermion._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert fermion._worker_count() == workers
 
     def test_forked_child_sweeps_on_its_own_pool(self, pooled):
         # an executor inherited across fork has no threads, so a child that

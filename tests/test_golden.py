@@ -7,10 +7,7 @@ here from the ``conftest`` grids, plus an ``entropy`` profile and a
 ``{"exit", "sha256"}`` entry per call, keyed ``command|format|recipe``
 (with ``|--block start:stop`` appended for a block).  The calls run in
 one child interpreter with one BLAS thread, as the benchmark runs them: a
-threaded matrix product sums in another order and moves bits.  The
-``entropy`` calls run a second time in a child with the sweep's thread pool
-switched off, and must give the same digests: the pooled Gram solves keep
-the serial sweep's bits.
+threaded matrix product sums in another order and moves bits.
 
 A change that keeps every byte leaves the manifest as it is; a change that
 moves output on purpose rewrites it with
@@ -35,7 +32,7 @@ from pathlib import Path
 
 from conftest import FINITE_GRID, TRUNCATED_GRID
 
-from askeychain import cli, fermion
+from askeychain import cli
 from askeychain import families as F
 from askeychain.families import ConvType, Family
 
@@ -111,12 +108,11 @@ def run_call(argv: list[str], out: Path) -> dict:
     return {"exit": code, "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def child_digests(*flags: str) -> dict[str, dict]:
-    """Every call's digest, from this file run as a child with one BLAS
-    thread; with ``--serial``, the ``entropy`` calls' with the pool off."""
+def child_digests() -> dict[str, dict]:
+    """Every call's digest, from this file run as a child with one BLAS thread."""
     env = {**os.environ, **BLAS_ENV, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, __file__, *flags], env=env, capture_output=True,
-                          text=True, timeout=300)
+    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -127,15 +123,6 @@ def test_every_golden_output_keeps_its_bytes():
     got = child_digests()
     changed = [f"{key}: {manifest[key]} -> {d}" for key, d in got.items() if d != manifest[key]]
     assert not changed, "golden outputs changed:\n" + "\n".join(changed)
-
-
-def test_entropy_outputs_keep_their_bytes_with_the_pool_off():
-    manifest = json.loads(MANIFEST.read_text())["outputs"]
-    got = child_digests("--serial")
-    assert sorted(got) == sorted(key for key in manifest if key.startswith("entropy|"))
-    assert len(got) == 2 * len(EXPORT_RECIPES)
-    changed = [f"{key}: {manifest[key]} -> {d}" for key, d in got.items() if d != manifest[key]]
-    assert not changed, "serial entropy outputs changed:\n" + "\n".join(changed)
 
 
 if __name__ == "__main__":
@@ -149,10 +136,6 @@ if __name__ == "__main__":
                       f"sha256 {was['sha256']} -> {d['sha256']}", file=sys.stderr)
         MANIFEST.write_text(json.dumps({"outputs": outputs}, indent=1, sort_keys=True) + "\n")
     else:
-        calls = golden_calls()
-        if sys.argv[1:] == ["--serial"]:
-            fermion._worker_count = lambda: 0  # the pool off
-            calls = {key: argv for key, argv in calls.items() if argv[0] == "entropy"}
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
-            json.dump({key: run_call(argv, out) for key, argv in calls.items()}, sys.stdout)
+            json.dump({key: run_call(argv, out) for key, argv in golden_calls().items()}, sys.stdout)

@@ -242,10 +242,10 @@ def test_verification_report_holds_its_floor(text, budget):
 
 
 def test_entropy_sweep_holds_workers_plus_one_stacks(pooled):
-    # the pool gets a stack while a worker is free, plus one queued while
-    # leading blocks remain, and the next is built only once at most
-    # ``workers`` are on the pool: at most workers + 1 stacks alive, the
-    # last of a sweep up to 2 count - 1 matrices long
+    # workers + 1 stacks go to the pool before the leading blocks, and the
+    # next is built only once the oldest is retired, at most ``workers``
+    # left: at most workers + 1 stacks alive, the last of a sweep up to
+    # 2 count - 1 matrices long
     system = spectral.analytic_eigensystem(*parse_recipe("meixner type=iii a=6 b=0.25 c=2"))
     corr = fermion.correlation_matrix(lowest_filling(system, system.size // 2))
     m = corr.modes.shape[1]
