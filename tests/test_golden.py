@@ -3,9 +3,14 @@ of CLI calls, run in process through ``cli.main``.
 
 The set is the ``verify`` and export calls the benchmark can make, built
 here from the ``conftest`` grids, plus an ``entropy`` profile and a
-``--block`` entropy per export recipe.  ``tests/golden.json`` holds one
-``{"exit", "sha256"}`` entry per call, keyed ``command|format|recipe``
-(with ``|--block start:stop`` appended for a block).  The calls run in
+``--block`` entropy per export recipe.  Each export recipe also gets a
+``correlation``, an ``entropy`` profile and a ``--block`` entropy with
+``--filled`` set to a quarter of its modes by largest kappa, and again by
+smallest kappa: at mu = 0 three of the four fill nothing.
+``tests/golden.json`` holds one ``{"exit", "sha256"}`` entry per call,
+keyed ``command|format|recipe`` (with ``|--block start:stop`` appended for
+a block, and ``|--filled largest-kappa/4`` or ``smallest-kappa/4`` before
+the block for a filling, in place of its mode list).  The calls run in
 one child interpreter with one BLAS thread, as the benchmark runs them: a
 threaded matrix product sums in another order and moves bits.
 
@@ -32,9 +37,12 @@ from pathlib import Path
 
 from conftest import FINITE_GRID, TRUNCATED_GRID
 
+import numpy as np
+
 from askeychain import cli
 from askeychain import families as F
-from askeychain.families import ConvType, Family
+from askeychain.families import ConvolutionRecipe, ConvType, Family
+from askeychain.spectral import _reliable_modes, analytic_eigensystem
 
 MANIFEST = Path(__file__).with_name("golden.json")
 BLAS_ENV = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
@@ -62,6 +70,8 @@ EXPORT_COMMANDS = [("kernel", "csv"), ("kernel", "json"), ("hamiltonian", "json"
 EXPORT_LARGE = (Family.HAHN, ConvType.III, (1.0, 2.0, 1.0), 800)
 #: a block inside every export recipe's lattice
 ENTROPY_BLOCK = "40:120"
+#: the fermion commands run with --filled on each export recipe
+FILLED_COMMANDS = [("correlation", ()), ("entropy", ()), ("entropy", ("--block", ENTROPY_BLOCK))]
 
 
 def recipe_text(family: Family, conv_type: ConvType, params: tuple, N: int | None) -> str:
@@ -73,14 +83,31 @@ def recipe_text(family: Family, conv_type: ConvType, params: tuple, N: int | Non
     return " ".join(parts + ([f"N={N}"] if N is not None else []))
 
 
+def quarter_fillings(family: Family, conv_type: ConvType, params: tuple,
+                     N: int | None) -> dict[str, str]:
+    """Label -> ``--filled`` value: the quarter of the modes with the
+    largest kappa, and the quarter with the smallest.  On a truncated window
+    both are drawn from its reliable modes (norm defect <= 1e-10) only: the
+    others spill past the window."""
+    system = analytic_eigensystem(ConvolutionRecipe(family, conv_type, params), N=N)
+    pool = _reliable_modes(system)
+    order = pool[np.argsort(system.kappas[pool], kind="stable")]
+    quarter = len(order) // 4
+    sets = {"largest-kappa/4": order[len(order) - quarter:], "smallest-kappa/4": order[:quarter]}
+    return {label: ",".join(str(n) for n in sorted(modes)) for label, modes in sets.items()}
+
+
 def golden_calls() -> dict[str, list[str]]:
     """Manifest key -> ``cli.main`` arguments, ``--out`` left off."""
     calls = {}
 
-    def add(command, fmt, spec, *extra):
+    def add(command, fmt, spec, *extra, filled=None):
         recipe = recipe_text(*spec)
-        key = "|".join([command, fmt, recipe, *([" ".join(extra)] if extra else [])])
-        calls[key] = [command, "--recipe", recipe, "--format", fmt, *extra]
+        tail = [] if filled is None else [f"--filled {filled[0]}"]
+        tail += [" ".join(extra)] if extra else []
+        argv = [] if filled is None else ["--filled", filled[1]]
+        calls["|".join([command, fmt, recipe, *tail])] = [
+            command, "--recipe", recipe, "--format", fmt, *argv, *extra]
 
     for grid, N in ((FINITE_GRID, VERIFY_N), (TRUNCATED_GRID, None)):
         for (family, conv_type), tuples in grid.items():
@@ -93,6 +120,9 @@ def golden_calls() -> dict[str, list[str]]:
             add(command, fmt, spec)
         add("entropy", "csv", spec)
         add("entropy", "csv", spec, "--block", ENTROPY_BLOCK)
+        for filled in quarter_fillings(*spec).items():
+            for command, extra in FILLED_COMMANDS:
+                add(command, "csv", spec, *extra, filled=filled)
     for fmt in ("csv", "json"):
         add("kernel", fmt, EXPORT_LARGE)
     return calls
