@@ -30,24 +30,24 @@ at half filling.  A truncated window's columns are not orthonormal, so its
 state is not pure; it keeps the one-sided sweep, whose entry k reads
 Q[:k], at sum_k min(k, m)^3.  The eigensolves are the floor.
 
-The solves of the Gram phase (k > m), 80-92% of the eigensolve flops on
-finite lattices at 1/4 filling and on truncated windows, run on a thread
-pool.  numpy 2.4.6's ``eigvalsh`` holds the GIL unless (matrices in the
-stack) x (order) > 500, so each Gram matrix, still built by the same
-rank-one update, is copied into a stack of floor(500/m)+1 of them, and
-each stack is one call.  Every matrix reaches the LAPACK call it reaches
-alone, so the profile keeps its bits.  The pool (``concurrent.futures``,
-imported on first use) has one worker per CPU of the process's affinity
-mask.  The calling thread sends it the first workers + 1 stacks, solves
-the leading blocks (those hold the GIL) meanwhile, and then retires the
-oldest stack before it builds the next, so at most workers + 1 stacks are
-alive.  The pool assumes one BLAS thread per solve: with two OpenBLAS
-threads on two cores the pooled sweep measured 3-54% slower than the
-serial one, so it runs only where ``OPENBLAS_NUM_THREADS`` (or, unset,
-``OMP_NUM_THREADS``) is 1, as the benchmark and the golden tests set it.
-Otherwise, with one CPU, and on a Gram run shorter than one stack (a
-finite lattice at half filling), this thread solves the same stacks
-itself and no thread starts.  A forked child makes a pool of its own.
+Every eigensolve is one matrix of a stack, and each stack is one
+``eigvalsh`` call, which numpy 2.4.6 runs without the GIL when (matrices
+in the stack) x (order) > 500.  A stack holds floor(500/K)+1 matrices of
+order K: Gram matrices (K = m), each still built by the same rank-one
+update, or a run of leading blocks zero-padded to the run's top order K,
+which adds exact zero eigenvalues and 2-14% to the cubes of 100-255 of them.
+The stacks go to a thread pool (``concurrent.futures``, imported on first
+use) of one worker per CPU of the process's affinity mask, both sweeps of
+a pure state in one stream; the calling thread builds them and retires
+the oldest before it builds the next, so at most ``workers`` are in
+flight.  A stack too small to release the GIL (a leading run of top
+order 22 or less, a Gram run shorter than one stack) is solved here.  The
+pool assumes one BLAS thread per solve: with two OpenBLAS threads on two
+cores the pooled sweep measured 3-54% slower than the serial one, so it
+runs only where ``OPENBLAS_NUM_THREADS`` (or, unset, ``OMP_NUM_THREADS``)
+is 1, as the benchmark and the golden tests set it.  Otherwise, and with
+one CPU, this thread solves the same stacks itself and no thread starts,
+so the profile keeps its bits.  A forked child makes a pool of its own.
 
 The pipeline needs only the ground state, so the subset sums are not a
 library function.  They live with the tests (``tests/oracles.py``, as
@@ -58,7 +58,6 @@ above, the explicit 2^M-dimensional Jordan-Wigner construction.
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 import numbers
 import os
@@ -169,7 +168,7 @@ def block_entropy(corr: CorrelationMatrix, block: tuple[int, int]) -> float:
 #: when (matrices in the stack) x (order) exceeds this
 _GIL_FREE_SIZE = 500
 
-#: the executor of the Gram stacks, made on first use
+#: the executor of the sweep's stacks, made on first use
 _POOL: list = []
 if hasattr(os, "register_at_fork"):
     # a forked child inherits the executor but not its threads, so a stack
@@ -183,7 +182,7 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _worker_count() -> int:
-    """Worker threads for the Gram stacks: one per CPU of this process's
+    """Worker threads for the sweep's stacks: one per CPU of this process's
     affinity mask, and none on one CPU or unless the environment pins the
     BLAS to one thread."""
     blas = next((os.environ[var] for var in _BLAS_THREAD_VARS if os.environ.get(var)), None)
@@ -200,7 +199,7 @@ def _executor(workers: int):
     if not _POOL:
         from concurrent.futures import ThreadPoolExecutor  # only a threaded sweep pays for it
 
-        _POOL.append(ThreadPoolExecutor(workers, thread_name_prefix="askeychain-gram"))
+        _POOL.append(ThreadPoolExecutor(workers, thread_name_prefix="askeychain-sweep"))
     return _POOL[0]
 
 
@@ -208,6 +207,11 @@ def _stack_size(m: int) -> int:
     """The fewest matrices of order m whose stack ``eigvalsh`` solves
     without the GIL."""
     return _GIL_FREE_SIZE // m + 1
+
+
+def _write_stack(out: np.ndarray, first: int, lams: np.ndarray) -> None:
+    for i, row in enumerate(lams):
+        out[first + i] = _binary_entropy(row)
 
 
 def _gram_stacks(q: np.ndarray, gram: np.ndarray, kmax: int):
@@ -230,59 +234,60 @@ def _gram_stacks(q: np.ndarray, gram: np.ndarray, kmax: int):
         del stack  # not held while the next one is built
 
 
-def _write_stack(out: np.ndarray, first: int, lams: np.ndarray) -> None:
-    for i, row in enumerate(lams):
-        out[first + i] = _binary_entropy(row)
-
-
-def _left_sweep(q: np.ndarray, kmax: int) -> np.ndarray:
-    """S(Q[:k]) for k = 0..kmax, the entropies of the leading row blocks.
+def _left_sweep(q: np.ndarray, kmax: int):
+    """(first, stack) for every eigenproblem of S(Q[:k]), k = 1..kmax:
+    entry first + i is the entropy of the i-th matrix of ``stack``.
 
     For k <= j = min(m, kmax) the block is the leading k x k submatrix of
-    the one product Q[:j] Q[:j]^T.  For k > m the m x m Gram matrix
-    Q[:k]^T Q[:k] starts from Q[:m]^T Q[:m] and gains the rank-one term
-    q q^T of each new row q: O(m^2) per site, where a new product per block
+    the one product Q[:j] Q[:j]^T.  These go in runs from k = j down: a run
+    of top order K holds _stack_size(K) successive orders (the last run
+    from k = 1), each block zero-padded to K x K.  The padding stays
+    exactly 0 through LAPACK's reduction, so it adds K - k zero eigenvalues
+    and no entropy.  For k > m the m x m Gram matrix Q[:k]^T Q[:k] starts
+    from Q[:m]^T Q[:m] and gains the rank-one term q q^T of each new row q
+    (``_gram_stacks``): O(m^2) per site, where a new product per block
     would cost O(k m^2).  Entry k reads only the rows Q[:k].
-
-    The Gram matrices are solved in stacks (``_gram_stacks``).  With no
-    workers this thread solves the leading blocks and then each stack.
-    With workers the first workers + 1 stacks go to the pool before the
-    leading blocks, which hold the GIL, are solved here; then this thread
-    waits for the oldest stack and submits the next, so at most workers + 1
-    stacks are alive.  Every matrix reaches the same LAPACK call either way.
     """
     m = q.shape[1]
-    out = np.zeros(kmax + 1)
     if not m:
-        return out  # no filled mode: every entropy is 0
+        return  # no filled mode: every entropy is 0
     lead = q[: min(m, kmax)]
     block = lead @ lead.T
-    stacks = _gram_stacks(q, lead.T @ lead, kmax)
-    # the pool takes whole stacks only; a shorter Gram run is solved here
-    workers = _worker_count() if kmax - m >= _stack_size(m) else 0
-    pending: collections.deque = collections.deque()  # (first entry, future), oldest first
+    top = len(block)
+    for k in range(top, 0, -1):  # a run ends at each top
+        if k == top:
+            top = max(k - _stack_size(k), 0)  # the top of the next run
+            stack = np.zeros((k - top, k, k))
+            for i, order in enumerate(range(top + 1, k + 1)):
+                stack[i, :order, :order] = block[:order, :order]
+            yield top + 1, stack
+            del stack  # not held while the next one is built
+    del block
+    yield from _gram_stacks(q, lead.T @ lead, kmax)
+
+
+def _solve(sweeps) -> None:
+    """Solve the stacks of each (out, stacks) of ``sweeps`` into out[first:].
+    With workers, each stack that ``eigvalsh`` solves without the GIL goes
+    to the pool, at most ``workers`` in flight: the oldest is retired before
+    the next is built.  Every other stack is solved on this thread."""
+    workers = _worker_count()
+    pending: collections.deque = collections.deque()  # (out, first, future), oldest first
 
     def retire(until: int) -> None:
         for _ in range(len(pending) - until):
-            first, future = pending.popleft()
+            out, first, future = pending.popleft()
             _write_stack(out, first, future.result())
 
-    if workers:
-        executor = _executor(workers)
-        pending.extend((first, executor.submit(np.linalg.eigvalsh, stack))
-                       for first, stack in itertools.islice(stacks, workers + 1))
-    for k in range(1, len(block) + 1):
-        out[k] = _binary_entropy(np.linalg.eigvalsh(block[:k, :k]))
-    retire(workers)
-    for first, stack in stacks:
-        if workers:
-            pending.append((first, executor.submit(np.linalg.eigvalsh, stack)))
-            retire(workers)
-        else:
-            _write_stack(out, first, np.linalg.eigvalsh(stack))
-        del stack  # not held while the next one is built
+    for out, stacks in sweeps:
+        for first, stack in stacks:
+            if workers and len(stack) * stack.shape[-1] > _GIL_FREE_SIZE:
+                pending.append((out, first, _executor(workers).submit(np.linalg.eigvalsh, stack)))
+                retire(workers)
+            else:
+                _write_stack(out, first, np.linalg.eigvalsh(stack))
+            del stack  # not held while the next one is built
     retire(0)
-    return out
 
 
 def entropy_profile(corr: CorrelationMatrix) -> np.ndarray:
@@ -300,7 +305,11 @@ def entropy_profile(corr: CorrelationMatrix) -> np.ndarray:
     q = corr.modes
     n = q.shape[0]
     if not corr.pure:
-        return _left_sweep(q, n)
+        out = np.zeros(n + 1)
+        _solve([(out, _left_sweep(q, n))])
+        return out
     half = n // 2
-    right = _left_sweep(q[::-1], n - half - 1)
-    return np.concatenate((_left_sweep(q, half), right[::-1]))
+    left, right = np.zeros(half + 1), np.zeros(n - half)
+    # one stream of stacks for both sweeps, so the pool does not drain between them
+    _solve([(left, _left_sweep(q, half)), (right, _left_sweep(q[::-1], n - half - 1))])
+    return np.concatenate((left, right[::-1]))

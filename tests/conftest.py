@@ -111,7 +111,7 @@ def with_matrix(kernel, matrix):
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """At least two worker threads for the entropy sweep's Gram stacks, on
+    """At least two worker threads for the entropy sweep's stacks, on
     any machine and in any environment; returns the worker count."""
     workers = max(fermion._worker_count(), 2)
     monkeypatch.setattr(fermion, "_worker_count", lambda: workers)

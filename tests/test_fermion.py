@@ -75,6 +75,10 @@ THREADED_CASES = [
 ]
 
 
+#: the solver the sweep calls, kept here for the tests that wrap it
+EIGVALSH = np.linalg.eigvalsh
+
+
 def _lowest_modes(recipe, N, fill_div):
     """The correlation matrix that fills the lowest-kappa 1/fill_div of the
     modes, as the benchmark fills them, read off the basis and kappa(n)
@@ -445,101 +449,114 @@ class TestSweep:
         assert got.tobytes() == want.tobytes()
 
     @staticmethod
-    def _eigenproblem_orders(monkeypatch, pure):
-        """The order of each matrix solved in a half-filling profile, a
-        stack's matrices counted one by one, with (n, m)."""
-        if pure:
-            sys_ = _system(Family.KRAWTCHOUK, ConvType.II, (0.2, 0.6), 400)
-        else:
-            sys_ = _system(Family.CHARLIER, ConvType.I, (0.4, 0.8), 60)
-        n = sys_.size
-        m = n // 2
-        corr = correlation_matrix(lowest_filling(sys_, m))
-        assert corr.pure == pure
-        orders = []
-        eigvalsh = np.linalg.eigvalsh
+    def _solved_stacks(monkeypatch, corr):
+        """Each ``eigvalsh`` call of the profile of ``corr`` as (order K, the
+        own order of each matrix, the exact zeros of each spectrum, on the
+        pool).  A matrix's own order is K less its trailing zero rows."""
+        calls = []
 
-        def counting(a):
-            orders.extend([a.shape[-1]] * (len(a) if a.ndim == 3 else 1))
-            return eigvalsh(a)
+        def recording(a):
+            assert a.ndim == 3  # every eigensolve is a matrix of a stack
+            lams = EIGVALSH(a)
+            rows = np.any(a != 0.0, axis=-1)
+            own = [int(np.flatnonzero(r)[-1]) + 1 if r.any() else 0 for r in rows]
+            zeros = [int(np.count_nonzero(lam == 0.0)) for lam in lams]
+            on_pool = threading.current_thread().name.startswith("askeychain-sweep")
+            calls.append((a.shape[-1], own, zeros, on_pool))
+            return lams
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         entropy_profile(corr)
-        return orders, n, m
+        return calls
 
-    @pytest.mark.parametrize("pure", [True, False])
-    def test_eigenproblem_orders(self, monkeypatch, pure):
-        # every eigensolve of a finite 401-site profile at half filling has
-        # order min(k, n - k, m), and their cubes sum to at most 0.45 of the
-        # left sweep's; a truncated window keeps the orders min(k, m), in
-        # entry order with the pool off
+    #: (recipe, sites, filled modes, the padded cube sum's bound relative to
+    #: the unpadded one, and relative to the one-sided unpadded sweep's).
+    #: The top-down runs measure 1.032 and 0.414 at j = 200 leading blocks
+    #: per sweep, 1.136 at j = 100, 1.111 with a Gram phase and 1.258 at j = 30
+    ORDER_CASES = [
+        pytest.param((Family.KRAWTCHOUK, ConvType.II, (0.2, 0.6)), 400, 200, 1.04, 0.45,
+                     id="pure-j200"),
+        pytest.param((Family.HAHN, ConvType.I, (1.0, 2.0, 3.0)), 200, 100, 1.15, 1.0, id="pure-j100"),
+        pytest.param((Family.HAHN, ConvType.I, (1.0, 2.0, 3.0)), 200, 50, 1.15, 1.0, id="pure-gram"),
+        pytest.param((Family.CHARLIER, ConvType.I, (0.4, 0.8)), 60, 30, 1.3, 1.3, id="window-j30"),
+    ]
+
+    @pytest.mark.parametrize("spec, N, m, factor, sided", ORDER_CASES)
+    def test_eigenproblem_orders(self, monkeypatch, spec, N, m, factor, sided):
+        # each entry's block is solved at its own order, min(k, n - k, m) on
+        # a finite lattice and min(k, m) on a window, zero-padded to the top
+        # order of its run: a Gram stack holds m x m matrices only, a leading
+        # run successive orders up to its K.  The padding comes back as exact
+        # zero eigenvalues, and the padded cubes stay within ``factor`` of the
+        # unpadded ones.  At half filling of 401 sites they also stay within
+        # 0.45 of the cubes of the one-sided sweep, unpadded
         monkeypatch.setattr(fermion, "_worker_count", lambda: 0)
-        orders, n, m = self._eigenproblem_orders(monkeypatch, pure)
-        left = [min(k, m) for k in range(1, n + 1)]
-        if not pure:
-            assert orders == left
-            return
-        assert sorted(orders) == sorted(min(k, n - k, m) for k in range(1, n))
-        assert sum(o**3 for o in orders) <= 0.45 * sum(o**3 for o in left)
+        corr = correlation_matrix(lowest_filling(_system(*spec, N), m))
+        n = corr.size
+        calls = self._solved_stacks(monkeypatch, corr)
+        orders = sorted(o for _, own, _, _ in calls for o in own)
+        pure = ConvolutionRecipe(*spec).is_finite
+        want = [min(k, n - k, m) for k in range(1, n)] if pure else [min(k, m) for k in range(1, n + 1)]
+        assert orders == sorted(want)
+        for order, own, zeros, _ in calls:
+            assert own[-1] == order
+            assert own == [order] * len(own) or own == list(range(own[0], order + 1))
+            assert all(z >= order - o for o, z in zip(own, zeros))
+        padded = sum(order**3 * len(own) for order, own, _, _ in calls)
+        assert padded <= factor * sum(o**3 for o in orders)
+        assert padded <= sided * sum(min(k, m) ** 3 for k in range(1, n + 1))
 
-    @pytest.mark.parametrize("pure", [True, False])
-    def test_pooled_eigenproblem_orders(self, monkeypatch, pooled, pure):
-        # the same orders on the pool, whose stacks run beside the leading
-        # blocks, so they are compared sorted
-        orders, n, m = self._eigenproblem_orders(monkeypatch, pure)
-        if not pure:
-            assert sorted(orders) == [min(k, m) for k in range(1, n + 1)]
-            return
-        assert sorted(orders) == sorted(min(k, n - k, m) for k in range(1, n))
+    @pytest.mark.parametrize("spec, N, m, factor, sided", ORDER_CASES)
+    def test_pooled_eigenproblem_orders(self, monkeypatch, pooled, spec, N, m, factor, sided):
+        # the pool solves the stacks of the serial sweep, each matrix at the
+        # same padded order, in whatever order the workers finish them
+        corr = correlation_matrix(lowest_filling(_system(*spec, N), m))
+        monkeypatch.setattr(fermion, "_worker_count", lambda: 0)
+        serial = self._solved_stacks(monkeypatch, corr)
+        monkeypatch.setattr(fermion, "_worker_count", lambda: pooled)
+        threaded = self._solved_stacks(monkeypatch, corr)
+        assert any(on_pool for *_, on_pool in threaded)
+        assert sorted(c[:3] for c in threaded) == sorted(c[:3] for c in serial)
 
     @pytest.mark.parametrize("fill_div", [4, 2])
     @pytest.mark.parametrize("family,conv_type,params,N", THREADED_CASES)
     def test_threaded_profile_keeps_the_bits(self, monkeypatch, pooled, family, conv_type,
                                              params, N, fill_div):
-        # every matrix reaches the LAPACK call of the serial sweep, alone or
-        # in a stack, so the profile on the pool is the serial one byte for
-        # byte.  A profile with no whole Gram stack (a finite lattice at half
-        # filling) never asks for workers: it is the serial sweep itself
+        # the sweep builds the same stacks with and without workers, and each
+        # matrix reaches the same LAPACK call, so the profile on the pool is
+        # the serial one byte for byte; every profile asks for workers,
+        # finite half fillings included
         corr = _lowest_modes(ConvolutionRecipe(family, conv_type, params), N, fill_div)
         asked = []
         monkeypatch.setattr(fermion, "_worker_count", lambda: asked.append(pooled) or pooled)
         threaded = entropy_profile(corr)
-        if not asked:
-            return
+        assert asked
         monkeypatch.setattr(fermion, "_worker_count", lambda: 0)
         assert threaded.tobytes() == entropy_profile(corr).tobytes()
 
     @pytest.mark.parametrize("family,conv_type,params,N,fill_div", [
-        (Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0), None, 4),  # 42 stacks of 6 (m = 84)
-        (Family.HAHN, ConvType.I, (1.0, 2.0, 3.0), 200, 4),  # 4 of 11 per side, the last 17 long
+        (Family.MEIXNER, ConvType.III, (6.0, 0.2, 1.0), None, 4),  # Gram stacks of 6 (m = 84)
+        (Family.HAHN, ConvType.I, (1.0, 2.0, 3.0), 200, 4),  # 4 Gram stacks of 11 per side
         (Family.HAHN, ConvType.I, (1.0, 2.0, 3.0), 200, 2),  # no Gram run
         (Family.CHARLIER, ConvType.I, (0.4, 0.8), None, 2),  # one short run of 19, short of 27
     ])
     def test_every_stack_releases_the_gil(self, monkeypatch, pooled, family, conv_type, params,
                                           N, fill_div):
         # numpy 2.4.6's eigvalsh releases the GIL for a stack only when
-        # (matrices) x (order) > 500.  Every stack on the pool passes it; the
-        # only stack that does not is a whole Gram run shorter than one
-        # stack, which is solved on the calling thread
+        # (matrices) x (order) > 500.  Every stack that passes goes to the
+        # pool, and only two kinds do not, which are solved on the calling
+        # thread: a leading run whose top K is 22 or less (it holds every
+        # order 1..K, and K^2 <= 484), and a Gram run shorter than one stack
         corr = _lowest_modes(ConvolutionRecipe(family, conv_type, params), N, fill_div)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recording(a):
-            calls.append((a.shape, threading.current_thread().name.startswith("askeychain-gram")))
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        entropy_profile(corr)
-        n, m = corr.modes.shape
-        count = fermion._stack_size(m)
-        sweeps = (n // 2, n - n // 2 - 1) if corr.pure else (n,)
-        runs = [kmax - m for kmax in sweeps if kmax > m]
-        stacks = [(shape, on_pool) for shape, on_pool in calls if len(shape) == 3]
-        assert any(on_pool for _, on_pool in stacks) == any(run >= count for run in runs)
-        assert all(size * order > 500 for (size, order, _), on_pool in stacks if on_pool)
-        held = [(size, on_pool) for (size, order, _), on_pool in stacks if size * order <= 500]
-        assert held == [(run, False) for run in runs if run < count]
+        m = corr.modes.shape[1]
+        calls = self._solved_stacks(monkeypatch, corr)
+        assert all(on_pool == (len(own) * order > 500) for order, own, _, on_pool in calls)
+        held = [(order, own) for order, own, _, on_pool in calls if not on_pool]
+        for order, own in held:
+            if own == list(range(1, order + 1)):
+                assert order <= 22
+            else:
+                assert own == [m] * len(own) and len(own) < fermion._stack_size(m)
 
     def test_more_workers_than_cores_keep_the_bits(self, monkeypatch):
         # a stress run: twice as many workers as cores plus one, and the
