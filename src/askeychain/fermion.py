@@ -35,7 +35,8 @@ Every eigensolve is one matrix of a stack, and each stack is one
 in the stack) x (order) > 500.  A stack holds floor(500/K)+1 matrices of
 order K: Gram matrices (K = m), each still built by the same rank-one
 update, or a run of leading blocks zero-padded to the run's top order K,
-which adds exact zero eigenvalues and 2-14% to the cubes of 100-255 of them.
+which adds only exact zero eigenvalues, and 2-14% to the cubes of a sweep
+of 100-255 leading blocks.
 The stacks go to a thread pool (``concurrent.futures``, imported on first
 use) of one worker per CPU of the process's affinity mask, both sweeps of
 a pure state in one stream; the calling thread builds them and retires
@@ -209,11 +210,6 @@ def _stack_size(m: int) -> int:
     return _GIL_FREE_SIZE // m + 1
 
 
-def _write_stack(out: np.ndarray, first: int, lams: np.ndarray) -> None:
-    for i, row in enumerate(lams):
-        out[first + i] = _binary_entropy(row)
-
-
 def _gram_stacks(q: np.ndarray, gram: np.ndarray, kmax: int):
     """(first, stack) for each run of the Gram matrices of the entries k > m,
     in order: ``gram`` = Q[:m]^T Q[:m] gains q_k q_k^T for entry k + 1, one
@@ -232,6 +228,11 @@ def _gram_stacks(q: np.ndarray, gram: np.ndarray, kmax: int):
             stack[i] = gram
         yield start + 1, stack
         del stack  # not held while the next one is built
+
+
+def _write_stack(out: np.ndarray, first: int, lams: np.ndarray) -> None:
+    for i, row in enumerate(lams):
+        out[first + i] = _binary_entropy(row)
 
 
 def _left_sweep(q: np.ndarray, kmax: int):

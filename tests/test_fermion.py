@@ -587,8 +587,8 @@ class TestSweep:
                              ids=["one-cpu", "blas-unpinned"])
     def test_serial_child_starts_no_thread(self, pin_cpu, blas_env):
         # a child confined to one CPU, or whose environment leaves the BLAS
-        # thread count open, sweeps a Gram run serially: no worker thread,
-        # and no concurrent.futures import
+        # thread count open, solves every stack of its sweep itself: no
+        # worker thread, and no concurrent.futures import
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("no CPU affinity on this platform")
         env = _child_env()
