@@ -1,6 +1,7 @@
 """Exactly solvable reversible Markov chains from convolutions of discrete
-orthogonal polynomial measures, the positive Hamiltonians they induce, and
-free lattice fermions built on top."""
+orthogonal polynomial measures, the symmetric Hamiltonians they induce, and
+free lattice fermions built on top.  H has spectrum (-1, 1] (kappa(1) =
+-0.4 on Krawtchouk ii (0.2, 0.6)); the positive H^R is ROADMAP item 21."""
 
 from .errors import DomainError
 from .families import (

@@ -736,6 +736,10 @@ def _hahn_type2_kappa_tail(a: float, b: float, c: float, nmax: int) -> np.ndarra
 
     At n = 0, with s = a + 2b + c, C_0 = 0 and the (s - 1) factors of A_0
     cancel; they are cancelled by hand only where s = 1 makes them 0/0.
+
+    These are ``_hahn_recurrence(n, -(b+c), a+b, b+c)``'s, written out: that
+    call rounds a+b and b+c first, which on (0.7, 1, 0.4) at N = 800 moves
+    560 kappa and 467 of them farther from an 80-digit 3F2.
     """
     out = np.empty(nmax)
     km1, k0 = 0.0, 1.0

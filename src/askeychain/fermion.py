@@ -38,17 +38,17 @@ update, or a run of leading blocks zero-padded to the run's top order K,
 which adds only exact zero eigenvalues, and 2-14% to the cubes of a sweep
 of 100-255 leading blocks.
 The stacks go to a thread pool (``concurrent.futures``, imported on first
-use) of one worker per CPU of the process's affinity mask, both sweeps of
-a pure state in one stream; the calling thread builds them and retires
-the oldest before it builds the next, so at most ``workers`` are in
-flight.  A stack too small to release the GIL (a leading run of top
-order 22 or less, a Gram run shorter than one stack) is solved here.  The
-pool assumes one BLAS thread per solve: with two OpenBLAS threads on two
-cores the pooled sweep measured 3-54% slower than the serial one, so it
-runs only where ``OPENBLAS_NUM_THREADS`` (or, unset, ``OMP_NUM_THREADS``)
-is 1, as the benchmark and the golden tests set it.  Otherwise, and with
-one CPU, this thread solves the same stacks itself and no thread starts,
-so the profile keeps its bits.  A forked child makes a pool of its own.
+use) of one worker per CPU of the process's affinity mask that lives for
+one profile, both sweeps of a pure state in one stream; the calling
+thread builds them and retires the oldest before it builds the next, so
+at most ``workers`` are in flight.  A stack too small to release the GIL
+(a leading run of top order 22 or less, a Gram run shorter than one
+stack) is solved here.  The pool assumes one BLAS thread per solve: with
+two OpenBLAS threads on two cores the pooled sweep measured 3-54% slower
+than the serial one, so it runs only where ``OPENBLAS_NUM_THREADS`` (or,
+unset, ``OMP_NUM_THREADS``) is 1, as the benchmark and the golden tests
+set it.  Otherwise, and with one CPU, this thread solves the same stacks
+itself and no thread starts, so the profile keeps its bits.
 
 The pipeline needs only the ground state, so the subset sums are not a
 library function.  They live with the tests (``tests/oracles.py``, as
@@ -59,6 +59,7 @@ above, the explicit 2^M-dimensional Jordan-Wigner construction.
 from __future__ import annotations
 
 import collections
+import contextlib
 import math
 import numbers
 import os
@@ -169,14 +170,6 @@ def block_entropy(corr: CorrelationMatrix, block: tuple[int, int]) -> float:
 #: when (matrices in the stack) x (order) exceeds this
 _GIL_FREE_SIZE = 500
 
-#: the executor of the sweep's stacks, made on first use
-_POOL: list = []
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the executor but not its threads, so a stack
-    # submitted there would never run: the child makes its own
-    os.register_at_fork(after_in_child=lambda: _POOL.clear())
-
-
 #: the environment variables OpenBLAS reads its thread count from, the
 #: first one set winning
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -194,14 +187,6 @@ def _worker_count() -> int:
     else:
         cpus = os.cpu_count() or 1
     return cpus if cpus > 1 else 0
-
-
-def _executor(workers: int):
-    if not _POOL:
-        from concurrent.futures import ThreadPoolExecutor  # only a threaded sweep pays for it
-
-        _POOL.append(ThreadPoolExecutor(workers, thread_name_prefix="askeychain-sweep"))
-    return _POOL[0]
 
 
 def _stack_size(m: int) -> int:
@@ -270,9 +255,11 @@ def _left_sweep(q: np.ndarray, kmax: int):
 def _solve(sweeps) -> None:
     """Solve the stacks of each (out, stacks) of ``sweeps`` into out[first:].
     With workers, each stack that ``eigvalsh`` solves without the GIL goes
-    to the pool, at most ``workers`` in flight: the oldest is retired before
-    the next is built.  Every other stack is solved on this thread."""
+    to a pool that lives for this call, at most ``workers`` in flight: the
+    oldest is retired before the next is built.  Every other stack is
+    solved on this thread."""
     workers = _worker_count()
+    pool = None
     pending: collections.deque = collections.deque()  # (out, first, future), oldest first
 
     def retire(until: int) -> None:
@@ -280,15 +267,21 @@ def _solve(sweeps) -> None:
             out, first, future = pending.popleft()
             _write_stack(out, first, future.result())
 
-    for out, stacks in sweeps:
-        for first, stack in stacks:
-            if workers and len(stack) * stack.shape[-1] > _GIL_FREE_SIZE:
-                pending.append((out, first, _executor(workers).submit(np.linalg.eigvalsh, stack)))
-                retire(workers)
-            else:
-                _write_stack(out, first, np.linalg.eigvalsh(stack))
-            del stack  # not held while the next one is built
-    retire(0)
+    with contextlib.ExitStack() as scope:  # the pool's threads end here, also on a raise
+        for out, stacks in sweeps:
+            for first, stack in stacks:
+                if workers and len(stack) * stack.shape[-1] > _GIL_FREE_SIZE:
+                    if pool is None:  # only a threaded sweep imports concurrent.futures
+                        from concurrent.futures import ThreadPoolExecutor
+
+                        pool = scope.enter_context(
+                            ThreadPoolExecutor(workers, thread_name_prefix="askeychain-sweep"))
+                    pending.append((out, first, pool.submit(np.linalg.eigvalsh, stack)))
+                    retire(workers)
+                else:
+                    _write_stack(out, first, np.linalg.eigvalsh(stack))
+                del stack  # not held while the next one is built
+        retire(0)
 
 
 def entropy_profile(corr: CorrelationMatrix) -> np.ndarray:
@@ -305,12 +298,12 @@ def entropy_profile(corr: CorrelationMatrix) -> np.ndarray:
     """
     q = corr.modes
     n = q.shape[0]
+    out = np.zeros(n + 1)
     if not corr.pure:
-        out = np.zeros(n + 1)
         _solve([(out, _left_sweep(q, n))])
         return out
     half = n // 2
-    left, right = np.zeros(half + 1), np.zeros(n - half)
-    # one stream of stacks for both sweeps, so the pool does not drain between them
-    _solve([(left, _left_sweep(q, half)), (right, _left_sweep(q[::-1], n - half - 1))])
-    return np.concatenate((left, right[::-1]))
+    # entry k of the right sweep is out[n - k], in one stream with the left
+    # sweep's stacks, so the pool does not drain between them
+    _solve([(out, _left_sweep(q, half)), (out[::-1], _left_sweep(q[::-1], n - half - 1))])
+    return out

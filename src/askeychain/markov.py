@@ -157,11 +157,11 @@ def _first_certified(bounds: np.ndarray, eps: float, window: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
 def _type_iii_z_extension(factor1: MeasureFactor) -> int:
     """How far past the window a semi-infinite type iii z sum runs: the
     first point whose lambda1 tail is certified below 1e-18, where it cannot
-    move any entry of K; one value per factor, for sizing and build alike."""
+    move any entry of K; one value per factor, which sizing and build each
+    compute once."""
     spec1 = FamilySpec(factor1.family, factor1.params)
     window = f"the type iii z sum over {spec1.to_string()}"
     return _first_certified(stationary_tail_bounds(spec1)[1], 1e-18, window)
@@ -178,12 +178,12 @@ def _last_column_deficit(recipe: ConvolutionRecipe):
     log_pi, bounds = stationary_tail_bounds(FamilySpec(semi.family, semi.params))
     pi = np.exp(log_pi[:-1])
     tail = np.append(np.cumsum(pi[:0:-1])[::-1], 0.0) + bounds[-1]
+    zext = None if recipe.conv_type is ConvType.I else _type_iii_z_extension(factor1)
 
     def deficit(M: int) -> float:
         if recipe.conv_type is ConvType.I:
             pi1 = np.exp(log_measure_grid(factor1.family, factor1.params, np.arange(M + 1), M))
             return float(pi1 @ tail[M::-1])
-        zext = _type_iii_z_extension(factor1)
         x = np.arange(M + 1, M + zext + 1)
         spill = np.exp(log_measure_grid(factor2.family, factor2.params, x[None, :], x[:, None]))
         return float(tail[zext] + pi[1 : zext + 1] @ spill.sum(axis=1))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from askeychain import families as F
 from askeychain import spectral
@@ -541,6 +542,19 @@ class TestRecipeRanges:
             ConvolutionRecipe(Family.KRAWTCHOUK, ConvType.I, params)
 
 
+def _mp_hahn_type2_kappa(params, n, dps):
+    """kappa(n) of Hahn type ii, 3F2(-n, n + a + 2b + c - 1, b; a + b, b + c; 1),
+    summed term by term at ``dps`` digits from the exact binary parameters."""
+    with mp.workdps(dps):
+        a, b, c = map(mpf, params)
+        s = n + a + 2 * b + c - 1
+        term = total = mpf(1)
+        for k in range(n):
+            term *= (k - n) * (s + k) * (b + k) / ((a + b + k) * (b + c + k) * (k + 1))
+            total += term
+        return total
+
+
 class TestKappa:
     def test_kappa0_exactly_one(self):
         for (fam, t), plist in {**FINITE_GRID, **TRUNCATED_GRID}.items():
@@ -587,6 +601,18 @@ class TestKappa:
                 [Fraction(-n), n + fa + 2 * fb + fc - 1, fb], [fa + fb, fb + fc], Fraction(1), n,
             )
             assert kap[n] == pytest.approx(float(ser), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("params", FINITE_GRID[(Family.HAHN, ConvType.II)])
+    def test_hahn_type_ii_far_degrees_against_the_3f2(self, params):
+        # the terms of the 3F2 grow with the degree, so the reference sums it
+        # at n + 80 digits and checks itself at n + 40; the production
+        # recurrence stays within 1e-13 of it (measured 1.7e-14, on
+        # (0.7, 1, 0.4))
+        kap = F.kappa_vector(ConvolutionRecipe(Family.HAHN, ConvType.II, params), 800)
+        for n in (100, 200, 400, 800):
+            ref = _mp_hahn_type2_kappa(params, n, n + 80)
+            assert abs(_mp_hahn_type2_kappa(params, n, n + 40) - ref) <= 1e-40 * abs(ref)
+            assert abs(kap[n] - float(ref)) <= 1e-13 * abs(float(ref)), n
 
     def test_qhahn_product_and_series_forms_agree(self):
         # product form (production) against the exact terminating 3phi2

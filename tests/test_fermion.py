@@ -408,15 +408,21 @@ class TestSweep:
     sweeps from both ends; each entry must still be the entropy of its own
     block, computed from the rows of that block."""
 
-    @pytest.mark.parametrize("m", [1, GRAM_SIZE // 4, GRAM_SIZE // 2, GRAM_SIZE])
+    # 30 sites at four fillings, and every filling of 1, 2 and 3 sites
+    @pytest.mark.parametrize(
+        "sites,m",
+        [pytest.param(GRAM_SIZE, m, id=str(m))
+         for m in (1, GRAM_SIZE // 4, GRAM_SIZE // 2, GRAM_SIZE)]
+        + [pytest.param(n, m, id=f"{n}sites-{m}") for n in (1, 2, 3) for m in range(n + 1)],
+    )
     @pytest.mark.parametrize("family,conv_type,params", GRAM_RECIPES)
-    def test_profile_matches_per_block_entropy(self, family, conv_type, params, m):
-        sys_ = _system(family, conv_type, params, GRAM_SIZE - 1)
+    def test_profile_matches_per_block_entropy(self, family, conv_type, params, sites, m):
+        sys_ = _system(family, conv_type, params, sites - 1)
         corr = correlation_matrix(lowest_filling(sys_, m))
         assert corr.pure == ConvolutionRecipe(family, conv_type, params).is_finite
         prof = entropy_profile(corr)
-        assert prof.shape == (GRAM_SIZE + 1,)
-        for k in range(GRAM_SIZE + 1):
+        assert prof.shape == (sites + 1,)
+        for k in range(sites + 1):
             assert abs(prof[k] - block_entropy(corr, _own_block(corr, k))) <= 1e-12, k
 
     def test_profile_matches_per_block_entropy_at_401_sites(self):
@@ -570,7 +576,6 @@ class TestSweep:
         want = entropy_profile(corr)
         workers = 2 * (os.cpu_count() or 1) + 1
         monkeypatch.setattr(fermion, "_worker_count", lambda: workers)
-        monkeypatch.setattr(fermion, "_POOL", [])
         got = []
         runner = threading.Thread(target=lambda: got.append(entropy_profile(corr)))
         interval = sys.getswitchinterval()
@@ -580,10 +585,39 @@ class TestSweep:
             runner.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-            for executor in fermion._POOL:
-                executor.shutdown(wait=not runner.is_alive())
         assert not runner.is_alive()
         assert got[0].tobytes() == want.tobytes()
+
+    def test_no_worker_outlives_its_profile(self, monkeypatch, pooled):
+        # the pool lives for one profile: its threads are gone when the
+        # profile returns, and also when a solve on the pool raises
+        corr = _lowest_modes(ConvolutionRecipe(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0)), 200, 4)
+        solvers = []
+
+        def on_pool():
+            return threading.current_thread().name.startswith("askeychain-sweep")
+
+        def recording(a):
+            solvers.append(on_pool())
+            return EIGVALSH(a)
+
+        def sweep_threads():
+            return [t.name for t in threading.enumerate() if t.name.startswith("askeychain-sweep")]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        entropy_profile(corr)
+        assert any(solvers)
+        assert sweep_threads() == []
+
+        def failing(a):
+            if on_pool():
+                raise np.linalg.LinAlgError("a stack that does not converge")
+            return EIGVALSH(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="does not converge"):
+            entropy_profile(corr)
+        assert sweep_threads() == []
 
     @pytest.mark.parametrize("pin_cpu, blas_env", [(True, True), (False, False)],
                              ids=["one-cpu", "blas-unpinned"])
@@ -635,7 +669,6 @@ class TestSweep:
         # used it would never see its stacks solved
         corr = _lowest_modes(ConvolutionRecipe(Family.HAHN, ConvType.I, (1.0, 2.0, 3.0)), 200, 4)
         want = entropy_profile(corr)
-        assert fermion._POOL
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork beside threads
             pid = os.fork()

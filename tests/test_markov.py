@@ -391,10 +391,8 @@ class TestTruncation:
         # the certificate, window, range guard, pi and tail bound all come
         # from one ln pi row; the sizing reads one row of each factor and
         # one grid per bound it evaluates, about log2 of the search range,
-        # and the one window build evaluates its two factor grids (the
-        # cached z range is cleared so the count does not depend on test
-        # order)
-        markov._type_iii_z_extension.cache_clear()
+        # and the one window build reads the z range's row and evaluates its
+        # two factor grids
         calls = []
         grid = families.log_measure_grid
 
